@@ -19,16 +19,19 @@ from .reporting import (
     monitor,
     render_csv,
     render_text,
-    run_study,
 )
 from .resemblance import ResemblanceConfig, decision_boundaries
+from .simulation import STUDIES, StudySpec, run_study
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_OVERLAP = 4
 
-_CONFIG_KEYS = {"c", "m", "alpha1", "alpha2", "delta_override", "seed"}
+# configuration-file key -> ResemblanceConfig field; "seed" is read separately
+_CONFIG_FIELDS = {"c": "c", "m": "M", "alpha1": "alpha1", "alpha2": "alpha2",
+                  "delta_override": "delta_override"}
+_CONFIG_KEYS = {*_CONFIG_FIELDS, "seed"}
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -64,13 +67,7 @@ def _build_config(args: argparse.Namespace) -> tuple[ResemblanceConfig, int]:
     seed = int(values.pop("seed", 0))
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    cfg = ResemblanceConfig(
-        c=values.get("c", 0.7),
-        M=values.get("m", 2.0),
-        alpha1=values.get("alpha1", 0.1),
-        alpha2=values.get("alpha2", 0.05),
-        delta_override=values.get("delta_override"),
-    )
+    cfg = ResemblanceConfig(**{_CONFIG_FIELDS[key]: v for key, v in values.items()})
     return cfg, seed
 
 
@@ -105,16 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bnd.add_argument("--format", choices=("text", "json"), default="text")
 
     p_st = sub.add_parser("study", help="run a simulation study and write CSV")
-    p_st.add_argument("--study", required=True, choices=("table1", "stability", "sweep"))
+    p_st.add_argument("--study", required=True, choices=STUDIES)
     p_st.add_argument("--out", required=True)
     p_st.add_argument("--n", type=int)
     p_st.add_argument("--n-grid", help="comma-separated sample sizes")
     p_st.add_argument("--B", type=int, required=True)
-    p_st.add_argument("--replications", type=int, default=100_000)
-    p_st.add_argument("--grid-points", type=int, default=30)
-    p_st.add_argument("--target-j", type=float, default=0.0)
-    p_st.add_argument("--threshold", type=float, default=0.25)
-    p_st.add_argument("--workers", type=int, default=1)
+    p_st.add_argument("--replications", type=int, default=StudySpec.replications)
+    p_st.add_argument("--grid-points", type=int, default=StudySpec.grid_points)
+    p_st.add_argument("--target-j", type=float, default=StudySpec.target_j)
+    p_st.add_argument("--threshold", type=float, default=StudySpec.threshold)
+    p_st.add_argument("--workers", type=int, default=StudySpec.workers)
     _add_config_flags(p_st)
     return parser
 
@@ -155,23 +152,16 @@ def _cmd_boundaries(args: argparse.Namespace) -> int:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     cfg, seed = _build_config(args)
-    if args.n is None and not args.n_grid:
-        raise ValidationError("study needs --n or --n-grid")
-    params = {
-        "B": args.B,
-        "replications": args.replications,
-        "seed": seed,
-        "grid_points": args.grid_points,
-        "target_j": args.target_j,
-        "threshold": args.threshold,
-        "workers": args.workers,
-        "c": cfg.c, "M": cfg.M, "alpha1": cfg.alpha1, "alpha2": cfg.alpha2,
-    }
-    if args.n is not None:
-        params["n"] = args.n
     if args.n_grid:
-        params["n_grid"] = [int(v) for v in args.n_grid.split(",")]
-    out = run_study(args.study, params, args.out)
+        ns = tuple(int(v) for v in args.n_grid.split(","))
+    else:
+        ns = () if args.n is None else (args.n,)
+    spec = StudySpec(
+        study=args.study, B=args.B, ns=ns, cfg=cfg, replications=args.replications,
+        seed=seed, grid_points=args.grid_points, target_j=args.target_j,
+        threshold=args.threshold, workers=args.workers,
+    )
+    out = run_study(spec, args.out)
     print(f"wrote {out}")
     return EXIT_OK
 

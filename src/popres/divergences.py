@@ -2,7 +2,8 @@
 
 All five measures (PSI, PRS, symmetric KL divergence J, chi-square
 divergence, discrete KS) operate on probability vectors over the same B
-ordered categories.  Natural logarithms throughout.
+ordered categories; given a matrix of proportions, each scores every row
+against the reference.  Natural logarithms throughout.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import ValidationError
 
 _SUM_TOL = 1e-12
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 VectorLike = Union["ProportionVector", "ReferenceDistribution", Sequence[float], np.ndarray]
 
@@ -30,14 +32,18 @@ class CategoryCounts:
         if arr.ndim != 1 or arr.size < 2:
             raise ValidationError(f"need a 1-d vector of B >= 2 counts, got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(arr)
-            if not np.array_equal(rounded, arr):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError("counts must be finite")
+            if not np.array_equal(np.rint(arr), arr):
                 raise ValidationError("counts must be integers")
-            arr = rounded.astype(np.int64)
         if np.any(arr < 0):
             raise ValidationError("counts must be non-negative")
-        if arr.sum() < 1:
+        # summed as Python integers, which cannot overflow
+        total = sum(int(v) for v in arr.tolist())
+        if total < 1:
             raise ValidationError("sample is empty (n = 0)")
+        if total > _INT64_MAX:
+            raise ValidationError(f"total count {total} exceeds the int64 range")
         object.__setattr__(self, "counts", arr.astype(np.int64))
 
     @property
@@ -59,6 +65,8 @@ class ProportionVector:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ValidationError(f"need a 1-d vector of B >= 2 entries, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("probabilities must be finite")
         if np.any(arr < 0):
             raise ValidationError("probabilities must be non-negative")
         total = float(arr.sum())
@@ -84,6 +92,8 @@ class ReferenceDistribution:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ValidationError(f"need a 1-d vector of B >= 2 entries, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("reference probabilities must be finite")
         if np.any(arr <= 0):
             raise ValidationError("reference probabilities must be strictly positive")
         total = float(arr.sum())
@@ -110,9 +120,15 @@ def as_probs(v: VectorLike) -> np.ndarray:
 
 def _paired(a: VectorLike, b: VectorLike) -> tuple[np.ndarray, np.ndarray]:
     x, y = as_probs(a), as_probs(b)
-    if x.shape != y.shape:
+    if x.shape[-1:] != y.shape[-1:]:
         raise ValidationError(f"dimension mismatch: {x.shape} vs {y.shape}")
     return x, y
+
+
+def _per_row(out: np.ndarray) -> Union[float, np.ndarray]:
+    """A statistic reduced over the category (last) axis: a Python float for
+    a single vector, one value per row for a matrix."""
+    return float(out) if out.ndim == 0 else out
 
 
 def proportions(counts: CategoryCounts) -> ProportionVector:
@@ -120,24 +136,28 @@ def proportions(counts: CategoryCounts) -> ProportionVector:
     return ProportionVector(counts.counts / counts.n)
 
 
-def psi(phat: VectorLike, p0: VectorLike) -> float:
+def psi(phat: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
     """Population Stability Index of the observed proportions against p0.
 
     Zero-count categories contribute nothing (plug-in indicator convention).
+    Rows of a matrix ``phat`` are scored separately.
     """
     ph, q = _paired(phat, p0)
     mask = ph > 0
     safe = np.where(mask, ph, 1.0)
-    return float(np.sum(np.where(mask, (ph - q) * (np.log(safe) - np.log(q)), 0.0)))
+    return _per_row(np.where(mask, (ph - q) * (np.log(safe) - np.log(q)), 0.0).sum(axis=-1))
 
 
-def prs(phat: VectorLike, p0: VectorLike) -> float:
-    """Population Resemblance Statistic: chi-square divergence of phat from p0."""
+def prs(phat: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
+    """Population Resemblance Statistic: chi-square divergence of phat from p0.
+
+    Rows of a matrix ``phat`` are scored separately.
+    """
     ph, q = _paired(phat, p0)
-    return float(np.sum((ph - q) ** 2 / q))
+    return _per_row(((ph - q) ** 2 / q).sum(axis=-1))
 
 
-def j_divergence(p: VectorLike, p0: VectorLike) -> float:
+def j_divergence(p: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
     """Symmetric Kullback-Leibler divergence between two population vectors.
 
     This is the population quantity: zero entries make it infinite, so they
@@ -146,15 +166,17 @@ def j_divergence(p: VectorLike, p0: VectorLike) -> float:
     x, q = _paired(p, p0)
     if np.any(x <= 0):
         raise ValidationError("j_divergence requires strictly positive entries")
-    return float(np.sum((x - q) * (np.log(x) - np.log(q))))
+    return _per_row(((x - q) * (np.log(x) - np.log(q))).sum(axis=-1))
 
 
-def chi2_divergence(p: VectorLike, p0: VectorLike) -> float:
-    """Chi-square divergence between population vectors (same formula as prs)."""
-    return prs(p, p0)
+# the chi-square divergence between populations is the PRS formula
+chi2_divergence = prs
 
 
-def ks_statistic(phat: VectorLike, p0: VectorLike) -> float:
-    """Discrete KS statistic: max gap between the two cumulative distributions."""
+def ks_statistic(phat: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
+    """Discrete KS statistic: max gap between the two cumulative distributions.
+
+    Rows of a matrix ``phat`` are scored separately.
+    """
     ph, q = _paired(phat, p0)
-    return float(np.max(np.abs(np.cumsum(ph) - np.cumsum(q))))
+    return _per_row(np.abs(np.cumsum(ph, axis=-1) - np.cumsum(q, axis=-1)).max(axis=-1))

@@ -1,4 +1,4 @@
-"""Snapshot ingestion, monitoring reports, history persistence and studies.
+"""Snapshot ingestion, monitoring reports, rendering and history persistence.
 
 A monitoring report is self-contained: every statistic, boundary and
 classification can be re-derived from its own fields.  History is an
@@ -19,11 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import simulation
 from .divergences import (
     CategoryCounts,
     ReferenceDistribution,
-    as_probs,
     ks_statistic,
     proportions,
     psi,
@@ -31,8 +29,6 @@ from .divergences import (
 )
 from .errors import ValidationError
 from .resemblance import (
-    DecisionBoundaries,
-    Region,
     ResemblanceConfig,
     classify_lewis,
     classify_p_value,
@@ -92,28 +88,26 @@ class MonitoringReport:
         return hashlib.sha256(payload).hexdigest()
 
 
-def _read_rows(path: Path) -> list[dict]:
+def _read_rows(path: Path) -> tuple[list[str], list[dict]]:
+    """Lower-cased header fields and the rows keyed by them."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValidationError(f"{path}: empty file")
         fields = [f.strip().lower() for f in reader.fieldnames]
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            rows.append({f.strip().lower(): v for f, v in zip(reader.fieldnames, row.values())})
-        return [{"_fields": fields}] + rows
+        return fields, [dict(zip(fields, row.values())) for row in reader]
 
 
-def _ordered_values(path: Path, value_field: str) -> list[float]:
-    """Parse a category,value CSV; categories must be 1..B in order, no gaps."""
-    rows = _read_rows(path)
-    fields = rows[0]["_fields"]
+def _ordered_values(
+    path: Path, fields: list[str], rows: list[dict], value_field: str
+) -> list[float]:
+    """Values of a category,value table; categories must be 1..B in order, no gaps."""
     if "category" not in fields or value_field not in fields:
         raise ValidationError(
             f"{path}: expected header 'category,{value_field}', got {fields}"
         )
     seen: dict[int, float] = {}
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in enumerate(rows, start=2):
         try:
             cat = int(row["category"])
             val = float(row[value_field])
@@ -132,13 +126,12 @@ def _ordered_values(path: Path, value_field: str) -> list[float]:
 def load_reference(path: str | Path) -> ReferenceDistribution:
     """Reference from a CSV of explicit probabilities or of reference counts."""
     path = Path(path)
-    rows = _read_rows(path)
-    fields = rows[0]["_fields"]
+    fields, rows = _read_rows(path)
     if "prob" in fields:
-        vals = _ordered_values(path, "prob")
+        vals = _ordered_values(path, fields, rows, "prob")
         return ReferenceDistribution(np.asarray(vals))
     if "count" in fields:
-        vals = np.asarray(_ordered_values(path, "count"))
+        vals = np.asarray(_ordered_values(path, fields, rows, "count"))
         if np.any(vals <= 0):
             raise ValidationError(f"{path}: reference counts must be strictly positive")
         return ReferenceDistribution(vals / vals.sum())
@@ -161,7 +154,7 @@ def load_snapshot(path: str | Path) -> Snapshot:
             counts=counts,
             timestamp=payload.get("timestamp"),
         )
-    vals = _ordered_values(path, "count")
+    vals = _ordered_values(path, *_read_rows(path), "count")
     arr = np.asarray(vals)
     if np.any(arr != np.rint(arr)):
         raise ValidationError(f"{path}: counts must be integers")
@@ -290,108 +283,3 @@ def read_history(history_path: str | Path) -> list[MonitoringReport]:
             except (json.JSONDecodeError, TypeError) as exc:
                 raise ValidationError(f"{path}:{i}: corrupt history line ({exc})") from exc
     return reports
-
-
-def _write_csv(path: Path, metadata: dict, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        for k, v in metadata.items():
-            fh.write(f"# {k}={v}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
-def run_study(study_id: str, parameters: dict, output_path: str | Path) -> Path:
-    """Dispatch one of the named studies and write its CSV artifact."""
-    path = Path(output_path)
-    if study_id == "sweep":
-        return _run_sweep(parameters, path)
-    if study_id == "table1":
-        return _run_table1(parameters, path)
-    if study_id in ("stability", "stability_ratios"):
-        return _run_stability(parameters, path)
-    raise ValidationError(
-        f"unknown study {study_id!r}; expected table1, stability or sweep"
-    )
-
-
-def _cfg_from_params(params: dict) -> ResemblanceConfig:
-    return ResemblanceConfig(
-        c=float(params.get("c", 0.7)),
-        M=float(params.get("M", 2.0)),
-        alpha1=float(params.get("alpha1", 0.1)),
-        alpha2=float(params.get("alpha2", 0.05)),
-    )
-
-
-def _run_sweep(params: dict, path: Path) -> Path:
-    n = int(params["n"])
-    B = int(params["B"])
-    K = int(params.get("replications", 100_000))
-    seed = int(params.get("seed", 0))
-    workers = int(params.get("workers", 1))
-    cfg = _cfg_from_params(params)
-    result = simulation.classification_sweep(
-        n, B, cfg, grid_points=int(params.get("grid_points", 30)),
-        replications=K, seed=seed, workers=workers,
-    )
-    meta = {
-        "study": "sweep", "n": n, "B": B, "replications": K, "seed": seed,
-        "c": cfg.c, "M": cfg.M, "alpha1": cfg.alpha1, "alpha2": cfg.alpha2,
-        "delta": repr(result.boundaries.delta),
-        "tau1": repr(result.boundaries.tau1), "tau2": repr(result.boundaries.tau2),
-    }
-    rows = [
-        [repr(float(dv)), repr(float(r1)), repr(float(r2)), repr(float(r3))]
-        for dv, (r1, r2, r3) in zip(result.grid, result.region_probs)
-    ]
-    _write_csv(path, meta, ["delta_v", "p_r1", "p_r2", "p_r3"], rows)
-    return path
-
-
-def _run_table1(params: dict, path: Path) -> Path:
-    B = int(params["B"])
-    K = int(params.get("replications", 100_000))
-    seed = int(params.get("seed", 0))
-    workers = int(params.get("workers", 1))
-    threshold = float(params.get("threshold", 0.25))
-    target_j = float(params.get("target_j", 0.0))
-    ns = params.get("n_grid") or [int(params["n"])]
-    scenario = (
-        simulation.TargetJ(target_j) if target_j > 0 else simulation.NoShift()
-    )
-    rows = []
-    for n in ns:
-        spec = simulation.SimulationSpec(int(n), B, K, seed, scenario)
-        est = simulation.reconstruction_probability(spec, threshold, workers=workers)
-        rows.append([int(n), B, target_j, repr(est.value), repr(est.std_error)])
-    meta = {
-        "study": "table1", "B": B, "replications": K, "seed": seed,
-        "threshold": threshold, "target_j": target_j,
-    }
-    _write_csv(path, meta, ["n", "B", "target_j", "estimate", "std_error"], rows)
-    return path
-
-
-def _run_stability(params: dict, path: Path) -> Path:
-    B = int(params["B"])
-    K = int(params.get("replications", 100_000))
-    seed = int(params.get("seed", 0))
-    workers = int(params.get("workers", 1))
-    ns = params.get("n_grid") or [int(params["n"])]
-    rows = []
-    for n in ns:
-        r = simulation.stability_ratios(int(n), B, K, seed, workers=workers)
-        rows.append([
-            int(n), B,
-            repr(r.mean_ratio_psi), repr(r.var_ratio_psi),
-            repr(r.mean_ratio_prs), repr(r.var_ratio_prs),
-        ])
-    meta = {"study": "stability", "B": B, "replications": K, "seed": seed}
-    _write_csv(
-        path, meta,
-        ["n", "B", "mean_ratio_psi", "var_ratio_psi", "mean_ratio_prs", "var_ratio_prs"],
-        rows,
-    )
-    return path

@@ -10,6 +10,7 @@ the discrete KS statistic.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +54,10 @@ class ResemblanceConfig:
     delta_override: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("c", "M", "alpha1", "alpha2", "delta_override"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValidationError(f"{name} must be finite, got {v}")
         if self.c <= 0:
             raise ValidationError(f"c must be positive, got {self.c}")
         if self.M <= 1:
@@ -201,8 +206,7 @@ def ks_p_value(
     q = as_probs(p0)
     observed = ks_statistic(proportions(counts), p0)
     sims = sampling.multinomial_matrix(counts.n, q, replications, seed=seed, stream=5)
-    gaps = np.abs(np.cumsum(sims / counts.n, axis=1) - np.cumsum(q))
-    d_star = gaps.max(axis=1)
+    d_star = ks_statistic(sims / counts.n, q)
     # the statistic lives on a lattice of multiples of 1/n; tolerance absorbs
     # floating roundoff when counting ties
     exceed = int(np.sum(d_star >= observed - 1e-12))

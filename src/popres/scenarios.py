@@ -107,9 +107,8 @@ def solve_p_for_target_j(
 
 
 def _j_raw(p: np.ndarray, q: np.ndarray) -> float:
-    if np.any(p <= 0):
-        return np.inf
-    return float(np.sum((p - q) * (np.log(p) - np.log(q))))
+    """J(p, q), infinite where an entry of p has left the open simplex."""
+    return np.inf if np.any(p <= 0) else j_divergence(p, q)
 
 
 def _blockwise_start(q: np.ndarray, target_j: float) -> np.ndarray:

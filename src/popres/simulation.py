@@ -2,24 +2,33 @@
 
 Replications use the counter-based substreams from :mod:`popres.sampling`,
 so every study is bit-reproducible from (seed, spec) alone at any
-parallelism degree.
+parallelism degree.  :class:`StudySpec` and :func:`run_study` turn one
+``popres study`` invocation into its CSV artifact.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from . import sampling
-from .divergences import ReferenceDistribution, as_probs, uniform_reference
+from .divergences import as_probs, prs, psi, uniform_reference
 from .errors import ValidationError
-from .resemblance import DecisionBoundaries, ResemblanceConfig, decision_boundaries
+from .resemblance import (
+    LEWIS_ACTION,
+    DecisionBoundaries,
+    ResemblanceConfig,
+    decision_boundaries,
+)
 from .scenarios import PerturbationSpec, perturbed_pv, solve_p_for_target_j
 
-multinomial_sample = sampling.multinomial_sample
+REPLICATIONS = 100_000
+GRID_POINTS = 30
 
 
 @dataclass(frozen=True)
@@ -49,12 +58,17 @@ class SimulationSpec:
     scenario: Scenario = field(default_factory=NoShift)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"sample size must be positive, got {self.n}")
-        if self.B < 2:
-            raise ValidationError(f"need B >= 2 categories, got {self.B}")
-        if self.replications < 1:
-            raise ValidationError("need at least one replication")
+        _check_sizes((self.n,), self.B, self.replications)
+
+
+def _check_sizes(ns: tuple[int, ...], B: int, replications: int) -> None:
+    for n in ns:
+        if n < 1:
+            raise ValidationError(f"sample size must be positive, got {n}")
+    if B < 2:
+        raise ValidationError(f"need B >= 2 categories, got {B}")
+    if replications < 1:
+        raise ValidationError("need at least one replication")
 
 
 @dataclass(frozen=True)
@@ -95,20 +109,8 @@ def _scenario_population(spec: SimulationSpec) -> np.ndarray:
     raise ValidationError(f"unknown scenario {spec.scenario!r}")
 
 
-def _psi_matrix(counts: np.ndarray, n: int, q: np.ndarray) -> np.ndarray:
-    ph = counts / n
-    mask = ph > 0
-    safe = np.where(mask, ph, 1.0)
-    return np.where(mask, (ph - q) * (np.log(safe) - np.log(q)), 0.0).sum(axis=1)
-
-
-def _prs_matrix(counts: np.ndarray, n: int, q: np.ndarray) -> np.ndarray:
-    ph = counts / n
-    return ((ph - q) ** 2 / q).sum(axis=1)
-
-
 def reconstruction_probability(
-    spec: SimulationSpec, psi_threshold: float = 0.25, workers: int = 1
+    spec: SimulationSpec, psi_threshold: float = LEWIS_ACTION, workers: int = 1
 ) -> MCEstimate:
     """Fraction of replications whose PSI reaches the reconstruction threshold."""
     if isinstance(spec.scenario, Perturbed):
@@ -118,7 +120,7 @@ def reconstruction_probability(
     counts = sampling.multinomial_matrix(
         spec.n, p, spec.replications, seed=spec.seed, stream=1, workers=workers
     )
-    hits = _psi_matrix(counts, spec.n, q) >= psi_threshold
+    hits = psi(counts / spec.n, q) >= psi_threshold
     frac = float(np.mean(hits))
     se = math.sqrt(max(frac * (1.0 - frac), 1.0 / spec.replications) / spec.replications)
     return MCEstimate(frac, se)
@@ -128,8 +130,9 @@ def stability_ratios(n: int, B: int, replications: int, seed: int, workers: int 
     """Mean and variance stability of n*PSI and n*PRS under no shift."""
     q = as_probs(uniform_reference(B))
     counts = sampling.multinomial_matrix(n, q, replications, seed=seed, stream=2, workers=workers)
-    t = n * _psi_matrix(counts, n, q)
-    s = n * _prs_matrix(counts, n, q)
+    ph = counts / n
+    t = n * psi(ph, q)
+    s = n * prs(ph, q)
     dof = B - 1
     return StabilityRatios(
         mean_ratio_psi=float(t.mean() / dof),
@@ -145,8 +148,8 @@ def classification_sweep(
     n: int,
     B: int,
     cfg: ResemblanceConfig,
-    grid_points: int = 30,
-    replications: int = 100_000,
+    grid_points: int = GRID_POINTS,
+    replications: int = REPLICATIONS,
     seed: int = 0,
     workers: int = 1,
 ) -> SweepResult:
@@ -164,7 +167,7 @@ def classification_sweep(
         counts = sampling.multinomial_matrix(
             n, p, replications, seed=seed, stream=10 + i, workers=workers
         )
-        prs_vals = _prs_matrix(counts, n, q)
+        prs_vals = prs(counts / n, q)
         r1 = int(np.sum(prs_vals <= bounds.tau1))
         r3 = int(np.sum(prs_vals > bounds.tau2))
         r2 = replications - r1 - r3
@@ -176,7 +179,7 @@ def calibration_probabilities(
     n: int,
     B: int,
     cfg: ResemblanceConfig,
-    replications: int = 100_000,
+    replications: int = REPLICATIONS,
     seed: int = 0,
     workers: int = 1,
 ) -> dict[str, MCEstimate]:
@@ -197,7 +200,7 @@ def calibration_probabilities(
         counts = sampling.multinomial_matrix(
             n, p, replications, seed=seed, stream=100 + stream, workers=workers
         )
-        prs_vals = _prs_matrix(counts, n, q)
+        prs_vals = prs(counts / n, q)
         if key == "r3_at_delta":
             frac = float(np.mean(prs_vals > bounds.tau2))
         else:
@@ -205,3 +208,91 @@ def calibration_probabilities(
         se = math.sqrt(max(frac * (1.0 - frac), 1.0 / replications) / replications)
         out[key] = MCEstimate(frac, se)
     return out
+
+
+@dataclass(frozen=True)
+class StudySpec:
+    """One run of a named study over the sample sizes ``ns`` (sweep takes one)."""
+
+    study: str
+    B: int
+    ns: tuple[int, ...]
+    cfg: ResemblanceConfig = field(default_factory=ResemblanceConfig)
+    replications: int = REPLICATIONS
+    seed: int = 0
+    grid_points: int = GRID_POINTS
+    target_j: float = 0.0
+    threshold: float = LEWIS_ACTION
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.study not in STUDIES:
+            raise ValidationError(
+                f"unknown study {self.study!r}; expected {', '.join(STUDIES)}"
+            )
+        if not self.ns:
+            raise ValidationError("study needs a sample size (--n or --n-grid)")
+        if self.study == "sweep" and len(self.ns) != 1:
+            raise ValidationError(
+                f"sweep takes exactly one sample size (--n), got {list(self.ns)}"
+            )
+        _check_sizes(self.ns, self.B, self.replications)
+
+
+def _table1(spec: StudySpec) -> tuple[dict, list[str], list[list]]:
+    scenario = TargetJ(spec.target_j) if spec.target_j > 0 else NoShift()
+    rows = []
+    for n in spec.ns:
+        sim = SimulationSpec(n, spec.B, spec.replications, spec.seed, scenario)
+        est = reconstruction_probability(sim, spec.threshold, workers=spec.workers)
+        rows.append([n, spec.B, spec.target_j, repr(est.value), repr(est.std_error)])
+    meta = {"study": "table1", "B": spec.B, "replications": spec.replications,
+            "seed": spec.seed, "threshold": spec.threshold, "target_j": spec.target_j}
+    return meta, ["n", "B", "target_j", "estimate", "std_error"], rows
+
+
+def _stability(spec: StudySpec) -> tuple[dict, list[str], list[list]]:
+    rows = []
+    for n in spec.ns:
+        r = stability_ratios(n, spec.B, spec.replications, spec.seed, workers=spec.workers)
+        rows.append([n, spec.B, repr(r.mean_ratio_psi), repr(r.var_ratio_psi),
+                     repr(r.mean_ratio_prs), repr(r.var_ratio_prs)])
+    meta = {"study": "stability", "B": spec.B, "replications": spec.replications,
+            "seed": spec.seed}
+    header = ["n", "B", "mean_ratio_psi", "var_ratio_psi", "mean_ratio_prs", "var_ratio_prs"]
+    return meta, header, rows
+
+
+def _sweep(spec: StudySpec) -> tuple[dict, list[str], list[list]]:
+    (n,) = spec.ns
+    cfg = spec.cfg
+    result = classification_sweep(
+        n, spec.B, cfg, grid_points=spec.grid_points,
+        replications=spec.replications, seed=spec.seed, workers=spec.workers,
+    )
+    bounds = result.boundaries
+    meta = {"study": "sweep", "n": n, "B": spec.B, "replications": spec.replications,
+            "seed": spec.seed, "c": cfg.c, "M": cfg.M, "alpha1": cfg.alpha1,
+            "alpha2": cfg.alpha2, "delta": repr(bounds.delta),
+            "tau1": repr(bounds.tau1), "tau2": repr(bounds.tau2)}
+    rows = [[repr(float(dv)), repr(float(r1)), repr(float(r2)), repr(float(r3))]
+            for dv, (r1, r2, r3) in zip(result.grid, result.region_probs)]
+    return meta, ["delta_v", "p_r1", "p_r2", "p_r3"], rows
+
+
+_RUNNERS = {"table1": _table1, "stability": _stability, "sweep": _sweep}
+STUDIES = tuple(_RUNNERS)
+
+
+def run_study(spec: StudySpec, output_path: str | Path) -> Path:
+    """Run the study ``spec`` names and write its CSV artifact: one
+    ``# key=value`` line per setting, then a header and one row per result."""
+    meta, header, rows = _RUNNERS[spec.study](spec)
+    path = Path(output_path)
+    with open(path, "w", newline="") as fh:
+        for k, v in meta.items():
+            fh.write(f"# {k}={v}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path

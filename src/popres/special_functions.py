@@ -6,9 +6,10 @@ mutable state, so concurrent use from multiple threads is safe.
 The incomplete gamma function uses the standard regime split (power series
 for x < a + 1, Lentz continued fraction otherwise), which keeps both
 branches in their numerically stable region.  The non-central chi-square
-CDF is the Poisson-weighted mixture of central CDFs, truncated by
-cumulative Poisson mass rather than a fixed term count so the truncation
-error is bounded uniformly.
+CDF is the Poisson-weighted mixture of central CDFs, truncated where the
+Poisson weight on either side of the mode falls below a fixed tolerance
+rather than after a fixed term count, so the truncation error is bounded
+uniformly.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ from .errors import ConvergenceError
 
 _EPS = 1e-16
 _MAX_ITER = 10_000
-# Poisson tail mass allowed to be dropped in the non-central mixture.
+# Poisson weight below which the non-central mixture stops summing.
 _NCX2_TAIL = 1e-14
-# Above this non-centrality the early Poisson weights underflow, so the
-# mixture is summed outward from the modal index instead of from zero.
-_NCX2_MODAL_START = 2000.0
 
 
 def regularized_lower_gamma(a: float, x: float) -> float:
@@ -108,9 +106,12 @@ def ncx2_cdf(x: float, df: float, ncp: float) -> float:
     """CDF of the non-central chi-square distribution.
 
     Computed as the Poisson(ncp/2)-weighted mixture of central chi-square
-    CDFs with df + 2k degrees of freedom.  The central terms are updated
-    via the downward recurrence P(s+1, y) = P(s, y) - y^s e^{-y} / Gamma(s+1)
-    rather than recomputed from scratch.
+    CDFs with df + 2k degrees of freedom, summed outward from the modal index
+    in both directions.  Starting at the mode keeps every weight that matters
+    representable; starting at k = 0 would need exp(-ncp/2), which underflows
+    once ncp exceeds about 1400.  The central terms are updated via the
+    recurrence P(s+1, y) = P(s, y) - y^s e^{-y} / Gamma(s+1) rather than
+    recomputed for each k.
     """
     if df <= 0:
         raise ValueError(f"degrees of freedom must be positive, got df={df}")
@@ -121,48 +122,13 @@ def ncx2_cdf(x: float, df: float, ncp: float) -> float:
     if x <= 0:
         return 0.0
 
-    half_ncp = ncp / 2.0
-    a = df / 2.0
-    y = x / 2.0
-
-    if ncp <= _NCX2_MODAL_START:
-        return _ncx2_sum_from_zero(a, y, half_ncp)
-    return _ncx2_sum_from_mode(a, y, half_ncp)
-
-
-def _chi2_term(s: float, y: float) -> float:
-    """y^s e^{-y} / Gamma(s+1), the increment in the P(s, y) recurrence."""
-    return math.exp(s * math.log(y) - y - math.lgamma(s + 1.0))
-
-
-def _ncx2_sum_from_zero(a: float, y: float, half_ncp: float) -> float:
-    weight = math.exp(-half_ncp)
-    cumulative_weight = weight
-    central = regularized_lower_gamma(a, y)
-    term = _chi2_term(a, y)
-    total = weight * central
-    k = 0
-    while cumulative_weight < 1.0 - _NCX2_TAIL:
-        central -= term
-        central = max(central, 0.0)
-        term *= y / (a + k + 1.0)
-        k += 1
-        weight *= half_ncp / k
-        cumulative_weight += weight
-        total += weight * central
-        if k > 1_000_000:
-            raise ConvergenceError("non-central mixture did not converge")
-    return min(1.0, max(0.0, total))
-
-
-def _ncx2_sum_from_mode(a: float, y: float, half_ncp: float) -> float:
+    a, y, half_ncp = df / 2.0, x / 2.0, ncp / 2.0
     m = int(half_ncp)
-    log_w_m = m * math.log(half_ncp) - half_ncp - math.lgamma(m + 1.0)
-    w_m = math.exp(log_w_m)
+    # m = 0 skips the log: half_ncp itself underflows to 0 for a subnormal ncp
+    log_rate = m * math.log(half_ncp) if m else 0.0
+    w_m = math.exp(log_rate - half_ncp - math.lgamma(m + 1.0))
     central_m = regularized_lower_gamma(a + m, y)
-
     total = w_m * central_m
-    cumulative_weight = w_m
 
     # upward sweep: k = m+1, m+2, ...
     weight = w_m
@@ -174,7 +140,6 @@ def _ncx2_sum_from_mode(a: float, y: float, half_ncp: float) -> float:
         term *= y / (a + k + 1.0)
         k += 1
         weight *= half_ncp / k
-        cumulative_weight += weight
         total += weight * central
         if k - m > 1_000_000:
             raise ConvergenceError("non-central mixture (upward) did not converge")
@@ -187,10 +152,14 @@ def _ncx2_sum_from_mode(a: float, y: float, half_ncp: float) -> float:
         weight *= k / half_ncp
         k -= 1
         central = min(central + _chi2_term(a + k, y), 1.0)
-        cumulative_weight += weight
         total += weight * central
 
     return min(1.0, max(0.0, total))
+
+
+def _chi2_term(s: float, y: float) -> float:
+    """y^s e^{-y} / Gamma(s+1), the increment in the P(s, y) recurrence."""
+    return math.exp(s * math.log(y) - y - math.lgamma(s + 1.0))
 
 
 def ncx2_quantile(p: float, df: float, ncp: float) -> float:

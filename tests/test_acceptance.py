@@ -7,6 +7,7 @@ is directly actionable.
 
 import math
 import time
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -22,7 +23,7 @@ from popres.divergences import (
     psi,
 )
 from popres.errors import BoundaryOverlapError
-from popres.reporting import format_p_value, run_study
+from popres.reporting import format_p_value
 from popres.resemblance import (
     DecisionBoundaries,
     ResemblanceConfig,
@@ -36,9 +37,11 @@ from popres.resemblance import (
 from popres.scenarios import enumerate_extreme_points, solve_p_for_target_j
 from popres.simulation import (
     SimulationSpec,
+    StudySpec,
     TargetJ,
     calibration_probabilities,
     reconstruction_probability,
+    run_study,
     stability_ratios,
 )
 from popres.resemblance import lambda_sup
@@ -386,20 +389,18 @@ class TestAcceptance:
 
     def test_criterion_10_deterministic_artifacts(self, tmp_path):
         failures = []
+        sweep_cfg = ResemblanceConfig(c=0.7, M=2.0, alpha1=0.05, alpha2=0.10)
         jobs = [
-            ("table1", {"B": 5, "n_grid": [50, 100], "replications": 20_000,
-                        "seed": 11, "target_j": 0.1}),
-            ("stability", {"B": 5, "n_grid": [20, 100], "replications": 20_000, "seed": 11}),
-            ("sweep", {"n": 50, "B": 5, "replications": 20_000, "seed": 11,
-                       "grid_points": 6, "c": 0.7, "M": 2.0,
-                       "alpha1": 0.05, "alpha2": 0.10}),
+            StudySpec("table1", B=5, ns=(50, 100), replications=20_000, seed=11, target_j=0.1),
+            StudySpec("stability", B=5, ns=(20, 100), replications=20_000, seed=11),
+            StudySpec("sweep", B=5, ns=(50,), cfg=sweep_cfg, replications=20_000, seed=11,
+                      grid_points=6),
         ]
-        for study, params in jobs:
+        for spec in jobs:
             outputs = []
             for tag, workers in (("a", 1), ("b", 4), ("c", 1)):
-                p = dict(params, workers=workers)
-                out = run_study(study, p, tmp_path / f"{study}_{tag}.csv")
+                out = run_study(replace(spec, workers=workers), tmp_path / f"{spec.study}_{tag}.csv")
                 outputs.append(out.read_bytes())
             if not (outputs[0] == outputs[1] == outputs[2]):
-                failures.append(f"{study}: artifacts differ across reruns or worker counts")
+                failures.append(f"{spec.study}: artifacts differ across reruns or worker counts")
         _finish(10, "study artifacts byte-identical across reruns and parallelism", failures)

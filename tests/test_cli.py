@@ -158,3 +158,22 @@ class TestStudyCommand:
             "study", "--study", "stability", "--out", str(tmp_path / "s.csv"), "--B", "5",
         ])
         assert code == EXIT_VALIDATION
+
+    def test_sweep_needs_exactly_one_n(self, capsys, tmp_path):
+        code = main([
+            "study", "--study", "sweep", "--out", str(tmp_path / "s.csv"), "--B", "5",
+            "--n-grid", "50,100", "--replications", "2000",
+        ])
+        assert code == EXIT_VALIDATION
+        assert "sweep takes exactly one sample size" in capsys.readouterr().err
+
+    def test_sweep_delta_override_reaches_boundaries(self, capsys, tmp_path):
+        argv = ["study", "--study", "sweep", "--n", "50", "--B", "5",
+                "--replications", "2000", "--grid-points", "4", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "default.csv")]) == EXIT_OK
+        assert main(argv + ["--out", str(tmp_path / "delta.csv"), "--delta", "0.001"]) == EXIT_OK
+        default = (tmp_path / "default.csv").read_text()
+        delta = (tmp_path / "delta.csv").read_text()
+        assert "# delta=0.001\n" in delta
+        assert "# delta=0.001\n" not in default
+        assert delta.splitlines()[-1] != default.splitlines()[-1]

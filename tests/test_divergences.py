@@ -44,13 +44,28 @@ class TestTypes:
         with pytest.raises(ValidationError):
             CategoryCounts(np.array([0, 0, 0]))
 
+    def test_counts_reject_int64_overflow(self):
+        for counts in ([2**62, 2**62], [2**63, 1], [1e19, 1.0]):
+            with pytest.raises(ValidationError, match="int64"):
+                CategoryCounts(np.array(counts))
+
+    def test_counts_reject_non_finite(self, recwarn):
+        for counts in ([1.0, np.inf], [1.0, np.nan]):
+            with pytest.raises(ValidationError, match="finite"):
+                CategoryCounts(np.array(counts))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_proportion_sum_validated(self):
         with pytest.raises(ValidationError):
             ProportionVector(np.array([0.5, 0.49]))
+        with pytest.raises(ValidationError):
+            ProportionVector(np.array([0.5, 0.5, np.nan]))
 
     def test_reference_rejects_zero_entry(self):
         with pytest.raises(ValidationError):
             ReferenceDistribution(np.array([0.0, 0.5, 0.5]))
+        with pytest.raises(ValidationError):
+            ReferenceDistribution(np.array([0.5, 0.5, np.nan]))
 
 
 class TestProportions:
@@ -179,3 +194,25 @@ class TestKsStatistic:
     @given(a=positive_simplex(6), b=positive_simplex(6))
     def test_bounded(self, a, b):
         assert 0.0 <= ks_statistic(a, b) <= 1.0
+
+
+class TestRowwise:
+    """A matrix of proportions is scored row by row, bit for bit as one vector at a time."""
+
+    @pytest.mark.parametrize("n,B", [(50, 5), (20, 10), (500, 10), (10_000, 20)])
+    def test_matrix_rows_match_vectors(self, n, B):
+        q = uniform_reference(B).probs
+        ph = np.random.default_rng(B).multinomial(n, q, size=200) / n
+        for stat in (psi, prs, ks_statistic):
+            rows = stat(ph, q)
+            assert rows.shape == (200,)
+            assert rows.tolist() == [stat(row, q) for row in ph]
+
+    def test_single_vector_gives_python_float(self):
+        ph = proportions(CategoryCounts(np.array(T1_COUNTS)))
+        for stat in (psi, prs, ks_statistic, j_divergence):
+            assert type(stat(ph, UNIFORM5)) is float
+
+    def test_category_axis_mismatch(self):
+        with pytest.raises(ValidationError):
+            prs(np.full((3, 4), 0.25), UNIFORM5)

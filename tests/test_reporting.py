@@ -17,9 +17,9 @@ from popres.reporting import (
     read_history,
     render_csv,
     render_text,
-    run_study,
 )
 from popres.resemblance import ResemblanceConfig
+from popres.simulation import StudySpec, run_study
 
 # the worked monitoring configuration matching the published tables
 CFG = ResemblanceConfig(c=0.7, M=2.0, alpha1=0.05, alpha2=0.10)
@@ -203,9 +203,7 @@ class TestHistory:
 class TestRunStudy:
     def test_sweep_artifact(self, tmp_path):
         out = run_study(
-            "sweep",
-            {"n": 50, "B": 5, "replications": 2000, "seed": 1, "grid_points": 6,
-             "c": 0.7, "M": 2.0, "alpha1": 0.05, "alpha2": 0.10},
+            StudySpec("sweep", B=5, ns=(50,), cfg=CFG, replications=2000, seed=1, grid_points=6),
             tmp_path / "sweep.csv",
         )
         lines = out.read_text().splitlines()
@@ -219,8 +217,7 @@ class TestRunStudy:
 
     def test_table1_artifact(self, tmp_path):
         out = run_study(
-            "table1",
-            {"B": 5, "n_grid": [20, 50], "replications": 5000, "seed": 1},
+            StudySpec("table1", B=5, ns=(20, 50), replications=5000, seed=1),
             tmp_path / "t1.csv",
         )
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
@@ -229,20 +226,24 @@ class TestRunStudy:
 
     def test_stability_artifact(self, tmp_path):
         out = run_study(
-            "stability",
-            {"B": 5, "n": 100, "replications": 5000, "seed": 1},
+            StudySpec("stability", B=5, ns=(100,), replications=5000, seed=1),
             tmp_path / "s.csv",
         )
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(body) == 2
 
     def test_reruns_are_byte_identical(self, tmp_path):
-        params = {"n": 50, "B": 5, "replications": 4000, "seed": 9, "grid_points": 4,
-                  "c": 0.7, "M": 2.0, "alpha1": 0.05, "alpha2": 0.10}
-        a = run_study("sweep", params, tmp_path / "a.csv").read_bytes()
-        b = run_study("sweep", params, tmp_path / "b.csv").read_bytes()
+        spec = StudySpec("sweep", B=5, ns=(50,), cfg=CFG, replications=4000, seed=9,
+                         grid_points=4)
+        a = run_study(spec, tmp_path / "a.csv").read_bytes()
+        b = run_study(spec, tmp_path / "b.csv").read_bytes()
         assert a == b
 
     def test_unknown_study(self, tmp_path):
         with pytest.raises(ValidationError):
-            run_study("nope", {"n": 50, "B": 5}, tmp_path / "x.csv")
+            StudySpec("nope", B=5, ns=(50,))
+
+    @pytest.mark.parametrize("study,ns", [("stability", ()), ("sweep", (50, 100)), ("table1", (0,))])
+    def test_spec_rejects_bad_sample_sizes(self, study, ns):
+        with pytest.raises(ValidationError):
+            StudySpec(study, B=5, ns=ns)

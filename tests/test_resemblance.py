@@ -242,6 +242,12 @@ class TestConfigValidation:
     def test_rejects_bad_m(self):
         with pytest.raises(ValidationError):
             ResemblanceConfig(M=1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            ResemblanceConfig(M=np.inf)
+
+    def test_rejects_nan_c(self):
+        with pytest.raises(ValidationError, match="finite"):
+            ResemblanceConfig(c=np.nan)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValidationError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from popres.special_functions import (
     chi2_cdf,
@@ -108,6 +109,7 @@ class TestNcx2Cdf:
         for x in (0.5, 2.0, 7.7, 30.0):
             for df in (1.0, 4.0, 9.0, 19.0):
                 assert abs(ncx2_cdf(x, df, 0.0) - chi2_cdf(x, df)) <= 1e-12
+                assert abs(ncx2_cdf(x, df, 5e-324) - chi2_cdf(x, df)) <= 1e-12
 
     def test_upper_limit(self):
         assert ncx2_cdf(1e6, 4.0, 12.8) == pytest.approx(1.0, abs=1e-12)
@@ -188,3 +190,10 @@ class TestNcx2Quantile:
         for p in (0.0, 1.0):
             with pytest.raises(ValueError):
                 ncx2_quantile(p, 4.0, 1.0)
+
+    @pytest.mark.parametrize("ncp", [1450.0, 1600.0, 1800.0, 1990.0])
+    def test_matches_scipy_where_exp_of_half_ncp_underflows(self, ncp):
+        for df in (1.0, 4.0, 19.0):
+            for p in (0.05, 0.10, 0.90, 0.95):
+                expected = stats.ncx2.ppf(p, df, ncp)
+                assert ncx2_quantile(p, df, ncp) == pytest.approx(expected, rel=1e-10)

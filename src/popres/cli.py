@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import BoundaryOverlapError, ConvergenceError, ValidationError
@@ -139,10 +140,7 @@ def _cmd_boundaries(args: argparse.Namespace) -> int:
     reference = load_reference(args.reference)
     bounds = decision_boundaries(reference, args.n, cfg)
     if args.format == "json":
-        print(json.dumps({
-            "n": bounds.n, "B": bounds.B, "delta": bounds.delta,
-            "lambda_sup": bounds.lambda_sup, "tau1": bounds.tau1, "tau2": bounds.tau2,
-        }, sort_keys=True, indent=2))
+        print(json.dumps(asdict(bounds), sort_keys=True, indent=2))
     else:
         print(f"(n={bounds.n}, B={bounds.B})  delta={bounds.delta:.6f}  "
               f"lambda_sup={bounds.lambda_sup:.4f}  tau1={bounds.tau1:.5f}  "
@@ -152,6 +150,8 @@ def _cmd_boundaries(args: argparse.Namespace) -> int:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     cfg, seed = _build_config(args)
+    if args.n_grid and args.n is not None:
+        raise ValidationError("give either --n or --n-grid, not both")
     if args.n_grid:
         ns = tuple(int(v) for v in args.n_grid.split(","))
     else:

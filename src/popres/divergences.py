@@ -31,7 +31,13 @@ class CategoryCounts:
         arr = np.asarray(self.counts)
         if arr.ndim != 1 or arr.size < 2:
             raise ValidationError(f"need a 1-d vector of B >= 2 counts, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
+        if arr.dtype.kind not in "iuf":
+            # numpy falls back to text or object arrays for non-numeric
+            # entries and for integers past the uint64 range
+            raise ValidationError(
+                f"counts must be numbers within the int64 range, got {arr.tolist()!r:.80}"
+            )
+        if arr.dtype.kind == "f":
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("counts must be finite")
             if not np.array_equal(np.rint(arr), arr):

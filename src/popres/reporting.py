@@ -197,13 +197,7 @@ def monitor(
         ks_value=ks_value,
         ks_p_value=p_ks,
         ks_region=classify_p_value(p_ks).rag,
-        config={
-            "c": cfg.c,
-            "M": cfg.M,
-            "alpha1": cfg.alpha1,
-            "alpha2": cfg.alpha2,
-            "delta_override": cfg.delta_override,
-        },
+        config=asdict(cfg),
         seed=seed,
         timestamp=snapshot.timestamp,
     )

@@ -1,14 +1,12 @@
 """Counter-based multinomial sampling.
 
-Replication r, conditional draw j always consumes the same underlying
-Philox uniform, regardless of how the replication range is chunked or how
-many workers evaluate the chunks.  Chunk boundaries are fixed constants and
-each chunk owns an independent Philox key derived from (seed, stream,
-chunk index), so results are bit-identical at any parallelism degree.
-
-The conditional-binomial decomposition is exact: category j given the
-remaining mass is Binomial(n_remaining, p_j / p_remaining), realized by
-inverse-CDF from a single uniform per (replication, category).
+Replications are cut into chunks of ``CHUNK_ROWS`` rows at fixed
+boundaries, and each chunk draws from its own Philox generator keyed by
+(seed, stream, chunk index) with numpy's ``Generator.multinomial``.  A row
+is therefore fixed by (seed, stream, chunk, row within chunk), whatever the
+total replication count or the number of workers evaluating the chunks, so
+results are bit-identical at any parallelism degree and a longer run
+extends a shorter one.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy import stats
 
 CHUNK_ROWS = 1 << 15
 
@@ -26,44 +23,9 @@ def _chunk_key(seed: int, stream: int, chunk: int) -> list[int]:
     return [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(((stream & 0xFFFFFFFF) << 32) | (chunk & 0xFFFFFFFF))]
 
 
-def multinomial_sample(n: int, p: np.ndarray, stream: np.random.Generator) -> np.ndarray:
-    """Draw one Multinomial(n, p) vector via sequential conditional binomials."""
-    p = np.asarray(p, dtype=float)
-    counts = np.zeros(p.size, dtype=np.int64)
-    remaining = int(n)
-    mass = 1.0
-    for j in range(p.size - 1):
-        if remaining == 0 or mass <= 0:
-            break
-        cond = min(1.0, max(0.0, p[j] / mass))
-        c = int(stream.binomial(remaining, cond))
-        counts[j] = c
-        remaining -= c
-        mass -= p[j]
-    counts[p.size - 1] = remaining
-    return counts
-
-
 def _sample_chunk(n: int, p: np.ndarray, rows: int, seed: int, stream: int, chunk: int) -> np.ndarray:
-    B = p.size
     gen = np.random.Generator(np.random.Philox(key=_chunk_key(seed, stream, chunk)))
-    u = gen.random((rows, B - 1))
-    counts = np.empty((rows, B), dtype=np.int64)
-    remaining = np.full(rows, n, dtype=np.int64)
-    mass = 1.0
-    for j in range(B - 1):
-        cond = min(1.0, max(0.0, p[j] / mass)) if mass > 0 else 0.0
-        if cond <= 0.0:
-            c = np.zeros(rows, dtype=np.int64)
-        elif cond >= 1.0:
-            c = remaining.copy()
-        else:
-            c = stats.binom.ppf(u[:, j], remaining, cond).astype(np.int64)
-        counts[:, j] = c
-        remaining = remaining - c
-        mass -= p[j]
-    counts[:, B - 1] = remaining
-    return counts
+    return gen.multinomial(n, p, size=rows)
 
 
 def multinomial_matrix(

@@ -40,7 +40,7 @@ class PerturbationSpec:
 
 
 def perturbed_pv(spec: PerturbationSpec) -> ProportionVector:
-    """Perturbed current population around the equi-probable reference.
+    """Current population perturbed around the equi-probable reference.
 
     Entries 1..floor(B/2) are 1/B - delta_v, the top block 1/B + delta_v;
     for odd B the central entry stays at 1/B.

@@ -41,12 +41,7 @@ class TargetJ:
     value: float
 
 
-@dataclass(frozen=True)
-class Perturbed:
-    delta_v: float
-
-
-Scenario = Union[NoShift, TargetJ, Perturbed]
+Scenario = Union[NoShift, TargetJ]
 
 
 @dataclass(frozen=True)
@@ -104,8 +99,6 @@ def _scenario_population(spec: SimulationSpec) -> np.ndarray:
         return as_probs(p0)
     if isinstance(spec.scenario, TargetJ):
         return as_probs(solve_p_for_target_j(p0, spec.scenario.value))
-    if isinstance(spec.scenario, Perturbed):
-        return as_probs(perturbed_pv(PerturbationSpec(spec.B, spec.scenario.delta_v)))
     raise ValidationError(f"unknown scenario {spec.scenario!r}")
 
 
@@ -113,8 +106,6 @@ def reconstruction_probability(
     spec: SimulationSpec, psi_threshold: float = LEWIS_ACTION, workers: int = 1
 ) -> MCEstimate:
     """Fraction of replications whose PSI reaches the reconstruction threshold."""
-    if isinstance(spec.scenario, Perturbed):
-        raise ValidationError("reconstruction study expects NoShift or TargetJ")
     p = _scenario_population(spec)
     q = as_probs(uniform_reference(spec.B))
     counts = sampling.multinomial_matrix(
@@ -237,6 +228,10 @@ class StudySpec:
                 f"sweep takes exactly one sample size (--n), got {list(self.ns)}"
             )
         _check_sizes(self.ns, self.B, self.replications)
+        if self.grid_points < 1:
+            raise ValidationError(
+                f"grid_points must be at least 1 (--grid-points), got {self.grid_points}"
+            )
 
 
 def _table1(spec: StudySpec) -> tuple[dict, list[str], list[list]]:

@@ -105,6 +105,16 @@ class TestMonitorCommand:
             "monitor", "--snapshot", str(bad), "--reference", str(reference_file),
         ])
         assert code == EXIT_VALIDATION
+        # numpy reads these as object and text arrays rather than numbers
+        for counts in ("[1180591620717411303424, 1, 2, 3, 4]", '[1, "3", 2, 4, 5]'):
+            bad_json = tmp_path / "bad.json"
+            bad_json.write_text(f'{{"counts": {counts}}}')
+            capsys.readouterr()
+            code = main([
+                "monitor", "--snapshot", str(bad_json), "--reference", str(reference_file),
+            ])
+            assert code == EXIT_VALIDATION
+            assert "counts must be numbers" in capsys.readouterr().err
 
     def test_empty_snapshot_file(self, capsys, reference_file, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -177,3 +187,24 @@ class TestStudyCommand:
         assert "# delta=0.001\n" in delta
         assert "# delta=0.001\n" not in default
         assert delta.splitlines()[-1] != default.splitlines()[-1]
+
+    def test_sweep_rejects_grid_points_below_one(self, capsys, tmp_path):
+        out = tmp_path / "s.csv"
+        for points in ("0", "-1"):
+            code = main([
+                "study", "--study", "sweep", "--out", str(out), "--n", "50", "--B", "5",
+                "--replications", "1000", "--grid-points", points,
+            ])
+            assert code == EXIT_VALIDATION
+            assert "grid_points must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_n_and_n_grid_are_exclusive(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code = main([
+            "study", "--study", "table1", "--out", str(out), "--B", "5",
+            "--n", "77", "--n-grid", "50", "--replications", "1000",
+        ])
+        assert code == EXIT_VALIDATION
+        assert "either --n or --n-grid" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,16 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from popres.divergences import uniform_reference
 from popres.errors import ValidationError
 from popres.resemblance import ResemblanceConfig
-from popres.sampling import multinomial_matrix, multinomial_sample
+from popres.sampling import multinomial_matrix
 from popres.simulation import (
     MCEstimate,
     NoShift,
-    Perturbed,
     SimulationSpec,
     TargetJ,
     calibration_probabilities,
@@ -21,16 +22,27 @@ from popres.simulation import (
 
 
 class TestMultinomialSampling:
-    def test_single_draw_degenerate(self):
-        gen = np.random.default_rng(0)
-        assert multinomial_sample(37, np.array([1.0]), gen).tolist() == [37]
+    def test_single_category_takes_every_draw(self):
+        m = multinomial_matrix(37, np.array([1.0]), 1000, seed=0)
+        assert m.shape == (1000, 1)
+        assert np.all(m == 37)
 
-    def test_single_draw_sums_to_n(self):
-        gen = np.random.default_rng(4)
-        for _ in range(50):
-            c = multinomial_sample(50, np.full(5, 0.2), gen)
-            assert c.sum() == 50
-            assert np.all(c >= 0)
+    def test_zero_probability_category_stays_empty(self):
+        p = np.array([0.3, 0.0, 0.5, 0.0, 0.2])
+        m = multinomial_matrix(50, p, 20_000, seed=4)
+        assert np.all(m[:, [1, 3]] == 0)
+        assert np.all(m.sum(axis=1) == 50)
+
+    def test_outcome_frequencies_follow_the_multinomial_law(self):
+        # all 28 outcomes of Multinomial(6, p) over 3 categories, against the pmf
+        n, p, K = 6, np.array([0.5, 0.3, 0.2]), 200_000
+        m = multinomial_matrix(n, p, K, seed=11)
+        outcomes = [c for c in itertools.product(range(n + 1), repeat=3) if sum(c) == n]
+        assert len(outcomes) == 28
+        index = {c: i for i, c in enumerate(outcomes)}
+        observed = np.bincount([index[tuple(row)] for row in m.tolist()], minlength=28)
+        expected = K * stats.multinomial.pmf(outcomes, n, p)
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
 
     def test_matrix_rows_sum_to_n(self):
         m = multinomial_matrix(50, np.full(5, 0.2), 2000, seed=1)
@@ -118,11 +130,6 @@ class TestReconstruction:
             SimulationSpec(n=50, B=5, replications=50_000, seed=1, scenario=TargetJ(0.1))
         )
         assert shifted.value > null.value + 3 * (null.std_error + shifted.std_error)
-
-    def test_rejects_perturbed_scenario(self):
-        spec = SimulationSpec(n=50, B=5, replications=5000, seed=1, scenario=Perturbed(0.02))
-        with pytest.raises(ValidationError):
-            reconstruction_probability(spec)
 
     def test_deterministic(self):
         spec = SimulationSpec(n=50, B=5, replications=20_000, seed=6)

@@ -153,7 +153,12 @@ def _cmd_study(args: argparse.Namespace) -> int:
     if args.n_grid and args.n is not None:
         raise ValidationError("give either --n or --n-grid, not both")
     if args.n_grid:
-        ns = tuple(int(v) for v in args.n_grid.split(","))
+        try:
+            ns = tuple(int(v) for v in args.n_grid.split(","))
+        except ValueError as exc:
+            raise ValidationError(
+                f"--n-grid takes comma-separated integers, got {args.n_grid!r}"
+            ) from exc
     else:
         ns = () if args.n is None else (args.n,)
     spec = StudySpec(

@@ -14,7 +14,7 @@ class ConstraintError(ValidationError):
 
 
 class ConvergenceError(PopresError, RuntimeError):
-    """A numerical routine exhausted its iteration budget without converging."""
+    """A numerical routine did not converge, or its result failed a check."""
 
 
 class BoundaryOverlapError(PopresError):

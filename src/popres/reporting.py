@@ -251,13 +251,16 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
                     continue
                 try:
                     entry = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    if not isinstance(entry, dict):
+                        raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
+                    duplicate = (
+                        entry.get("label") == report.label
+                        and MonitoringReport.from_dict(entry).content_hash() == digest
+                    )
+                except (json.JSONDecodeError, TypeError) as exc:
                     raise ValidationError(f"{path}:{i}: corrupt history line ({exc})") from exc
                 existing += 1
-                if (
-                    entry.get("label") == report.label
-                    and MonitoringReport.from_dict(entry).content_hash() == digest
-                ):
+                if duplicate:
                     return HistoryAck(appended=False, line_count=existing, duplicate=True)
             fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
             return HistoryAck(appended=True, line_count=existing + 1)

@@ -232,6 +232,12 @@ class StudySpec:
             raise ValidationError(
                 f"grid_points must be at least 1 (--grid-points), got {self.grid_points}"
             )
+        if not self.target_j >= 0:
+            raise ValidationError(
+                f"target_j must be a non-negative J-divergence (--target-j), got {self.target_j}"
+            )
+        if self.workers < 1:
+            raise ValidationError(f"workers must be at least 1 (--workers), got {self.workers}")
 
 
 def _table1(spec: StudySpec) -> tuple[dict, list[str], list[list]]:

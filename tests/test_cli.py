@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
+from popres import special_functions
 from popres.cli import (
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_OVERLAP,
     EXIT_VALIDATION,
@@ -150,6 +153,12 @@ class TestBoundariesCommand:
         ])
         assert code == EXIT_VALIDATION
 
+    def test_failed_quantile_exits_numerical(self, capsys, monkeypatch, reference_file):
+        monkeypatch.setattr(special_functions, "chndtrix", lambda *args: math.nan)
+        code = main(["boundaries", "--reference", str(reference_file), "--n", "50"])
+        assert code == EXIT_NUMERICAL
+        assert "forward check" in capsys.readouterr().err
+
 
 class TestStudyCommand:
     def test_sweep_writes_csv(self, capsys, tmp_path):
@@ -207,4 +216,27 @@ class TestStudyCommand:
         ])
         assert code == EXIT_VALIDATION
         assert "either --n or --n-grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", "0"), ("--workers", "-3"), ("--target-j", "-0.5"),
+    ])
+    def test_rejects_bad_workers_and_target_j(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "t.csv"
+        code = main([
+            "study", "--study", "table1", "--out", str(out), "--B", "5",
+            "--n", "50", "--replications", "1000", flag, value,
+        ])
+        assert code == EXIT_VALIDATION
+        assert f"({flag})" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_n_grid_rejects_empty_entry(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code = main([
+            "study", "--study", "table1", "--out", str(out), "--B", "5",
+            "--n-grid", "50,,100", "--replications", "1000",
+        ])
+        assert code == EXIT_VALIDATION
+        assert "--n-grid" in capsys.readouterr().err
         assert not out.exists()

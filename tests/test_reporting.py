@@ -199,6 +199,27 @@ class TestHistory:
         with pytest.raises(ValidationError):
             read_history(hist)
 
+    def test_append_rejects_line_that_is_not_an_object(self, tmp_path):
+        hist = tmp_path / "history.jsonl"
+        hist.write_text("[1]\n")
+        report = monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
+        with pytest.raises(ValidationError, match=r"history.jsonl:1: corrupt history line"):
+            append_history(report, hist)
+        assert hist.read_text() == "[1]\n"
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("tau2"),
+        lambda d: d.update(schema=2),
+    ], ids=["missing-field", "unknown-field"])
+    def test_append_rejects_same_label_line_with_bad_fields(self, tmp_path, edit):
+        hist = tmp_path / "history.jsonl"
+        report = monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
+        entry = report.to_dict()
+        edit(entry)
+        hist.write_text(json.dumps(entry) + "\n")
+        with pytest.raises(ValidationError, match=r"history.jsonl:1: corrupt history line"):
+            append_history(report, hist)
+
 
 class TestRunStudy:
     def test_sweep_artifact(self, tmp_path):
@@ -247,3 +268,10 @@ class TestRunStudy:
     def test_spec_rejects_bad_sample_sizes(self, study, ns):
         with pytest.raises(ValidationError):
             StudySpec(study, B=5, ns=ns)
+
+    @pytest.mark.parametrize("field,value", [
+        ("target_j", -0.5), ("target_j", float("nan")), ("workers", 0), ("workers", -3),
+    ])
+    def test_spec_rejects_bad_settings(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            StudySpec("table1", B=5, ns=(50,), **{field: value})

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from popres import special_functions
+from popres.errors import ConvergenceError
 from popres.special_functions import (
     chi2_cdf,
     chi2_quantile,
@@ -197,3 +199,40 @@ class TestNcx2Quantile:
             for p in (0.05, 0.10, 0.90, 0.95):
                 expected = stats.ncx2.ppf(p, df, ncp)
                 assert ncx2_quantile(p, df, ncp) == pytest.approx(expected, rel=1e-10)
+
+    def test_matches_scipy_stats_ncx2_on_a_grid(self):
+        # scipy.stats.ncx2 calls the same Boost ufuncs; a release whose
+        # chndtr is not Boost's shows up here. The extra ncps cover
+        # (1400, 2000], where exp(-ncp/2) underflows.
+        ncps = np.concatenate([np.geomspace(1e-3, 1e5, 17), [1450.0, 1700.0, 1990.0]])
+        for df in range(1, 60):
+            for ncp in ncps:
+                for p in (0.01, 0.05, 0.10, 0.50, 0.90, 0.95, 0.99):
+                    q = ncx2_quantile(p, df, float(ncp))
+                    assert q == pytest.approx(stats.ncx2.ppf(p, df, ncp), rel=1e-12)
+                    x = q * 1.01
+                    assert ncx2_cdf(x, df, float(ncp)) == pytest.approx(
+                        stats.ncx2.cdf(x, df, ncp), rel=1e-12
+                    )
+
+
+class TestForwardCheck:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "off"], ids=["nan", "inf", "off"])
+    @pytest.mark.parametrize(
+        "ufunc,quantile",
+        [("chndtrix", lambda: ncx2_quantile(0.95, 4.0, 3.2)),
+         ("gammaincinv", lambda: chi2_quantile(0.95, 4.0))],
+        ids=["ncx2", "chi2"],
+    )
+    def test_bad_scipy_result_raises_convergence_error(self, monkeypatch, ufunc, quantile, bad):
+        good = getattr(special_functions, ufunc)
+        if bad == "off":
+            # relative error 1e-3 moves the CDF by far more than 1e-8
+            def patched(*args):
+                return good(*args) * 1.001
+        else:
+            def patched(*args):
+                return bad
+        monkeypatch.setattr(special_functions, ufunc, patched)
+        with pytest.raises(ConvergenceError, match="forward check"):
+            quantile()

@@ -10,7 +10,6 @@ from .divergences import (
     CategoryCounts,
     ProportionVector,
     ReferenceDistribution,
-    chi2_divergence,
     j_divergence,
     ks_statistic,
     proportions,
@@ -55,7 +54,6 @@ __all__ = [
     "ResemblanceConfig",
     "Snapshot",
     "ValidationError",
-    "chi2_divergence",
     "classify_lewis",
     "classify_prs",
     "classify_yn",

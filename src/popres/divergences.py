@@ -1,9 +1,10 @@
 """Discrepancy statistics between observed proportions and a reference.
 
-All five measures (PSI, PRS, symmetric KL divergence J, chi-square
-divergence, discrete KS) operate on probability vectors over the same B
-ordered categories; given a matrix of proportions, each scores every row
-against the reference.  Natural logarithms throughout.
+The four measures (``psi``, ``prs``, the symmetric KL divergence
+``j_divergence`` and the discrete KS ``ks_statistic``) operate on
+probability vectors over the same B ordered categories; given a matrix of
+proportions, each scores every row against the reference.  Natural
+logarithms throughout.
 """
 
 from __future__ import annotations
@@ -173,10 +174,6 @@ def j_divergence(p: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
     if np.any(x <= 0):
         raise ValidationError("j_divergence requires strictly positive entries")
     return _per_row(((x - q) * (np.log(x) - np.log(q))).sum(axis=-1))
-
-
-# the chi-square divergence between populations is the PRS formula
-chi2_divergence = prs
 
 
 def ks_statistic(phat: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:

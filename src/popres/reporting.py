@@ -13,7 +13,7 @@ import fcntl
 import hashlib
 import json
 import io
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -86,6 +86,10 @@ class MonitoringReport:
     def content_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
+
+
+_REPORT_FIELDS = frozenset(f.name for f in fields(MonitoringReport))
+_REQUIRED_FIELDS = frozenset(f.name for f in fields(MonitoringReport) if f.default is MISSING)
 
 
 def _read_rows(path: Path) -> tuple[list[str], list[dict]]:
@@ -190,13 +194,13 @@ def monitor(
         tau1=bounds.tau1,
         tau2=bounds.tau2,
         prs_value=prs_value,
-        prs_region=classify_prs(prs_value, bounds).rag,
+        prs_region=classify_prs(prs_value, bounds).value,
         psi_value=psi_value,
-        lewis_region=classify_lewis(psi_value).rag,
-        yn_region=classify_yn(psi_value, tau_red, tau_green).rag,
+        lewis_region=classify_lewis(psi_value).value,
+        yn_region=classify_yn(psi_value, tau_red, tau_green).value,
         ks_value=ks_value,
         ks_p_value=p_ks,
-        ks_region=classify_p_value(p_ks).rag,
+        ks_region=classify_p_value(p_ks).value,
         config=asdict(cfg),
         seed=seed,
         timestamp=snapshot.timestamp,
@@ -253,6 +257,13 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
                     entry = json.loads(line)
                     if not isinstance(entry, dict):
                         raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
+                    # what read_history accepts, without building every report
+                    keys = entry.keys()
+                    if keys != _REPORT_FIELDS and not _REQUIRED_FIELDS <= keys <= _REPORT_FIELDS:
+                        raise TypeError(
+                            f"unknown fields {sorted(keys - _REPORT_FIELDS)}, "
+                            f"missing fields {sorted(_REQUIRED_FIELDS - keys)}"
+                        )
                     duplicate = (
                         entry.get("label") == report.label
                         and MonitoringReport.from_dict(entry).content_hash() == digest

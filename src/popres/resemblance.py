@@ -38,10 +38,6 @@ class Region(enum.Enum):
     R2 = "amber"
     R3 = "red"
 
-    @property
-    def rag(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class ResemblanceConfig:
@@ -49,8 +45,8 @@ class ResemblanceConfig:
 
     c: float = 0.7
     M: float = 2.0
-    alpha1: float = 0.1
-    alpha2: float = 0.05
+    alpha1: float = 0.05
+    alpha2: float = 0.10
     delta_override: Optional[float] = None
 
     def __post_init__(self) -> None:

@@ -15,6 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import ValidationError
+
 CHUNK_ROWS = 1 << 15
 
 
@@ -40,6 +42,8 @@ def multinomial_matrix(
 
     Deterministic in (seed, stream, replications); independent of workers.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     p = np.asarray(p, dtype=float)
     K = int(replications)
     n_chunks = (K + CHUNK_ROWS - 1) // CHUNK_ROWS
@@ -50,7 +54,7 @@ def multinomial_matrix(
         lo = c * CHUNK_ROWS
         out[lo : lo + sizes[c]] = _sample_chunk(n, p, sizes[c], seed, stream, c)
 
-    if workers <= 1 or n_chunks == 1:
+    if workers == 1 or n_chunks == 1:
         for c in range(n_chunks):
             fill(c)
     else:

@@ -9,7 +9,6 @@ for the closed-form maximal non-centrality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -21,64 +20,45 @@ from .errors import ConvergenceError, ValidationError
 MAX_ENUM_B = 12
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Blockwise perturbation: lower half down by delta_v, upper half up."""
-
-    B: int
-    delta_v: float
-
-    def __post_init__(self) -> None:
-        if self.B < 2:
-            raise ValidationError(f"need B >= 2 categories, got {self.B}")
-        if self.delta_v < 0:
-            raise ValidationError(f"delta_v must be non-negative, got {self.delta_v}")
-        if self.delta_v >= 1.0 / self.B:
-            raise ValidationError(
-                f"delta_v={self.delta_v} would push an entry of uniform({self.B}) to zero"
-            )
-
-
-def perturbed_pv(spec: PerturbationSpec) -> ProportionVector:
+def perturbed_pv(B: int, delta_v: float) -> ProportionVector:
     """Current population perturbed around the equi-probable reference.
 
     Entries 1..floor(B/2) are 1/B - delta_v, the top block 1/B + delta_v;
     for odd B the central entry stays at 1/B.
     """
-    B, dv = spec.B, spec.delta_v
-    p = np.full(B, 1.0 / B)
-    half = B // 2
+    if B < 2:
+        raise ValidationError(f"need B >= 2 categories, got {B}")
+    if delta_v < 0:
+        raise ValidationError(f"delta_v must be non-negative, got {delta_v}")
+    if delta_v >= 1.0 / B:
+        raise ValidationError(f"delta_v={delta_v} would push an entry of uniform({B}) to zero")
+    return ProportionVector(_blockwise(np.full(B, 1.0 / B), delta_v))
+
+
+def _blockwise(q: np.ndarray, dv: float) -> np.ndarray:
+    """q with its lower floor(B/2) entries down by dv and its upper ones up."""
+    p = q.copy()
+    half = q.size // 2
     p[:half] -= dv
-    p[B - half :] += dv
-    return ProportionVector(p)
+    p[q.size - half :] += dv
+    return p
 
 
-@dataclass(frozen=True)
-class TargetJSolution:
-    """Solver output with self-reported diagnostics."""
-
-    p: ProportionVector
-    achieved_j: float
-    distance: float
-
-
-def solve_p_for_target_j(
-    p0: ReferenceDistribution, target_j: float, full_output: bool = False
-):
+def solve_p_for_target_j(p0: ReferenceDistribution, target_j: float) -> ProportionVector:
     """Minimal-Euclidean-distance vector at a prescribed divergence level.
 
-    Minimizes ||p - p0||_2 over the simplex subject to J(p, p0) = target_j.
+    Minimizes ||p - p0||_2 over the simplex subject to J(p, p0) = target_j;
+    a target of 0 returns p0 itself.
     The starting point is the blockwise perturbation whose magnitude is
     root-found to hit the target, after which an SLSQP refinement enforces
     both constraints; the divergence constraint is then polished by a
     one-dimensional root-find along the solution direction.
     """
     q = as_probs(p0)
-    if target_j < 0:
+    if not target_j >= 0:
         raise ValidationError(f"target divergence must be non-negative, got {target_j}")
     if target_j == 0:
-        sol = TargetJSolution(ProportionVector(q.copy()), 0.0, 0.0)
-        return sol if full_output else sol.p
+        return ProportionVector(q.copy())
 
     x0 = _blockwise_start(q, target_j)
     res = optimize.minimize(
@@ -100,10 +80,7 @@ def solve_p_for_target_j(
             f"divergence constraint residual {abs(achieved - target_j):.3e} "
             f"exceeds 1e-8 (achieved J={achieved:.10f})"
         )
-    sol = TargetJSolution(
-        ProportionVector(p), achieved, float(np.linalg.norm(p - q))
-    )
-    return sol if full_output else sol.p
+    return ProportionVector(p)
 
 
 def _j_raw(p: np.ndarray, q: np.ndarray) -> float:
@@ -112,23 +89,13 @@ def _j_raw(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def _blockwise_start(q: np.ndarray, target_j: float) -> np.ndarray:
-    B = q.size
-    lo = float(np.min(q))
-
-    def at(dv: float) -> np.ndarray:
-        p = q.copy()
-        half = B // 2
-        p[:half] -= dv
-        p[B - half :] += dv
-        return p
-
-    hi = lo - 1e-12
-    if _j_raw(at(hi), q) < target_j:
+    hi = float(np.min(q)) - 1e-12
+    if _j_raw(_blockwise(q, hi), q) < target_j:
         raise ValidationError(
             f"target divergence {target_j} is infeasible for this reference"
         )
-    dv = optimize.brentq(lambda d: _j_raw(at(d), q) - target_j, 1e-12, hi)
-    return at(dv)
+    dv = optimize.brentq(lambda d: _j_raw(_blockwise(q, d), q) - target_j, 1e-12, hi)
+    return _blockwise(q, dv)
 
 
 def _polish(p: np.ndarray, q: np.ndarray, target_j: float) -> np.ndarray:

@@ -12,7 +12,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -25,35 +24,10 @@ from .resemblance import (
     ResemblanceConfig,
     decision_boundaries,
 )
-from .scenarios import PerturbationSpec, perturbed_pv, solve_p_for_target_j
+from .scenarios import perturbed_pv, solve_p_for_target_j
 
 REPLICATIONS = 100_000
 GRID_POINTS = 30
-
-
-@dataclass(frozen=True)
-class NoShift:
-    pass
-
-
-@dataclass(frozen=True)
-class TargetJ:
-    value: float
-
-
-Scenario = Union[NoShift, TargetJ]
-
-
-@dataclass(frozen=True)
-class SimulationSpec:
-    n: int
-    B: int
-    replications: int
-    seed: int
-    scenario: Scenario = field(default_factory=NoShift)
-
-    def __post_init__(self) -> None:
-        _check_sizes((self.n,), self.B, self.replications)
 
 
 def _check_sizes(ns: tuple[int, ...], B: int, replications: int) -> None:
@@ -93,32 +67,33 @@ class SweepResult:
     seed: int
 
 
-def _scenario_population(spec: SimulationSpec) -> np.ndarray:
-    p0 = uniform_reference(spec.B)
-    if isinstance(spec.scenario, NoShift):
-        return as_probs(p0)
-    if isinstance(spec.scenario, TargetJ):
-        return as_probs(solve_p_for_target_j(p0, spec.scenario.value))
-    raise ValidationError(f"unknown scenario {spec.scenario!r}")
+def _binomial_estimate(hits: int, replications: int) -> MCEstimate:
+    """Fraction of hits with its binomial standard error, floored at one hit."""
+    frac = hits / replications
+    return MCEstimate(frac, math.sqrt(max(frac * (1.0 - frac), 1.0 / replications) / replications))
 
 
 def reconstruction_probability(
-    spec: SimulationSpec, psi_threshold: float = LEWIS_ACTION, workers: int = 1
+    n: int,
+    B: int,
+    replications: int,
+    seed: int,
+    target_j: float = 0.0,
+    psi_threshold: float = LEWIS_ACTION,
+    workers: int = 1,
 ) -> MCEstimate:
-    """Fraction of replications whose PSI reaches the reconstruction threshold."""
-    p = _scenario_population(spec)
-    q = as_probs(uniform_reference(spec.B))
-    counts = sampling.multinomial_matrix(
-        spec.n, p, spec.replications, seed=spec.seed, stream=1, workers=workers
-    )
-    hits = psi(counts / spec.n, q) >= psi_threshold
-    frac = float(np.mean(hits))
-    se = math.sqrt(max(frac * (1.0 - frac), 1.0 / spec.replications) / spec.replications)
-    return MCEstimate(frac, se)
+    """Fraction of replications whose PSI reaches the reconstruction threshold,
+    sampling from the reference shifted to J-divergence ``target_j`` (0: unshifted)."""
+    _check_sizes((n,), B, replications)
+    p = as_probs(solve_p_for_target_j(uniform_reference(B), target_j))
+    q = as_probs(uniform_reference(B))
+    counts = sampling.multinomial_matrix(n, p, replications, seed=seed, stream=1, workers=workers)
+    return _binomial_estimate(int(np.sum(psi(counts / n, q) >= psi_threshold)), replications)
 
 
 def stability_ratios(n: int, B: int, replications: int, seed: int, workers: int = 1) -> StabilityRatios:
     """Mean and variance stability of n*PSI and n*PRS under no shift."""
+    _check_sizes((n,), B, replications)
     q = as_probs(uniform_reference(B))
     counts = sampling.multinomial_matrix(n, q, replications, seed=seed, stream=2, workers=workers)
     ph = counts / n
@@ -154,13 +129,7 @@ def classification_sweep(
     grid = np.linspace(0.0, grid_max, grid_points)
     probs = np.empty((grid_points, 3))
     for i, dv in enumerate(grid):
-        p = as_probs(perturbed_pv(PerturbationSpec(B, float(dv))))
-        counts = sampling.multinomial_matrix(
-            n, p, replications, seed=seed, stream=10 + i, workers=workers
-        )
-        prs_vals = prs(counts / n, q)
-        r1 = int(np.sum(prs_vals <= bounds.tau1))
-        r3 = int(np.sum(prs_vals > bounds.tau2))
+        r1, r3 = _region_counts(bounds, float(dv), q, replications, seed, 10 + i, workers)
         r2 = replications - r1 - r3
         probs[i] = (r1 / replications, r2 / replications, r3 / replications)
     return SweepResult(grid=grid, region_probs=probs, boundaries=bounds, replications=replications, seed=seed)
@@ -183,22 +152,29 @@ def calibration_probabilities(
     p0 = uniform_reference(B)
     bounds = decision_boundaries(p0, n, cfg)
     q = as_probs(p0)
-    out: dict[str, MCEstimate] = {}
-    for stream, (key, dv) in enumerate(
-        [("r3_at_delta", bounds.delta), ("r1_at_m_delta", cfg.M * bounds.delta)]
-    ):
-        p = as_probs(perturbed_pv(PerturbationSpec(B, dv)))
-        counts = sampling.multinomial_matrix(
-            n, p, replications, seed=seed, stream=100 + stream, workers=workers
-        )
-        prs_vals = prs(counts / n, q)
-        if key == "r3_at_delta":
-            frac = float(np.mean(prs_vals > bounds.tau2))
-        else:
-            frac = float(np.mean(prs_vals <= bounds.tau1))
-        se = math.sqrt(max(frac * (1.0 - frac), 1.0 / replications) / replications)
-        out[key] = MCEstimate(frac, se)
-    return out
+    _, r3 = _region_counts(bounds, bounds.delta, q, replications, seed, 100, workers)
+    r1, _ = _region_counts(bounds, cfg.M * bounds.delta, q, replications, seed, 101, workers)
+    return {"r3_at_delta": _binomial_estimate(r3, replications),
+            "r1_at_m_delta": _binomial_estimate(r1, replications)}
+
+
+def _region_counts(
+    bounds: DecisionBoundaries,
+    delta_v: float,
+    q: np.ndarray,
+    replications: int,
+    seed: int,
+    stream: int,
+    workers: int,
+) -> tuple[int, int]:
+    """Replications of the blockwise population at ``delta_v`` whose PRS
+    against q falls in R1 and in R3."""
+    p = as_probs(perturbed_pv(bounds.B, delta_v))
+    counts = sampling.multinomial_matrix(
+        bounds.n, p, replications, seed=seed, stream=stream, workers=workers
+    )
+    prs_vals = prs(counts / bounds.n, q)
+    return int(np.sum(prs_vals <= bounds.tau1)), int(np.sum(prs_vals > bounds.tau2))
 
 
 @dataclass(frozen=True)
@@ -241,11 +217,10 @@ class StudySpec:
 
 
 def _table1(spec: StudySpec) -> tuple[dict, list[str], list[list]]:
-    scenario = TargetJ(spec.target_j) if spec.target_j > 0 else NoShift()
     rows = []
     for n in spec.ns:
-        sim = SimulationSpec(n, spec.B, spec.replications, spec.seed, scenario)
-        est = reconstruction_probability(sim, spec.threshold, workers=spec.workers)
+        est = reconstruction_probability(n, spec.B, spec.replications, spec.seed, spec.target_j,
+                                         spec.threshold, workers=spec.workers)
         rows.append([n, spec.B, spec.target_j, repr(est.value), repr(est.std_error)])
     meta = {"study": "table1", "B": spec.B, "replications": spec.replications,
             "seed": spec.seed, "threshold": spec.threshold, "target_j": spec.target_j}

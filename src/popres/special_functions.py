@@ -24,25 +24,13 @@ from .errors import ConvergenceError
 _QUANTILE_TOL = 1e-8
 
 
-def regularized_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(a, x).
-
-    Monotone non-decreasing in x with P(a, 0) = 0 and P(a, inf) = 1.
-    """
-    if a <= 0:
-        raise ValueError(f"shape parameter must be positive, got a={a}")
-    if x < 0:
-        raise ValueError(f"argument must be non-negative, got x={x}")
-    return float(gammainc(a, x))
-
-
 def chi2_cdf(x: float, df: float) -> float:
     """CDF of the central chi-square distribution with df degrees of freedom."""
     if df <= 0:
         raise ValueError(f"degrees of freedom must be positive, got df={df}")
     if x <= 0:
         return 0.0
-    return regularized_lower_gamma(df / 2.0, x / 2.0)
+    return float(gammainc(df / 2.0, x / 2.0))
 
 
 def chi2_quantile(p: float, df: float) -> float:

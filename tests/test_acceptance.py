@@ -17,6 +17,7 @@ from scipy import stats
 from popres.divergences import (
     CategoryCounts,
     uniform_reference,
+    j_divergence,
     ks_statistic,
     proportions,
     prs,
@@ -36,9 +37,7 @@ from popres.resemblance import (
 )
 from popres.scenarios import enumerate_extreme_points, solve_p_for_target_j
 from popres.simulation import (
-    SimulationSpec,
     StudySpec,
-    TargetJ,
     calibration_probabilities,
     reconstruction_probability,
     run_study,
@@ -117,11 +116,11 @@ def _check_table(rows, n, B, failures):
             failures.append(f"{n=},{B=},{label}: PSI {psi_val:.4f} vs {psi_pub}")
         if abs(prs_val - prs_pub) > 0.001:
             failures.append(f"{n=},{B=},{label}: PRS {prs_val:.4f} vs {prs_pub}")
-        if classify_lewis(psi_val).rag != RAG[lewis]:
+        if classify_lewis(psi_val).value != RAG[lewis]:
             failures.append(f"{n=},{B=},{label}: Lewis rag mismatch")
-        if classify_yn(psi_val, tau_red, tau_green).rag != RAG[yn]:
+        if classify_yn(psi_val, tau_red, tau_green).value != RAG[yn]:
             failures.append(f"{n=},{B=},{label}: YN rag mismatch")
-        if classify_prs(prs_val, bounds).rag != RAG[prs_reg]:
+        if classify_prs(prs_val, bounds).value != RAG[prs_reg]:
             failures.append(f"{n=},{B=},{label}: PRS rag mismatch")
 
 
@@ -143,7 +142,7 @@ class TestAcceptance:
             classify_prs(
                 prs(proportions(CategoryCounts(np.array(c))), uniform_reference(5)),
                 _bounds_from_published(50, 5),
-            ).rag[0]
+            ).value[0]
             for _, c, *_ in TABLE_50_5
         ]
         if sequence != ["g", "a", "a", "a", "a", "r"]:
@@ -240,9 +239,7 @@ class TestAcceptance:
             (500, 10, 0.0, 0.0005),
         ]
         for i, (n, B, expected, tol) in enumerate(checks):
-            est = reconstruction_probability(
-                SimulationSpec(n=n, B=B, replications=K, seed=40 + i)
-            )
+            est = reconstruction_probability(n=n, B=B, replications=K, seed=40 + i)
             if abs(est.value - expected) > tol:
                 failures.append(
                     f"({n},{B}) null rate {est.value:.4f} vs {expected} +- {tol}"
@@ -255,9 +252,10 @@ class TestAcceptance:
         failures = []
         K = 100_000
         for B in (5, 10):
-            sol = solve_p_for_target_j(uniform_reference(B), 0.1, full_output=True)
-            if abs(sol.achieved_j - 0.1) > 1e-8:
-                failures.append(f"B={B}: achieved J {sol.achieved_j!r} not 0.1 +- 1e-8")
+            p0 = uniform_reference(B)
+            achieved_j = j_divergence(solve_p_for_target_j(p0, 0.1), p0)
+            if abs(achieved_j - 0.1) > 1e-8:
+                failures.append(f"B={B}: achieved J {achieved_j!r} not 0.1 +- 1e-8")
         expected = {
             (50, 5): 0.2542, (50, 10): 0.5459,
             (100, 5): 0.0872, (100, 10): 0.2508,
@@ -265,14 +263,13 @@ class TestAcceptance:
             (500, 5): 0.0001, (500, 10): 0.0003,
         }
         for i, ((n, B), value) in enumerate(expected.items()):
-            est = reconstruction_probability(
-                SimulationSpec(n=n, B=B, replications=K, seed=50 + i, scenario=TargetJ(0.1))
-            )
+            est = reconstruction_probability(n=n, B=B, replications=K, seed=50 + i, target_j=0.1)
             if abs(est.value - value) > 0.02:
-                sol = solve_p_for_target_j(uniform_reference(B), 0.1, full_output=True)
+                p0 = uniform_reference(B)
+                distance = float(np.linalg.norm(solve_p_for_target_j(p0, 0.1).probs - p0.probs))
                 failures.append(
                     f"({n},{B}) shifted rate {est.value:.4f} vs {value} +- 0.02 "
-                    f"(achieved ||p - p0|| = {sol.distance:.4f})"
+                    f"(achieved ||p - p0|| = {distance:.4f})"
                 )
         _finish(5, "moderate-shift reconstruction rates under the fixed 0.25 rule",
                 failures, time.perf_counter() - start)

@@ -220,6 +220,31 @@ class TestHistory:
         with pytest.raises(ValidationError, match=r"history.jsonl:1: corrupt history line"):
             append_history(report, hist)
 
+    @pytest.mark.parametrize("entry", [
+        {"label": "other", "junk": 1},
+        {"label": "other"},
+    ], ids=["unknown-field", "missing-fields"])
+    def test_append_rejects_other_label_line_with_bad_fields(self, tmp_path, entry):
+        # a line read_history rejects is rejected whatever its label
+        hist = tmp_path / "history.jsonl"
+        hist.write_text(json.dumps(entry) + "\n")
+        report = monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
+        with pytest.raises(ValidationError, match=r"history.jsonl:1: corrupt history line"):
+            append_history(report, hist)
+        with pytest.raises(ValidationError, match=r"history.jsonl:1: corrupt history line"):
+            read_history(hist)
+        assert hist.read_text() == json.dumps(entry) + "\n"
+
+    def test_append_accepts_line_without_timestamp(self, tmp_path):
+        # timestamp has a default, so read_history accepts a line without it
+        hist = tmp_path / "history.jsonl"
+        entry = monitor(snap("t2", TIMELINE_50_5["t2"][0]), uniform_reference(5), CFG).to_dict()
+        del entry["timestamp"]
+        hist.write_text(json.dumps(entry) + "\n")
+        report = monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
+        assert append_history(report, hist) == HistoryAck(appended=True, line_count=2)
+        assert [r.label for r in read_history(hist)] == ["t2", "t1"]
+
 
 class TestRunStudy:
     def test_sweep_artifact(self, tmp_path):

@@ -131,6 +131,14 @@ class TestDecisionBoundaries:
         assert b.tau1 == pytest.approx(tau1, abs=5e-5)
         assert b.tau2 == pytest.approx(tau2, abs=5e-5)
 
+    @pytest.mark.parametrize("n,B", list(PUBLISHED))
+    def test_defaults_reproduce_published_critical_values(self, n, B):
+        # half a unit in the last printed digit
+        b = decision_boundaries(uniform_reference(B), n, ResemblanceConfig())
+        _, tau1, tau2 = PUBLISHED[(n, B)]
+        assert abs(b.tau1 - tau1) <= 5e-6
+        assert abs(b.tau2 - tau2) <= 5e-6
+
     def test_delta_override(self):
         cfg = ResemblanceConfig(delta_override=0.03)
         b = decision_boundaries(UNIFORM5, 50, cfg)
@@ -191,9 +199,9 @@ class TestClassification:
         assert classify_lewis(0.25) is Region.R3  # ties at 0.25 go to action
 
     def test_rag_mapping(self):
-        assert Region.R1.rag == "green"
-        assert Region.R2.rag == "amber"
-        assert Region.R3.rag == "red"
+        assert Region.R1.value == "green"
+        assert Region.R2.value == "amber"
+        assert Region.R3.value == "red"
 
 
 class TestYnRule:

@@ -3,16 +3,15 @@ import pytest
 from scipy import optimize
 
 from popres.divergences import (
+    ProportionVector,
     ReferenceDistribution,
-    chi2_divergence,
     j_divergence,
+    prs,
     uniform_reference,
 )
 from popres.errors import ValidationError
 from popres.resemblance import is_delta_resemblant, lambda_sup
 from popres.scenarios import (
-    PerturbationSpec,
-    TargetJSolution,
     enumerate_extreme_points,
     perturbed_pv,
     solve_p_for_target_j,
@@ -21,25 +20,25 @@ from popres.scenarios import (
 
 class TestPerturbedPv:
     def test_odd_b_center_fixed(self):
-        p = perturbed_pv(PerturbationSpec(5, 0.02))
+        p = perturbed_pv(5, 0.02)
         assert np.allclose(p.probs, [0.18, 0.18, 0.20, 0.22, 0.22])
 
     def test_even_b(self):
-        p = perturbed_pv(PerturbationSpec(4, 0.05))
+        p = perturbed_pv(4, 0.05)
         assert np.allclose(p.probs, [0.20, 0.20, 0.30, 0.30])
 
     def test_zero_perturbation(self):
-        p = perturbed_pv(PerturbationSpec(5, 0.0))
+        p = perturbed_pv(5, 0.0)
         assert np.allclose(p.probs, 0.2)
 
     def test_entries_must_stay_positive(self):
         with pytest.raises(ValidationError):
-            PerturbationSpec(5, 0.2)
+            perturbed_pv(5, 0.2)
 
     def test_chebyshev_distance_is_exactly_delta_v(self):
         for B in (3, 4, 5, 8, 9):
             dv = 0.4 / B
-            p = perturbed_pv(PerturbationSpec(B, dv))
+            p = perturbed_pv(B, dv)
             u = uniform_reference(B)
             assert is_delta_resemblant(p, u, dv)
             assert not is_delta_resemblant(p, u, dv * 0.999)
@@ -50,8 +49,8 @@ class TestPerturbedPv:
         for B, n in ((5, 50), (9, 200)):
             u = uniform_reference(B)
             delta = 0.3 / B
-            p = perturbed_pv(PerturbationSpec(B, delta))
-            assert n * chi2_divergence(p, u) == pytest.approx(
+            p = perturbed_pv(B, delta)
+            assert n * prs(p, u) == pytest.approx(
                 lambda_sup(u, n, delta), abs=1e-10
             )
 
@@ -88,27 +87,33 @@ class TestSolveForTargetJ:
 
     def test_constraint_residual(self):
         for B in (5, 10):
-            sol = solve_p_for_target_j(uniform_reference(B), 0.1, full_output=True)
-            assert isinstance(sol, TargetJSolution)
-            assert abs(j_divergence(sol.p, uniform_reference(B)) - 0.1) <= 1e-8
-            assert sol.distance == pytest.approx(
-                float(np.linalg.norm(sol.p.probs - 1.0 / B)), abs=1e-15
+            p = solve_p_for_target_j(uniform_reference(B), 0.1)
+            assert isinstance(p, ProportionVector)
+            assert abs(j_divergence(p, uniform_reference(B)) - 0.1) <= 1e-8
+            distance = float(np.linalg.norm(p.probs - uniform_reference(B).probs))
+            assert distance == pytest.approx(
+                float(np.linalg.norm(p.probs - 1.0 / B)), abs=1e-15
             )
 
     def test_dominates_random_search(self):
         q = uniform_reference(5).probs
-        sol = solve_p_for_target_j(uniform_reference(5), 0.1, full_output=True)
+        distance = float(np.linalg.norm(solve_p_for_target_j(uniform_reference(5), 0.1).probs - q))
         rivals = rejection_sample_at_j(q, 0.1, count=200, seed=23)
         best_rival = min(float(np.linalg.norm(p - q)) for p in rivals)
-        assert sol.distance <= best_rival + 1e-9
+        assert distance <= best_rival + 1e-9
 
     def test_non_uniform_reference(self):
         p0 = ReferenceDistribution(np.array([0.1, 0.15, 0.2, 0.25, 0.3]))
-        sol = solve_p_for_target_j(p0, 0.05, full_output=True)
-        assert abs(j_divergence(sol.p, p0) - 0.05) <= 1e-8
+        p = solve_p_for_target_j(p0, 0.05)
+        assert abs(j_divergence(p, p0) - 0.05) <= 1e-8
+
+    @pytest.mark.parametrize("target", [-0.1, float("nan")])
+    def test_rejects_negative_or_nan_target(self, target):
+        with pytest.raises(ValidationError, match="non-negative"):
+            solve_p_for_target_j(uniform_reference(5), target)
 
     def test_infeasible_target(self):
-        with pytest.raises((ValidationError, Exception)):
+        with pytest.raises(ValidationError, match="infeasible"):
             solve_p_for_target_j(uniform_reference(3), 50.0)
 
 

@@ -11,9 +11,6 @@ from popres.resemblance import ResemblanceConfig
 from popres.sampling import multinomial_matrix
 from popres.simulation import (
     MCEstimate,
-    NoShift,
-    SimulationSpec,
-    TargetJ,
     calibration_probabilities,
     classification_sweep,
     reconstruction_probability,
@@ -96,44 +93,47 @@ class TestMultinomialSampling:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_sampler_rejects_bad_workers(self, workers):
+        with pytest.raises(ValidationError, match=f"got {workers}"):
+            multinomial_matrix(50, np.full(5, 0.2), 1000, seed=1, workers=workers)
+
+    def test_stability_rejects_bad_sizes(self):
+        with pytest.raises(ValidationError, match="sample size"):
+            stability_ratios(0, 5, 100, 0)
+
     def test_bad_n(self):
         with pytest.raises(ValidationError):
-            SimulationSpec(n=0, B=5, replications=100, seed=0)
+            reconstruction_probability(n=0, B=5, replications=100, seed=0)
 
     def test_bad_b(self):
         with pytest.raises(ValidationError):
-            SimulationSpec(n=50, B=1, replications=100, seed=0)
+            reconstruction_probability(n=50, B=1, replications=100, seed=0)
 
     def test_bad_replications(self):
         with pytest.raises(ValidationError):
-            SimulationSpec(n=50, B=5, replications=0, seed=0)
+            reconstruction_probability(n=50, B=5, replications=0, seed=0)
 
 
 class TestReconstruction:
     def test_null_probability_small_n(self):
-        spec = SimulationSpec(n=20, B=5, replications=50_000, seed=1)
-        est = reconstruction_probability(spec)
+        est = reconstruction_probability(n=20, B=5, replications=50_000, seed=1)
         assert isinstance(est, MCEstimate)
         # a fair fraction of null samples at n=20 clear the 0.25 action line
         assert 0.15 < est.value < 0.35
 
     def test_null_probability_vanishes_at_large_n(self):
-        spec = SimulationSpec(n=1000, B=5, replications=50_000, seed=1)
-        est = reconstruction_probability(spec)
+        est = reconstruction_probability(n=1000, B=5, replications=50_000, seed=1)
         assert est.value < 0.001
 
     def test_shifted_population_raises_probability(self):
-        null = reconstruction_probability(
-            SimulationSpec(n=50, B=5, replications=50_000, seed=1)
-        )
-        shifted = reconstruction_probability(
-            SimulationSpec(n=50, B=5, replications=50_000, seed=1, scenario=TargetJ(0.1))
-        )
+        null = reconstruction_probability(n=50, B=5, replications=50_000, seed=1)
+        shifted = reconstruction_probability(n=50, B=5, replications=50_000, seed=1, target_j=0.1)
         assert shifted.value > null.value + 3 * (null.std_error + shifted.std_error)
 
     def test_deterministic(self):
-        spec = SimulationSpec(n=50, B=5, replications=20_000, seed=6)
-        assert reconstruction_probability(spec) == reconstruction_probability(spec)
+        spec = dict(n=50, B=5, replications=20_000, seed=6)
+        assert reconstruction_probability(**spec) == reconstruction_probability(**spec)
 
 
 class TestStabilityRatios:

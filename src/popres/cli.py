@@ -52,6 +52,8 @@ def load_config_file(path: str | Path) -> dict:
             values[key] = float(value.strip())
         except ValueError as exc:
             raise ValidationError(f"{path}:{i}: non-numeric value {value!r}") from exc
+        if key == "seed" and not values[key].is_integer():
+            raise ValidationError(f"{path}:{i}: seed must be an integer, got {value.strip()!r}")
     return values
 
 
@@ -127,7 +129,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         if ack.duplicate:
             print(f"note: duplicate report for {report.label!r}; history unchanged", file=sys.stderr)
     if args.format == "json":
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+        print(json.dumps(asdict(report), sort_keys=True, indent=2))
     elif args.format == "csv":
         sys.stdout.write(render_csv(report))
     else:

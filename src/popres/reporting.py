@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import fcntl
-import hashlib
-import json
 import io
+import json
+import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -75,17 +75,6 @@ class MonitoringReport:
     config: dict
     seed: int
     timestamp: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MonitoringReport":
-        return cls(**d)
-
-    def content_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()
 
 
 _REPORT_FIELDS = frozenset(f.name for f in fields(MonitoringReport))
@@ -159,10 +148,11 @@ def load_snapshot(path: str | Path) -> Snapshot:
             timestamp=payload.get("timestamp"),
         )
     vals = _ordered_values(path, *_read_rows(path), "count")
-    arr = np.asarray(vals)
-    if np.any(arr != np.rint(arr)):
-        raise ValidationError(f"{path}: counts must be integers")
-    return Snapshot(label=path.stem, counts=CategoryCounts(arr.astype(np.int64)))
+    try:
+        counts = CategoryCounts(np.asarray(vals))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    return Snapshot(label=path.stem, counts=counts)
 
 
 def monitor(
@@ -225,7 +215,7 @@ def render_text(report: MonitoringReport) -> str:
 
 def render_csv(report: MonitoringReport) -> str:
     buf = io.StringIO()
-    d = report.to_dict()
+    d = asdict(report)
     d["config"] = json.dumps(d["config"], sort_keys=True)
     writer = csv.DictWriter(buf, fieldnames=list(d))
     writer.writeheader()
@@ -240,40 +230,44 @@ class HistoryAck:
     duplicate: bool = False
 
 
+def _history(path: Path, lines: Iterable[str]) -> Iterator[dict]:
+    """Fields of each non-blank history line; any other line is corrupt."""
+    for i, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+            if not isinstance(entry, dict):
+                raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
+            keys = entry.keys()
+            if not _REQUIRED_FIELDS <= keys <= _REPORT_FIELDS:
+                raise TypeError(
+                    f"unknown fields {sorted(keys - _REPORT_FIELDS)}, "
+                    f"missing fields {sorted(_REQUIRED_FIELDS - keys)}"
+                )
+        except (json.JSONDecodeError, TypeError) as exc:
+            raise ValidationError(f"{path}:{i}: corrupt history line ({exc})") from exc
+        yield entry
+
+
 def append_history(report: MonitoringReport, history_path: str | Path) -> HistoryAck:
-    """Append one JSON line; duplicate (label, content) submissions are no-ops."""
+    """Append one JSON line; a report equal to one already stored is a no-op."""
     path = Path(history_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    digest = report.content_hash()
     with open(path, "a+") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         try:
             fh.seek(0)
             existing = 0
-            for i, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                    if not isinstance(entry, dict):
-                        raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
-                    # what read_history accepts, without building every report
-                    keys = entry.keys()
-                    if keys != _REPORT_FIELDS and not _REQUIRED_FIELDS <= keys <= _REPORT_FIELDS:
-                        raise TypeError(
-                            f"unknown fields {sorted(keys - _REPORT_FIELDS)}, "
-                            f"missing fields {sorted(_REQUIRED_FIELDS - keys)}"
-                        )
-                    duplicate = (
-                        entry.get("label") == report.label
-                        and MonitoringReport.from_dict(entry).content_hash() == digest
-                    )
-                except (json.JSONDecodeError, TypeError) as exc:
-                    raise ValidationError(f"{path}:{i}: corrupt history line ({exc})") from exc
+            for entry in _history(path, fh):
                 existing += 1
-                if duplicate:
+                if entry["label"] == report.label and MonitoringReport(**entry) == report:
                     return HistoryAck(appended=False, line_count=existing, duplicate=True)
-            fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+            size = os.fstat(fh.fileno()).st_size
+            # a last line without its newline would run into the new one
+            if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
+                fh.write("\n")
+            fh.write(json.dumps(asdict(report), sort_keys=True) + "\n")
             return HistoryAck(appended=True, line_count=existing + 1)
         finally:
             fcntl.flock(fh, fcntl.LOCK_UN)
@@ -281,13 +275,5 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
 
 def read_history(history_path: str | Path) -> list[MonitoringReport]:
     path = Path(history_path)
-    reports = []
     with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                reports.append(MonitoringReport.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, TypeError) as exc:
-                raise ValidationError(f"{path}:{i}: corrupt history line ({exc})") from exc
-    return reports
+        return [MonitoringReport(**entry) for entry in _history(path, fh)]

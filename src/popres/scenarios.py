@@ -1,10 +1,10 @@
 """Structured alternative populations for the simulation studies.
 
 Three constructions: the blockwise +-delta_v perturbation of an
-equi-probable reference, the minimal-Euclidean-distance vector on the
-simplex hitting a target symmetric KL divergence, and the enumeration of
-extreme points of the Chebyshev tolerance region (the independent oracle
-for the closed-form maximal non-centrality).
+equi-probable reference, a vector on the simplex at a target symmetric KL
+divergence (an SLSQP stationary point of the Euclidean distance, not its
+minimum), and the enumeration of extreme points of the Chebyshev tolerance
+region (the independent oracle for the closed-form maximal non-centrality).
 """
 
 from __future__ import annotations
@@ -45,14 +45,15 @@ def _blockwise(q: np.ndarray, dv: float) -> np.ndarray:
 
 
 def solve_p_for_target_j(p0: ReferenceDistribution, target_j: float) -> ProportionVector:
-    """Minimal-Euclidean-distance vector at a prescribed divergence level.
+    """A vector on the simplex with J(p, p0) = target_j; 0 returns p0 itself.
 
-    Minimizes ||p - p0||_2 over the simplex subject to J(p, p0) = target_j;
-    a target of 0 returns p0 itself.
-    The starting point is the blockwise perturbation whose magnitude is
-    root-found to hit the target, after which an SLSQP refinement enforces
-    both constraints; the divergence constraint is then polished by a
-    one-dimensional root-find along the solution direction.
+    Starts at the blockwise perturbation whose magnitude is root-found to
+    hit the target, runs SLSQP on ||p - p0||_2 under both constraints, and
+    rescales the deviation so that J meets the target to 1e-8.  The result
+    is a stationary point, not the minimal-distance vector: for even B and
+    a uniform p0 SLSQP stays at the blockwise start, although one category
+    down and the rest up meets the same J closer to p0 (at B=10, J=0.1:
+    0.0766 against 0.0983).  For B=5 SLSQP moves to that one-down vector.
     """
     q = as_probs(p0)
     if not target_j >= 0:

@@ -214,6 +214,10 @@ class StudySpec:
             )
         if self.workers < 1:
             raise ValidationError(f"workers must be at least 1 (--workers), got {self.workers}")
+        if not 0 < self.threshold < math.inf:
+            raise ValidationError(
+                f"threshold must be a finite positive PSI (--threshold), got {self.threshold}"
+            )
 
 
 def _table1(spec: StudySpec) -> tuple[dict, list[str], list[list]]:

@@ -48,6 +48,7 @@ class TestConfigFile:
             load_config_file(f)
 
 
+
 class TestMonitorCommand:
     def test_text_output(self, capsys, reference_file, snapshot_file):
         code = main([
@@ -80,6 +81,19 @@ class TestMonitorCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["alpha1"] == 0.05
         assert payload["seed"] == 3
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1.7"])
+    def test_config_file_non_integer_seed_exits_validation(
+        self, capsys, tmp_path, reference_file, snapshot_file, value
+    ):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"seed = {value}\n")
+        code = main([
+            "monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file),
+            "--config", str(cfg),
+        ])
+        assert code == EXIT_VALIDATION
+        assert "cfg.ini:1: seed must be an integer" in capsys.readouterr().err
 
     def test_history_dedupe_note(self, capsys, tmp_path, reference_file, snapshot_file):
         hist = tmp_path / "history.jsonl"
@@ -220,6 +234,7 @@ class TestStudyCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--workers", "0"), ("--workers", "-3"), ("--target-j", "-0.5"),
+        ("--threshold", "nan"), ("--threshold", "-1"),
     ])
     def test_rejects_bad_workers_and_target_j(self, capsys, tmp_path, flag, value):
         out = tmp_path / "t.csv"

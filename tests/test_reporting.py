@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -95,6 +96,15 @@ class TestLoaders:
         with pytest.raises(ValidationError):
             load_snapshot(f)
 
+    @pytest.mark.parametrize("count,message", [
+        ("1e20", "exceeds the int64 range"), ("inf", "must be finite"),
+    ])
+    def test_snapshot_count_beyond_int64(self, tmp_path, count, message):
+        f = tmp_path / "s.csv"
+        f.write_text(f"category,count\n1,{count}\n2,2\n")
+        with pytest.raises(ValidationError, match=rf"s\.csv: .*{message}"):
+            load_snapshot(f)
+
     def test_snapshot_bad_json(self, tmp_path):
         f = tmp_path / "s.json"
         f.write_text("{not json")
@@ -138,16 +148,10 @@ class TestMonitor:
         with pytest.raises(ValidationError):
             monitor(snap("x", (10, 10, 10)), uniform_reference(5), CFG)
 
-    def test_round_trip_and_hash(self):
+    def test_json_round_trip_is_equal(self):
         report = monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
-        clone = MonitoringReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        clone = MonitoringReport(**json.loads(json.dumps(asdict(report))))
         assert clone == report
-        assert clone.content_hash() == report.content_hash()
-
-    def test_hash_changes_with_content(self):
-        a = monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
-        b = monitor(snap("t2", TIMELINE_50_5["t2"][0]), uniform_reference(5), CFG)
-        assert a.content_hash() != b.content_hash()
 
 
 class TestRendering:
@@ -214,7 +218,7 @@ class TestHistory:
     def test_append_rejects_same_label_line_with_bad_fields(self, tmp_path, edit):
         hist = tmp_path / "history.jsonl"
         report = monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
-        entry = report.to_dict()
+        entry = asdict(report)
         edit(entry)
         hist.write_text(json.dumps(entry) + "\n")
         with pytest.raises(ValidationError, match=r"history.jsonl:1: corrupt history line"):
@@ -238,12 +242,35 @@ class TestHistory:
     def test_append_accepts_line_without_timestamp(self, tmp_path):
         # timestamp has a default, so read_history accepts a line without it
         hist = tmp_path / "history.jsonl"
-        entry = monitor(snap("t2", TIMELINE_50_5["t2"][0]), uniform_reference(5), CFG).to_dict()
+        entry = asdict(monitor(snap("t2", TIMELINE_50_5["t2"][0]), uniform_reference(5), CFG))
         del entry["timestamp"]
         hist.write_text(json.dumps(entry) + "\n")
         report = monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
         assert append_history(report, hist) == HistoryAck(appended=True, line_count=2)
         assert [r.label for r in read_history(hist)] == ["t2", "t1"]
+
+
+    def test_same_label_line_without_timestamp_is_a_duplicate(self, tmp_path):
+        # a missing timestamp reads as None, so it equals a report without one
+        hist = tmp_path / "history.jsonl"
+        report = monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
+        assert report.timestamp is None
+        entry = asdict(report)
+        del entry["timestamp"]
+        hist.write_text(json.dumps(entry) + "\n")
+        assert append_history(report, hist) == HistoryAck(
+            appended=False, line_count=1, duplicate=True
+        )
+        assert hist.read_text() == json.dumps(entry) + "\n"
+
+    def test_append_after_last_line_without_newline(self, tmp_path):
+        hist = tmp_path / "history.jsonl"
+        r1 = monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
+        r2 = monitor(snap("t2", TIMELINE_50_5["t2"][0]), uniform_reference(5), CFG)
+        append_history(r1, hist)
+        hist.write_text(hist.read_text().rstrip("\n"))
+        assert append_history(r2, hist) == HistoryAck(appended=True, line_count=2)
+        assert read_history(hist) == [r1, r2]
 
 
 class TestRunStudy:
@@ -296,6 +323,8 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("field,value", [
         ("target_j", -0.5), ("target_j", float("nan")), ("workers", 0), ("workers", -3),
+        ("threshold", float("nan")), ("threshold", -1.0), ("threshold", 0.0),
+        ("threshold", float("inf")),
     ])
     def test_spec_rejects_bad_settings(self, field, value):
         with pytest.raises(ValidationError, match=field):

@@ -121,14 +121,18 @@ def load_reference(path: str | Path) -> ReferenceDistribution:
     path = Path(path)
     fields, rows = _read_rows(path)
     if "prob" in fields:
-        vals = _ordered_values(path, fields, rows, "prob")
-        return ReferenceDistribution(np.asarray(vals))
-    if "count" in fields:
-        vals = np.asarray(_ordered_values(path, fields, rows, "count"))
-        if np.any(vals <= 0):
+        probs = np.asarray(_ordered_values(path, fields, rows, "prob"))
+    elif "count" in fields:
+        counts = np.asarray(_ordered_values(path, fields, rows, "count"))
+        if np.any(counts <= 0):
             raise ValidationError(f"{path}: reference counts must be strictly positive")
-        return ReferenceDistribution(vals / vals.sum())
-    raise ValidationError(f"{path}: expected a 'prob' or 'count' column, got {fields}")
+        probs = counts / counts.sum()
+    else:
+        raise ValidationError(f"{path}: expected a 'prob' or 'count' column, got {fields}")
+    try:
+        return ReferenceDistribution(probs)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
@@ -141,18 +145,14 @@ def load_snapshot(path: str | Path) -> Snapshot:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(payload, dict) or "counts" not in payload:
             raise ValidationError(f"{path}: expected an object with a 'counts' array")
-        counts = CategoryCounts(np.asarray(payload["counts"]))
-        return Snapshot(
-            label=str(payload.get("label") or path.stem),
-            counts=counts,
-            timestamp=payload.get("timestamp"),
-        )
-    vals = _ordered_values(path, *_read_rows(path), "count")
+    else:
+        payload = {"counts": _ordered_values(path, *_read_rows(path), "count")}
     try:
-        counts = CategoryCounts(np.asarray(vals))
+        counts = CategoryCounts(np.asarray(payload["counts"]))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    return Snapshot(label=path.stem, counts=counts)
+    label = str(payload.get("label") or path.stem)
+    return Snapshot(label=label, counts=counts, timestamp=payload.get("timestamp"))
 
 
 def monitor(

@@ -93,6 +93,8 @@ def lambda_sup(p0: ReferenceDistribution, n: int, delta: float) -> float:
     every coordinate moves by +-delta; for odd B one coordinate (a maximal
     one) stays put.
     """
+    if n < 1:
+        raise ValidationError(f"sample size must be positive, got {n}")
     q = as_probs(p0)
     if delta <= 0:
         raise ValidationError(f"delta must be positive, got {delta}")

@@ -1,10 +1,10 @@
 """Structured alternative populations for the simulation studies.
 
 Three constructions: the blockwise +-delta_v perturbation of an
-equi-probable reference, a vector on the simplex at a target symmetric KL
-divergence (an SLSQP stationary point of the Euclidean distance, not its
-minimum), and the enumeration of extreme points of the Chebyshev tolerance
-region (the independent oracle for the closed-form maximal non-centrality).
+equi-probable reference, the same blockwise perturbation of any reference
+with its magnitude root-found to a target symmetric KL divergence, and the
+enumeration of extreme points of the Chebyshev tolerance region (the
+independent oracle for the closed-form maximal non-centrality).
 """
 
 from __future__ import annotations
@@ -45,15 +45,12 @@ def _blockwise(q: np.ndarray, dv: float) -> np.ndarray:
 
 
 def solve_p_for_target_j(p0: ReferenceDistribution, target_j: float) -> ProportionVector:
-    """A vector on the simplex with J(p, p0) = target_j; 0 returns p0 itself.
+    """The blockwise perturbation of p0 with J(p, p0) = target_j; 0 returns p0.
 
-    Starts at the blockwise perturbation whose magnitude is root-found to
-    hit the target, runs SLSQP on ||p - p0||_2 under both constraints, and
-    rescales the deviation so that J meets the target to 1e-8.  The result
-    is a stationary point, not the minimal-distance vector: for even B and
-    a uniform p0 SLSQP stays at the blockwise start, although one category
-    down and the rest up meets the same J closer to p0 (at B=10, J=0.1:
-    0.0766 against 0.0983).  For B=5 SLSQP moves to that one-down vector.
+    The lower floor(B/2) entries move down and the upper floor(B/2) entries
+    up by one magnitude dv (the centre entry of odd B stays put), with dv
+    root-found on (0, min p0) so that J meets the target to 1e-8.  Table 1's
+    shifted rates are reproduced by this population (see the README).
     """
     q = as_probs(p0)
     if not target_j >= 0:
@@ -61,61 +58,20 @@ def solve_p_for_target_j(p0: ReferenceDistribution, target_j: float) -> Proporti
     if target_j == 0:
         return ProportionVector(q.copy())
 
-    x0 = _blockwise_start(q, target_j)
-    res = optimize.minimize(
-        lambda p: float(np.sum((p - q) ** 2)),
-        x0,
-        jac=lambda p: 2.0 * (p - q),
-        method="SLSQP",
-        constraints=[
-            {"type": "eq", "fun": lambda p: float(p.sum() - 1.0)},
-            {"type": "eq", "fun": lambda p: _j_raw(p, q) - target_j},
-        ],
-        bounds=[(1e-12, 1.0)] * q.size,
-        options={"maxiter": 500, "ftol": 1e-16},
-    )
-    p = _polish(res.x if res.success else x0, q, target_j)
-    achieved = _j_raw(p, q)
+    def excess(dv: float) -> float:
+        return j_divergence(_blockwise(q, dv), q) - target_j
+
+    hi = float(np.min(q)) - 1e-12
+    if excess(hi) < 0:
+        raise ValidationError(f"target divergence {target_j} is infeasible for this reference")
+    p = _blockwise(q, optimize.brentq(excess, 1e-12, hi))
+    achieved = j_divergence(p, q)
     if abs(achieved - target_j) > 1e-8:
         raise ConvergenceError(
             f"divergence constraint residual {abs(achieved - target_j):.3e} "
             f"exceeds 1e-8 (achieved J={achieved:.10f})"
         )
     return ProportionVector(p)
-
-
-def _j_raw(p: np.ndarray, q: np.ndarray) -> float:
-    """J(p, q), infinite where an entry of p has left the open simplex."""
-    return np.inf if np.any(p <= 0) else j_divergence(p, q)
-
-
-def _blockwise_start(q: np.ndarray, target_j: float) -> np.ndarray:
-    hi = float(np.min(q)) - 1e-12
-    if _j_raw(_blockwise(q, hi), q) < target_j:
-        raise ValidationError(
-            f"target divergence {target_j} is infeasible for this reference"
-        )
-    dv = optimize.brentq(lambda d: _j_raw(_blockwise(q, d), q) - target_j, 1e-12, hi)
-    return _blockwise(q, dv)
-
-
-def _polish(p: np.ndarray, q: np.ndarray, target_j: float) -> np.ndarray:
-    """Rescale the deviation p - q to meet the divergence constraint exactly."""
-    d = p - q
-    d -= d.mean()  # keep the unit-sum constraint
-    if np.allclose(d, 0):
-        raise ConvergenceError("solver collapsed to the reference point")
-
-    def j_at(t: float) -> float:
-        return _j_raw(q + t * d, q)
-
-    t_hi = 1.0
-    while j_at(t_hi) < target_j:
-        t_hi *= 1.5
-        if t_hi > 1e6:
-            raise ConvergenceError("could not bracket the divergence constraint")
-    t = optimize.brentq(lambda t: j_at(t) - target_j, 0.0, t_hi, xtol=1e-15)
-    return q + t * d
 
 
 def enumerate_extreme_points(

@@ -274,6 +274,16 @@ class TestAcceptance:
         _finish(5, "moderate-shift reconstruction rates under the fixed 0.25 rule",
                 failures, time.perf_counter() - start)
 
+    @pytest.mark.parametrize("n, seed, published", [(50, 50, 0.2542), (100, 52, 0.0872)])
+    def test_table1_odd_b_shifted_rates_within_3_se(self, n, seed, published):
+        # Table 1 at B=5, J=0.1: the blockwise population meets the published
+        # rates within Monte Carlo error, at criterion 05's seeds
+        est = reconstruction_probability(n=n, B=5, replications=100_000, seed=seed, target_j=0.1)
+        assert abs(est.value - published) <= 3 * est.std_error, (
+            f"(n={n}, B=5) shifted rate {est.value:.4f} vs published {published} "
+            f"+- 3 x {est.std_error:.4f}"
+        )
+
     def test_criterion_06_exact_mean_identity(self):
         failures = []
         for n in (20, 50, 200, 1000):

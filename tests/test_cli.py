@@ -108,6 +108,14 @@ class TestMonitorCommand:
         assert "duplicate" in capsys.readouterr().err
         assert len(hist.read_text().splitlines()) == 1
 
+    def test_history_directory_exits_validation(self, capsys, tmp_path, reference_file, snapshot_file):
+        code = main([
+            "monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file),
+            "--history", str(tmp_path),
+        ])
+        assert code == EXIT_VALIDATION
+        assert "Is a directory" in capsys.readouterr().err
+
     def test_missing_snapshot_file(self, capsys, reference_file, tmp_path):
         code = main([
             "monitor", "--snapshot", str(tmp_path / "nope.csv"),
@@ -166,6 +174,14 @@ class TestBoundariesCommand:
             "--c", "1.0", "--M", "4.0",
         ])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_non_positive_n_exits_validation(self, capsys, reference_file, n):
+        code = main([
+            "boundaries", "--reference", str(reference_file), "--n", n, "--delta", "0.01",
+        ])
+        assert code == EXIT_VALIDATION
+        assert f"sample size must be positive, got {n}" in capsys.readouterr().err
 
     def test_failed_quantile_exits_numerical(self, capsys, monkeypatch, reference_file):
         monkeypatch.setattr(special_functions, "chndtrix", lambda *args: math.nan)

@@ -57,6 +57,9 @@ class TestLoaders:
         f.write_text("category,prob\n1,0.5\n2,0.49\n")
         with pytest.raises(ValidationError):
             load_reference(f)
+        f.write_text("category,prob\n1,0.5\n2,0.6\n")
+        with pytest.raises(ValidationError, match=r"ref\.csv: reference probabilities sum to 1\.1"):
+            load_reference(f)
 
     def test_reference_duplicate_category(self, tmp_path):
         f = tmp_path / "ref.csv"
@@ -103,6 +106,11 @@ class TestLoaders:
         f = tmp_path / "s.csv"
         f.write_text(f"category,count\n1,{count}\n2,2\n")
         with pytest.raises(ValidationError, match=rf"s\.csv: .*{message}"):
+            load_snapshot(f)
+        # JSON has no inf literal, but 1e400 parses to inf
+        f = tmp_path / "s.json"
+        f.write_text(f'{{"label": "x", "counts": [{count.replace("inf", "1e400")}, 1, 2, 3, 4]}}')
+        with pytest.raises(ValidationError, match=rf"s\.json: .*{message}"):
             load_snapshot(f)
 
     def test_snapshot_bad_json(self, tmp_path):

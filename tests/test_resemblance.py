@@ -77,6 +77,11 @@ class TestLambdaSup:
         with pytest.raises(ValidationError):
             lambda_sup(UNIFORM5, 50, 0.21)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_non_positive_n(self, n):
+        with pytest.raises(ValidationError, match="sample size must be positive"):
+            lambda_sup(UNIFORM5, n, 0.01)
+
     def test_scaling_consistency(self):
         # doubling n with delta from the recommendation keeps n * delta^2,
         # hence the non-centrality, exactly constant

@@ -225,7 +225,6 @@ def render_csv(report: MonitoringReport) -> str:
 
 @dataclass(frozen=True)
 class HistoryAck:
-    appended: bool
     line_count: int
     duplicate: bool = False
 
@@ -262,13 +261,13 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
             for entry in _history(path, fh):
                 existing += 1
                 if entry["label"] == report.label and MonitoringReport(**entry) == report:
-                    return HistoryAck(appended=False, line_count=existing, duplicate=True)
+                    return HistoryAck(line_count=existing, duplicate=True)
             size = os.fstat(fh.fileno()).st_size
             # a last line without its newline would run into the new one
             if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
                 fh.write("\n")
             fh.write(json.dumps(asdict(report), sort_keys=True) + "\n")
-            return HistoryAck(appended=True, line_count=existing + 1)
+            return HistoryAck(line_count=existing + 1)
         finally:
             fcntl.flock(fh, fcntl.LOCK_UN)
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import sampling
+from . import sampling, special_functions
 from .divergences import (
     CategoryCounts,
     ReferenceDistribution,
@@ -122,8 +122,6 @@ def decision_boundaries(
     p0: ReferenceDistribution, n: int, cfg: ResemblanceConfig
 ) -> DecisionBoundaries:
     """Compute (delta, lambda_sup, tau1, tau2) for the given configuration."""
-    from .special_functions import ncx2_quantile
-
     q = as_probs(p0)
     delta = cfg.delta_override if cfg.delta_override is not None else recommended_delta(p0, n, cfg.c)
     if cfg.M * delta > float(np.min(q)) + 1e-15:
@@ -133,8 +131,8 @@ def decision_boundaries(
         )
     lam = lambda_sup(p0, n, delta)
     B = q.size
-    tau1 = ncx2_quantile(cfg.alpha2, B - 1, cfg.M**2 * lam) / n
-    tau2 = ncx2_quantile(1.0 - cfg.alpha1, B - 1, lam) / n
+    tau1 = special_functions.ncx2_quantile(cfg.alpha2, B - 1, cfg.M**2 * lam) / n
+    tau2 = special_functions.ncx2_quantile(1.0 - cfg.alpha1, B - 1, lam) / n
     if tau1 >= tau2:
         raise BoundaryOverlapError(
             f"critical values overlap (tau1={tau1:.6g} >= tau2={tau2:.6g}); "
@@ -164,19 +162,21 @@ def classify_lewis(psi_value: float) -> Region:
 def yn_boundaries(
     n: int, B: int, alpha_upper: float, alpha_lower: float
 ) -> tuple[float, float]:
-    """Sample-size dependent PSI thresholds 2/n * chi-square quantile.
+    """Sample-size dependent PSI thresholds 2/n * central chi-square quantile.
 
     Returns (tau_red, tau_green): PSI above tau_red is fully discrepant,
     below tau_green acceptable, in between needs monitoring.
     """
-    from .special_functions import chi2_quantile
-
+    if n < 1:
+        raise ValidationError(f"sample size must be positive, got {n}")
+    if B < 2:
+        raise ValidationError(f"need B >= 2 categories, got {B}")
     if alpha_upper >= alpha_lower:
         raise ValidationError(
             f"alpha_upper={alpha_upper} must be below alpha_lower={alpha_lower}"
         )
-    tau_red = 2.0 / n * chi2_quantile(1.0 - alpha_upper, B - 1)
-    tau_green = 2.0 / n * chi2_quantile(1.0 - alpha_lower, B - 1)
+    tau_red = 2.0 / n * special_functions.ncx2_quantile(1.0 - alpha_upper, B - 1, 0.0)
+    tau_green = 2.0 / n * special_functions.ncx2_quantile(1.0 - alpha_lower, B - 1, 0.0)
     return tau_red, tau_green
 
 

@@ -120,6 +120,7 @@ def classification_sweep(
     workers: int = 1,
 ) -> SweepResult:
     """Region probabilities across deviations from zero to (3M+2) * delta."""
+    _check_sizes((n,), B, replications)
     p0 = uniform_reference(B)
     bounds = decision_boundaries(p0, n, cfg)
     q = as_probs(p0)
@@ -149,6 +150,7 @@ def calibration_probabilities(
     non-centrality exactly, so P(R3) should approach alpha1; at
     delta_v = M * delta, P(R1) should approach alpha2.
     """
+    _check_sizes((n,), B, replications)
     p0 = uniform_reference(B)
     bounds = decision_boundaries(p0, n, cfg)
     q = as_probs(p0)

@@ -1,12 +1,24 @@
-"""Every ```python block of the README runs against the installed package."""
+"""Every ```python block of the README runs against the installed package,
+and every ``popres`` command in its ```sh blocks parses with the CLI."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from popres import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+TEXT = README.read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
+# continuation lines joined and shell variables ($B, ${B}, $j) set to 5
+COMMANDS = [
+    shlex.split(re.sub(r"\$\{?\w+\}?", "5", line), comments=True)[1:]
+    for block in re.findall(r"^```sh\n(.*?)^```", TEXT, flags=re.M | re.S)
+    for line in block.replace("\\\n", " ").splitlines()
+    if line.lstrip().startswith("popres ")
+]
 
 
 def test_readme_has_python_blocks():
@@ -17,3 +29,13 @@ def test_readme_has_python_blocks():
 def test_readme_block_runs(source):
     namespace: dict = {}
     exec(compile(source, str(README), "exec"), namespace)
+
+
+def test_readme_has_popres_commands():
+    assert COMMANDS
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[f"command{i}-{a[0]}" for i, a in enumerate(COMMANDS)])
+def test_readme_command_parses(argv):
+    # argparse exits on an unknown flag or a bad value; nothing is executed
+    cli.build_parser().parse_args(argv)

@@ -184,10 +184,9 @@ class TestHistory:
         hist = tmp_path / "history.jsonl"
         r1 = monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
         r2 = monitor(snap("t2", TIMELINE_50_5["t2"][0]), uniform_reference(5), CFG)
-        assert append_history(r1, hist) == HistoryAck(appended=True, line_count=1)
-        assert append_history(r2, hist) == HistoryAck(appended=True, line_count=2)
-        dup = append_history(r1, hist)
-        assert dup.duplicate and not dup.appended
+        assert append_history(r1, hist) == HistoryAck(line_count=1)
+        assert append_history(r2, hist) == HistoryAck(line_count=2)
+        assert append_history(r1, hist) == HistoryAck(line_count=1, duplicate=True)
         assert [r.label for r in read_history(hist)] == ["t1", "t2"]
 
     def test_same_label_new_content_is_appended(self, tmp_path):
@@ -195,8 +194,7 @@ class TestHistory:
         r1 = monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
         r1b = monitor(snap("t1", TIMELINE_50_5["t2"][0]), uniform_reference(5), CFG)
         append_history(r1, hist)
-        ack = append_history(r1b, hist)
-        assert ack.appended and ack.line_count == 2
+        assert append_history(r1b, hist) == HistoryAck(line_count=2)
 
     def test_timeline_persists_classifications(self, tmp_path):
         hist = tmp_path / "history.jsonl"
@@ -254,7 +252,7 @@ class TestHistory:
         del entry["timestamp"]
         hist.write_text(json.dumps(entry) + "\n")
         report = monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
-        assert append_history(report, hist) == HistoryAck(appended=True, line_count=2)
+        assert append_history(report, hist) == HistoryAck(line_count=2)
         assert [r.label for r in read_history(hist)] == ["t2", "t1"]
 
 
@@ -266,9 +264,7 @@ class TestHistory:
         entry = asdict(report)
         del entry["timestamp"]
         hist.write_text(json.dumps(entry) + "\n")
-        assert append_history(report, hist) == HistoryAck(
-            appended=False, line_count=1, duplicate=True
-        )
+        assert append_history(report, hist) == HistoryAck(line_count=1, duplicate=True)
         assert hist.read_text() == json.dumps(entry) + "\n"
 
     def test_append_after_last_line_without_newline(self, tmp_path):
@@ -277,7 +273,7 @@ class TestHistory:
         r2 = monitor(snap("t2", TIMELINE_50_5["t2"][0]), uniform_reference(5), CFG)
         append_history(r1, hist)
         hist.write_text(hist.read_text().rstrip("\n"))
-        assert append_history(r2, hist) == HistoryAck(appended=True, line_count=2)
+        assert append_history(r2, hist) == HistoryAck(line_count=2)
         assert read_history(hist) == [r1, r2]
 
 

@@ -224,6 +224,16 @@ class TestYnRule:
         with pytest.raises(ValidationError):
             yn_boundaries(50, 5, 0.10, 0.10)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_bad_sample_size(self, n):
+        with pytest.raises(ValidationError, match="sample size must be positive"):
+            yn_boundaries(n, 5, 0.01, 0.10)
+
+    @pytest.mark.parametrize("B", [1, 0])
+    def test_rejects_fewer_than_two_categories(self, B):
+        with pytest.raises(ValidationError, match="B >= 2"):
+            yn_boundaries(50, B, 0.01, 0.10)
+
 
 class TestKsPValue:
     def test_zero_statistic_gives_p_one(self):

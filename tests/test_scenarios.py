@@ -64,10 +64,8 @@ class TestSolveForTargetJ:
             p = solve_p_for_target_j(uniform_reference(B), 0.1)
             assert isinstance(p, ProportionVector)
             assert abs(j_divergence(p, uniform_reference(B)) - 0.1) <= 1e-8
-            distance = float(np.linalg.norm(p.probs - uniform_reference(B).probs))
-            assert distance == pytest.approx(
-                float(np.linalg.norm(p.probs - 1.0 / B)), abs=1e-15
-            )
+            # one magnitude: the upper block moves up as far as the lower moves down
+            assert p.probs[-1] - 1.0 / B == pytest.approx(1.0 / B - p.probs[0], abs=1e-15)
             # blockwise shape: equal lower and upper blocks, odd B keeps 1/B
             half = B // 2
             assert np.all(p.probs[:half] == p.probs[0])

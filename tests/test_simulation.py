@@ -114,6 +114,14 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             reconstruction_probability(n=50, B=5, replications=0, seed=0)
 
+    def test_sweep_rejects_zero_replications(self):
+        with pytest.raises(ValidationError, match="replication"):
+            classification_sweep(50, 5, ResemblanceConfig(), replications=0)
+
+    def test_calibration_rejects_zero_replications(self):
+        with pytest.raises(ValidationError, match="replication"):
+            calibration_probabilities(50, 5, ResemblanceConfig(), replications=0)
+
 
 class TestReconstruction:
     def test_null_probability_small_n(self):

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from popres import special_functions
 from popres.errors import ConvergenceError
-from popres.special_functions import (
-    chi2_cdf,
-    chi2_quantile,
-    ncx2_cdf,
-    ncx2_quantile,
-)
+from popres.special_functions import ncx2_cdf, ncx2_quantile
 
 
 def gamma_series_oracle(a: float, x: float, max_terms: int = 1_000_000) -> float:
@@ -33,27 +28,27 @@ def gamma_series_oracle(a: float, x: float, max_terms: int = 1_000_000) -> float
 
 
 class TestRegularizedLowerGamma:
-    """P(a, x) as the chi-square CDF: chi2_cdf(2x, 2a) = P(a, x)."""
+    """P(a, x) as the central chi-square CDF: ncx2_cdf(2x, 2a, 0) = P(a, x)."""
 
     def test_exponential_special_case(self):
-        assert chi2_cdf(2.0, 2.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-14)
+        assert ncx2_cdf(2.0, 2.0, 0.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-14)
 
     def test_lower_limit(self):
-        assert chi2_cdf(0.0, 1.0) == 0.0
+        assert ncx2_cdf(0.0, 1.0, 0.0) == 0.0
 
     def test_against_series_oracle(self):
-        assert abs(chi2_cdf(6.0, 5.0) - gamma_series_oracle(2.5, 3.0)) <= 1e-12
+        assert abs(ncx2_cdf(6.0, 5.0, 0.0) - gamma_series_oracle(2.5, 3.0)) <= 1e-12
 
     def test_series_oracle_grid(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             a = rng.uniform(0.5, 200.0)
             x = rng.uniform(0.0, min(1000.0, a + 8 * math.sqrt(a) + 20))
-            assert abs(chi2_cdf(2 * x, 2 * a) - gamma_series_oracle(a, x)) <= 1e-12
+            assert abs(ncx2_cdf(2 * x, 2 * a, 0.0) - gamma_series_oracle(a, x)) <= 1e-12
 
     def test_limits_and_monotonicity(self):
         for a in (0.5, 1.0, 7.3, 120.0):
-            values = [chi2_cdf(2 * x, 2 * a) for x in np.linspace(0, 800, 60)]
+            values = [ncx2_cdf(2 * x, 2 * a, 0.0) for x in np.linspace(0, 800, 60)]
             assert values[0] == 0.0
             assert values[-1] == pytest.approx(1.0, abs=1e-12)
             assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
@@ -61,38 +56,38 @@ class TestRegularizedLowerGamma:
     @pytest.mark.parametrize("a,x", [(0.0, 1.0), (-1.0, 1.0)])
     def test_domain_errors(self, a, x):
         with pytest.raises(ValueError):
-            chi2_cdf(2 * x, 2 * a)
+            ncx2_cdf(2 * x, 2 * a, 0.0)
 
 
 class TestChi2:
     def test_lower_support_boundary(self):
-        assert chi2_cdf(0.0, 4.0) == 0.0
-        assert chi2_cdf(-3.0, 4.0) == 0.0
+        assert ncx2_cdf(0.0, 4.0, 0.0) == 0.0
+        assert ncx2_cdf(-3.0, 4.0, 0.0) == 0.0
 
     def test_even_df_closed_form(self):
         # chi-square with 4 dof: CDF = 1 - exp(-x/2) (1 + x/2)
-        assert chi2_cdf(4.0, 4.0) == pytest.approx(1.0 - math.exp(-2.0) * 3.0, abs=1e-13)
+        assert ncx2_cdf(4.0, 4.0, 0.0) == pytest.approx(1.0 - math.exp(-2.0) * 3.0, abs=1e-13)
 
     def test_95th_percentile(self):
-        assert chi2_cdf(9.487729, 4.0) == pytest.approx(0.95, abs=1e-6)
+        assert ncx2_cdf(9.487729, 4.0, 0.0) == pytest.approx(0.95, abs=1e-6)
 
     def test_quantile_inverts_closed_form(self):
-        assert chi2_quantile(1.0 - math.exp(-2.0) * 3.0, 4.0) == pytest.approx(4.0, abs=1e-6)
+        assert ncx2_quantile(1.0 - math.exp(-2.0) * 3.0, 4.0, 0.0) == pytest.approx(4.0, abs=1e-6)
 
     def test_quantiles_for_yn_thresholds(self):
-        assert chi2_quantile(0.99, 4.0) == pytest.approx(13.2767, abs=1e-3)
-        assert chi2_quantile(0.90, 4.0) == pytest.approx(7.7794, abs=1e-3)
+        assert ncx2_quantile(0.99, 4.0, 0.0) == pytest.approx(13.2767, abs=1e-3)
+        assert ncx2_quantile(0.90, 4.0, 0.0) == pytest.approx(7.7794, abs=1e-3)
 
     def test_quantile_strictly_increasing(self):
-        qs = [chi2_quantile(p, 7.0) for p in np.linspace(0.01, 0.99, 25)]
+        qs = [ncx2_quantile(p, 7.0, 0.0) for p in np.linspace(0.01, 0.99, 25)]
         assert all(b > a for a, b in zip(qs, qs[1:]))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            chi2_cdf(1.0, 0.0)
+            ncx2_cdf(1.0, 0.0, 0.0)
         for p in (0.0, 1.0, -0.2, 1.4):
             with pytest.raises(ValueError):
-                chi2_quantile(p, 4.0)
+                ncx2_quantile(p, 4.0, 0.0)
 
 
 def ncx2_mc_sample(df: int, ncp: float, size: int, seed: int) -> np.ndarray:
@@ -111,8 +106,9 @@ class TestNcx2Cdf:
     def test_central_reduction_grid(self):
         for x in (0.5, 2.0, 7.7, 30.0):
             for df in (1.0, 4.0, 9.0, 19.0):
-                assert abs(ncx2_cdf(x, df, 0.0) - chi2_cdf(x, df)) <= 1e-12
-                assert abs(ncx2_cdf(x, df, 5e-324) - chi2_cdf(x, df)) <= 1e-12
+                central = special.gammainc(df / 2, x / 2)
+                assert abs(ncx2_cdf(x, df, 0.0) - central) <= 1e-12
+                assert abs(ncx2_cdf(x, df, 5e-324) - central) <= 1e-12
 
     def test_upper_limit(self):
         assert ncx2_cdf(1e6, 4.0, 12.8) == pytest.approx(1.0, abs=1e-12)
@@ -219,14 +215,14 @@ class TestNcx2Quantile:
 
 class TestForwardCheck:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, "off"], ids=["nan", "inf", "off"])
+    # "chi2" is the central law at ncp 0, the one yn_boundaries inverts
     @pytest.mark.parametrize(
-        "ufunc,quantile",
-        [("chndtrix", lambda: ncx2_quantile(0.95, 4.0, 3.2)),
-         ("gammaincinv", lambda: chi2_quantile(0.95, 4.0))],
+        "quantile",
+        [lambda: ncx2_quantile(0.95, 4.0, 3.2), lambda: ncx2_quantile(0.95, 4.0, 0.0)],
         ids=["ncx2", "chi2"],
     )
-    def test_bad_scipy_result_raises_convergence_error(self, monkeypatch, ufunc, quantile, bad):
-        good = getattr(special_functions, ufunc)
+    def test_bad_scipy_result_raises_convergence_error(self, monkeypatch, quantile, bad):
+        good = special_functions.chndtrix
         if bad == "off":
             # relative error 1e-3 moves the CDF by far more than 1e-8
             def patched(*args):
@@ -234,6 +230,6 @@ class TestForwardCheck:
         else:
             def patched(*args):
                 return bad
-        monkeypatch.setattr(special_functions, ufunc, patched)
+        monkeypatch.setattr(special_functions, "chndtrix", patched)
         with pytest.raises(ConvergenceError, match="forward check"):
             quantile()

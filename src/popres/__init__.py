@@ -8,7 +8,6 @@ plus a seeded Monte Carlo engine for the accompanying studies.
 
 from .divergences import (
     CategoryCounts,
-    ProportionVector,
     ReferenceDistribution,
     j_divergence,
     ks_statistic,
@@ -48,7 +47,6 @@ __all__ = [
     "DecisionBoundaries",
     "MonitoringReport",
     "PopresError",
-    "ProportionVector",
     "ReferenceDistribution",
     "Region",
     "ResemblanceConfig",

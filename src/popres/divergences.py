@@ -19,7 +19,7 @@ from .errors import ValidationError
 _SUM_TOL = 1e-12
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-VectorLike = Union["ProportionVector", "ReferenceDistribution", Sequence[float], np.ndarray]
+VectorLike = Union["ReferenceDistribution", Sequence[float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -60,33 +60,6 @@ class CategoryCounts:
     @property
     def B(self) -> int:
         return self.counts.size
-
-
-@dataclass(frozen=True)
-class ProportionVector:
-    """Probability vector with non-negative entries summing to one."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.probs, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValidationError(f"need a 1-d vector of B >= 2 entries, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("probabilities must be finite")
-        if np.any(arr < 0):
-            raise ValidationError("probabilities must be non-negative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValidationError(
-                f"probabilities sum to {total!r}, not 1 (renormalization is refused; "
-                "fix the input instead)"
-            )
-        object.__setattr__(self, "probs", arr)
-
-    @property
-    def B(self) -> int:
-        return self.probs.size
 
 
 @dataclass(frozen=True)
@@ -138,9 +111,9 @@ def _per_row(out: np.ndarray) -> Union[float, np.ndarray]:
     return float(out) if out.ndim == 0 else out
 
 
-def proportions(counts: CategoryCounts) -> ProportionVector:
+def proportions(counts: CategoryCounts) -> np.ndarray:
     """Observed category proportions n_i / n."""
-    return ProportionVector(counts.counts / counts.n)
+    return counts.counts / counts.n
 
 
 def psi(phat: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:

@@ -171,6 +171,9 @@ def yn_boundaries(
         raise ValidationError(f"sample size must be positive, got {n}")
     if B < 2:
         raise ValidationError(f"need B >= 2 categories, got {B}")
+    for name, a in (("alpha_upper", alpha_upper), ("alpha_lower", alpha_lower)):
+        if not 0.0 < a < 1.0:
+            raise ValidationError(f"{name} must lie in (0, 1), got {a}")
     if alpha_upper >= alpha_lower:
         raise ValidationError(
             f"alpha_upper={alpha_upper} must be below alpha_lower={alpha_lower}"

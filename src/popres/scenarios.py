@@ -1,26 +1,21 @@
 """Structured alternative populations for the simulation studies.
 
-Three constructions: the blockwise +-delta_v perturbation of an
-equi-probable reference, the same blockwise perturbation of any reference
-with its magnitude root-found to a target symmetric KL divergence, and the
-enumeration of extreme points of the Chebyshev tolerance region (the
-independent oracle for the closed-form maximal non-centrality).
+Two constructions: the blockwise +-delta_v perturbation of an
+equi-probable reference, and the same blockwise perturbation of any
+reference with its magnitude root-found to a target symmetric KL
+divergence.  Both return plain probability arrays.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 from scipy import optimize
 
-from .divergences import ProportionVector, ReferenceDistribution, as_probs, j_divergence
+from .divergences import ReferenceDistribution, as_probs, j_divergence
 from .errors import ConvergenceError, ValidationError
 
-MAX_ENUM_B = 12
 
-
-def perturbed_pv(B: int, delta_v: float) -> ProportionVector:
+def perturbed_pv(B: int, delta_v: float) -> np.ndarray:
     """Current population perturbed around the equi-probable reference.
 
     Entries 1..floor(B/2) are 1/B - delta_v, the top block 1/B + delta_v;
@@ -28,11 +23,11 @@ def perturbed_pv(B: int, delta_v: float) -> ProportionVector:
     """
     if B < 2:
         raise ValidationError(f"need B >= 2 categories, got {B}")
-    if delta_v < 0:
+    if not delta_v >= 0:
         raise ValidationError(f"delta_v must be non-negative, got {delta_v}")
     if delta_v >= 1.0 / B:
         raise ValidationError(f"delta_v={delta_v} would push an entry of uniform({B}) to zero")
-    return ProportionVector(_blockwise(np.full(B, 1.0 / B), delta_v))
+    return _blockwise(np.full(B, 1.0 / B), delta_v)
 
 
 def _blockwise(q: np.ndarray, dv: float) -> np.ndarray:
@@ -44,7 +39,7 @@ def _blockwise(q: np.ndarray, dv: float) -> np.ndarray:
     return p
 
 
-def solve_p_for_target_j(p0: ReferenceDistribution, target_j: float) -> ProportionVector:
+def solve_p_for_target_j(p0: ReferenceDistribution, target_j: float) -> np.ndarray:
     """The blockwise perturbation of p0 with J(p, p0) = target_j; 0 returns p0.
 
     The lower floor(B/2) entries move down and the upper floor(B/2) entries
@@ -52,11 +47,11 @@ def solve_p_for_target_j(p0: ReferenceDistribution, target_j: float) -> Proporti
     root-found on (0, min p0) so that J meets the target to 1e-8.  Table 1's
     shifted rates are reproduced by this population (see the README).
     """
-    q = as_probs(p0)
+    q = ReferenceDistribution(as_probs(p0)).probs
     if not target_j >= 0:
         raise ValidationError(f"target divergence must be non-negative, got {target_j}")
     if target_j == 0:
-        return ProportionVector(q.copy())
+        return q.copy()
 
     def excess(dv: float) -> float:
         return j_divergence(_blockwise(q, dv), q) - target_j
@@ -71,37 +66,4 @@ def solve_p_for_target_j(p0: ReferenceDistribution, target_j: float) -> Proporti
             f"divergence constraint residual {abs(achieved - target_j):.3e} "
             f"exceeds 1e-8 (achieved J={achieved:.10f})"
         )
-    return ProportionVector(p)
-
-
-def enumerate_extreme_points(
-    p0: ReferenceDistribution, delta: float
-) -> list[ProportionVector]:
-    """All extreme points of the delta-tolerance region around p0.
-
-    Coordinates move by +-delta with equal numbers of up and down moves;
-    for odd B exactly one coordinate stays put, for even B none does.
-    """
-    q = as_probs(p0)
-    B = q.size
-    if B > MAX_ENUM_B:
-        raise ValidationError(f"enumeration guard: B={B} exceeds {MAX_ENUM_B}")
-    if delta <= 0 or delta > float(np.min(q)) + 1e-15:
-        raise ValidationError(
-            f"delta={delta} must lie in (0, min reference probability]"
-        )
-    points: list[ProportionVector] = []
-    if B % 2 == 0:
-        for plus in combinations(range(B), B // 2):
-            p = q - delta
-            p[list(plus)] = q[list(plus)] + delta
-            points.append(ProportionVector(p))
-    else:
-        for fixed in range(B):
-            rest = [j for j in range(B) if j != fixed]
-            for plus in combinations(rest, (B - 1) // 2):
-                p = q - delta
-                p[fixed] = q[fixed]
-                p[list(plus)] = q[list(plus)] + delta
-                points.append(ProportionVector(p))
-    return points
+    return p

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sampling
-from .divergences import as_probs, prs, psi, uniform_reference
+from .divergences import prs, psi, uniform_reference
 from .errors import ValidationError
 from .resemblance import (
     LEWIS_ACTION,
@@ -30,7 +30,16 @@ REPLICATIONS = 100_000
 GRID_POINTS = 30
 
 
-def _check_sizes(ns: tuple[int, ...], B: int, replications: int) -> None:
+def _check_study_args(
+    ns: tuple[int, ...],
+    B: int,
+    replications: int,
+    workers: int,
+    grid_points: int = GRID_POINTS,
+    target_j: float = 0.0,
+    threshold: float = LEWIS_ACTION,
+) -> None:
+    """Reject study arguments no study can run; each message names its flag."""
     for n in ns:
         if n < 1:
             raise ValidationError(f"sample size must be positive, got {n}")
@@ -38,6 +47,18 @@ def _check_sizes(ns: tuple[int, ...], B: int, replications: int) -> None:
         raise ValidationError(f"need B >= 2 categories, got {B}")
     if replications < 1:
         raise ValidationError("need at least one replication")
+    if grid_points < 1:
+        raise ValidationError(f"grid_points must be at least 1 (--grid-points), got {grid_points}")
+    if not target_j >= 0:
+        raise ValidationError(
+            f"target_j must be a non-negative J-divergence (--target-j), got {target_j}"
+        )
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1 (--workers), got {workers}")
+    if not 0 < threshold < math.inf:
+        raise ValidationError(
+            f"threshold must be a finite positive PSI (--threshold), got {threshold}"
+        )
 
 
 @dataclass(frozen=True)
@@ -63,8 +84,6 @@ class SweepResult:
     grid: np.ndarray
     region_probs: np.ndarray  # shape (grid, 3), rows sum to 1
     boundaries: DecisionBoundaries
-    replications: int
-    seed: int
 
 
 def _binomial_estimate(hits: int, replications: int) -> MCEstimate:
@@ -84,17 +103,18 @@ def reconstruction_probability(
 ) -> MCEstimate:
     """Fraction of replications whose PSI reaches the reconstruction threshold,
     sampling from the reference shifted to J-divergence ``target_j`` (0: unshifted)."""
-    _check_sizes((n,), B, replications)
-    p = as_probs(solve_p_for_target_j(uniform_reference(B), target_j))
-    q = as_probs(uniform_reference(B))
+    _check_study_args((n,), B, replications, workers, target_j=target_j, threshold=psi_threshold)
+    p0 = uniform_reference(B)
+    p = solve_p_for_target_j(p0, target_j)
+    q = p0.probs
     counts = sampling.multinomial_matrix(n, p, replications, seed=seed, stream=1, workers=workers)
     return _binomial_estimate(int(np.sum(psi(counts / n, q) >= psi_threshold)), replications)
 
 
 def stability_ratios(n: int, B: int, replications: int, seed: int, workers: int = 1) -> StabilityRatios:
     """Mean and variance stability of n*PSI and n*PRS under no shift."""
-    _check_sizes((n,), B, replications)
-    q = as_probs(uniform_reference(B))
+    _check_study_args((n,), B, replications, workers)
+    q = uniform_reference(B).probs
     counts = sampling.multinomial_matrix(n, q, replications, seed=seed, stream=2, workers=workers)
     ph = counts / n
     t = n * psi(ph, q)
@@ -120,10 +140,10 @@ def classification_sweep(
     workers: int = 1,
 ) -> SweepResult:
     """Region probabilities across deviations from zero to (3M+2) * delta."""
-    _check_sizes((n,), B, replications)
+    _check_study_args((n,), B, replications, workers, grid_points=grid_points)
     p0 = uniform_reference(B)
     bounds = decision_boundaries(p0, n, cfg)
-    q = as_probs(p0)
+    q = p0.probs
     # the nominal sweep extends to (3M+2)*delta, but a perturbation cannot
     # push any entry of the equi-probable reference below zero
     grid_max = min((3.0 * cfg.M + 2.0) * bounds.delta, (1.0 - 1e-9) / B)
@@ -133,7 +153,7 @@ def classification_sweep(
         r1, r3 = _region_counts(bounds, float(dv), q, replications, seed, 10 + i, workers)
         r2 = replications - r1 - r3
         probs[i] = (r1 / replications, r2 / replications, r3 / replications)
-    return SweepResult(grid=grid, region_probs=probs, boundaries=bounds, replications=replications, seed=seed)
+    return SweepResult(grid=grid, region_probs=probs, boundaries=bounds)
 
 
 def calibration_probabilities(
@@ -150,10 +170,10 @@ def calibration_probabilities(
     non-centrality exactly, so P(R3) should approach alpha1; at
     delta_v = M * delta, P(R1) should approach alpha2.
     """
-    _check_sizes((n,), B, replications)
+    _check_study_args((n,), B, replications, workers)
     p0 = uniform_reference(B)
     bounds = decision_boundaries(p0, n, cfg)
-    q = as_probs(p0)
+    q = p0.probs
     _, r3 = _region_counts(bounds, bounds.delta, q, replications, seed, 100, workers)
     r1, _ = _region_counts(bounds, cfg.M * bounds.delta, q, replications, seed, 101, workers)
     return {"r3_at_delta": _binomial_estimate(r3, replications),
@@ -171,7 +191,7 @@ def _region_counts(
 ) -> tuple[int, int]:
     """Replications of the blockwise population at ``delta_v`` whose PRS
     against q falls in R1 and in R3."""
-    p = as_probs(perturbed_pv(bounds.B, delta_v))
+    p = perturbed_pv(bounds.B, delta_v)
     counts = sampling.multinomial_matrix(
         bounds.n, p, replications, seed=seed, stream=stream, workers=workers
     )
@@ -205,21 +225,8 @@ class StudySpec:
             raise ValidationError(
                 f"sweep takes exactly one sample size (--n), got {list(self.ns)}"
             )
-        _check_sizes(self.ns, self.B, self.replications)
-        if self.grid_points < 1:
-            raise ValidationError(
-                f"grid_points must be at least 1 (--grid-points), got {self.grid_points}"
-            )
-        if not self.target_j >= 0:
-            raise ValidationError(
-                f"target_j must be a non-negative J-divergence (--target-j), got {self.target_j}"
-            )
-        if self.workers < 1:
-            raise ValidationError(f"workers must be at least 1 (--workers), got {self.workers}")
-        if not 0 < self.threshold < math.inf:
-            raise ValidationError(
-                f"threshold must be a finite positive PSI (--threshold), got {self.threshold}"
-            )
+        _check_study_args(self.ns, self.B, self.replications, self.workers,
+                          self.grid_points, self.target_j, self.threshold)
 
 
 def _table1(spec: StudySpec) -> tuple[dict, list[str], list[list]]:

@@ -35,7 +35,7 @@ from popres.resemblance import (
     ks_p_value,
     yn_boundaries,
 )
-from popres.scenarios import enumerate_extreme_points, solve_p_for_target_j
+from popres.scenarios import solve_p_for_target_j
 from popres.simulation import (
     StudySpec,
     calibration_probabilities,
@@ -45,6 +45,8 @@ from popres.simulation import (
 )
 from popres.resemblance import lambda_sup
 from popres.special_functions import ncx2_cdf, ncx2_quantile
+
+from oracles import enumerate_extreme_points
 
 # published critical values (tau1, tau2) per (n, B) configuration
 PUBLISHED_TAUS = {
@@ -266,7 +268,7 @@ class TestAcceptance:
             est = reconstruction_probability(n=n, B=B, replications=K, seed=50 + i, target_j=0.1)
             if abs(est.value - value) > 0.02:
                 p0 = uniform_reference(B)
-                distance = float(np.linalg.norm(solve_p_for_target_j(p0, 0.1).probs - p0.probs))
+                distance = float(np.linalg.norm(solve_p_for_target_j(p0, 0.1) - p0.probs))
                 failures.append(
                     f"({n},{B}) shifted rate {est.value:.4f} vs {value} +- 0.02 "
                     f"(achieved ||p - p0|| = {distance:.4f})"
@@ -350,7 +352,7 @@ class TestAcceptance:
                 delta = rng.uniform(0.2, 0.9) * float(np.min(q))
                 n = 100
                 best = max(
-                    n * float(np.sum((pt.probs - q) ** 2 / q))
+                    n * float(np.sum((pt - q) ** 2 / q))
                     for pt in enumerate_extreme_points(p0, delta)
                 )
                 if abs(best - lambda_sup(p0, n, delta)) > 1e-10:

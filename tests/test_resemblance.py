@@ -25,7 +25,8 @@ from popres.resemblance import (
     recommended_delta,
     yn_boundaries,
 )
-from popres.scenarios import enumerate_extreme_points
+
+from oracles import enumerate_extreme_points
 
 UNIFORM5 = uniform_reference(5)
 # published critical values for the worked configurations
@@ -104,7 +105,7 @@ class TestLambdaSup:
                 delta = 0.5 * float(np.min(q))
                 n = 200
                 best = max(
-                    n * float(np.sum((pt.probs - q) ** 2 / q))
+                    n * float(np.sum((pt - q) ** 2 / q))
                     for pt in enumerate_extreme_points(p0, delta)
                 )
                 assert lambda_sup(p0, n, delta) == pytest.approx(best, abs=1e-10)
@@ -233,6 +234,13 @@ class TestYnRule:
     def test_rejects_fewer_than_two_categories(self, B):
         with pytest.raises(ValidationError, match="B >= 2"):
             yn_boundaries(50, B, 0.01, 0.10)
+
+    @pytest.mark.parametrize("level", [-0.1, 0.0, 1.0, 1.5, float("nan")])
+    @pytest.mark.parametrize("name", ["alpha_upper", "alpha_lower"])
+    def test_rejects_levels_outside_unit_interval(self, name, level):
+        levels = {"alpha_upper": 0.01, "alpha_lower": 0.10, name: level}
+        with pytest.raises(ValidationError, match=rf"{name} must lie in \(0, 1\)"):
+            yn_boundaries(50, 5, **levels)
 
 
 class TestKsPValue:

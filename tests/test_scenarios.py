@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from popres.divergences import (
-    ProportionVector,
     ReferenceDistribution,
     j_divergence,
     prs,
@@ -10,29 +9,31 @@ from popres.divergences import (
 )
 from popres.errors import ValidationError
 from popres.resemblance import is_delta_resemblant, lambda_sup
-from popres.scenarios import (
-    enumerate_extreme_points,
-    perturbed_pv,
-    solve_p_for_target_j,
-)
+from popres.scenarios import perturbed_pv, solve_p_for_target_j
+
+from oracles import enumerate_extreme_points
 
 
 class TestPerturbedPv:
     def test_odd_b_center_fixed(self):
         p = perturbed_pv(5, 0.02)
-        assert np.allclose(p.probs, [0.18, 0.18, 0.20, 0.22, 0.22])
+        assert np.allclose(p, [0.18, 0.18, 0.20, 0.22, 0.22])
 
     def test_even_b(self):
         p = perturbed_pv(4, 0.05)
-        assert np.allclose(p.probs, [0.20, 0.20, 0.30, 0.30])
+        assert np.allclose(p, [0.20, 0.20, 0.30, 0.30])
 
     def test_zero_perturbation(self):
         p = perturbed_pv(5, 0.0)
-        assert np.allclose(p.probs, 0.2)
+        assert np.allclose(p, 0.2)
 
     def test_entries_must_stay_positive(self):
         with pytest.raises(ValidationError):
             perturbed_pv(5, 0.2)
+
+    def test_rejects_nan_delta_v(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            perturbed_pv(5, float("nan"))
 
     def test_chebyshev_distance_is_exactly_delta_v(self):
         for B in (3, 4, 5, 8, 9):
@@ -57,22 +58,23 @@ class TestPerturbedPv:
 class TestSolveForTargetJ:
     def test_zero_target_returns_reference(self):
         p = solve_p_for_target_j(uniform_reference(5), 0.0)
-        assert np.allclose(p.probs, 0.2)
+        assert np.allclose(p, 0.2)
 
     def test_constraint_residual(self):
         for B in (5, 10):
             p = solve_p_for_target_j(uniform_reference(B), 0.1)
-            assert isinstance(p, ProportionVector)
+            assert np.all(p >= 0)
+            assert abs(p.sum() - 1.0) <= 1e-12
             assert abs(j_divergence(p, uniform_reference(B)) - 0.1) <= 1e-8
             # one magnitude: the upper block moves up as far as the lower moves down
-            assert p.probs[-1] - 1.0 / B == pytest.approx(1.0 / B - p.probs[0], abs=1e-15)
+            assert p[-1] - 1.0 / B == pytest.approx(1.0 / B - p[0], abs=1e-15)
             # blockwise shape: equal lower and upper blocks, odd B keeps 1/B
             half = B // 2
-            assert np.all(p.probs[:half] == p.probs[0])
-            assert np.all(p.probs[B - half :] == p.probs[-1])
-            assert p.probs[0] < 1.0 / B < p.probs[-1]
+            assert np.all(p[:half] == p[0])
+            assert np.all(p[B - half :] == p[-1])
+            assert p[0] < 1.0 / B < p[-1]
             if B % 2:
-                assert p.probs[half] == 1.0 / B
+                assert p[half] == 1.0 / B
 
     def test_non_uniform_reference(self):
         p0 = ReferenceDistribution(np.array([0.1, 0.15, 0.2, 0.25, 0.3]))
@@ -83,6 +85,14 @@ class TestSolveForTargetJ:
     def test_rejects_negative_or_nan_target(self, target):
         with pytest.raises(ValidationError, match="non-negative"):
             solve_p_for_target_j(uniform_reference(5), target)
+
+    @pytest.mark.parametrize("p0,target", [
+        (np.array([0.5, 0.6]), 0.1),
+        (np.array([np.nan, 1.0]), 0.0),
+    ])
+    def test_rejects_invalid_raw_reference(self, p0, target):
+        with pytest.raises(ValidationError, match="reference probabilities"):
+            solve_p_for_target_j(p0, target)
 
     def test_infeasible_target(self):
         with pytest.raises(ValidationError, match="infeasible"):
@@ -101,9 +111,9 @@ class TestEnumerateExtremePoints:
     def test_points_valid(self):
         u = uniform_reference(5)
         for pt in enumerate_extreme_points(u, 0.05):
-            assert abs(pt.probs.sum() - 1.0) <= 1e-12
+            assert abs(pt.sum() - 1.0) <= 1e-12
             assert is_delta_resemblant(pt, u, 0.05)
-            moved = np.abs(pt.probs - 0.2) > 1e-15
+            moved = np.abs(pt - 0.2) > 1e-15
             assert moved.sum() == 4  # odd B: exactly one coordinate fixed
 
     def test_oracle_equals_closed_form(self):
@@ -114,7 +124,7 @@ class TestEnumerateExtremePoints:
             p0 = ReferenceDistribution(q)
             delta = 0.4 * float(np.min(q))
             best = max(
-                100 * float(np.sum((pt.probs - q) ** 2 / q))
+                100 * float(np.sum((pt - q) ** 2 / q))
                 for pt in enumerate_extreme_points(p0, delta)
             )
             assert best == pytest.approx(lambda_sup(p0, 100, delta), abs=1e-10)
@@ -123,7 +133,7 @@ class TestEnumerateExtremePoints:
         # several maximal reference entries; the closed form is unchanged
         p0 = ReferenceDistribution(np.array([0.3, 0.3, 0.3, 0.05, 0.05]))
         best = max(
-            100 * float(np.sum((pt.probs - p0.probs) ** 2 / p0.probs))
+            100 * float(np.sum((pt - p0.probs) ** 2 / p0.probs))
             for pt in enumerate_extreme_points(p0, 0.04)
         )
         assert best == pytest.approx(lambda_sup(p0, 100, 0.04), abs=1e-10)

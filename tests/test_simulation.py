@@ -122,6 +122,18 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="replication"):
             calibration_probabilities(50, 5, ResemblanceConfig(), replications=0)
 
+    @pytest.mark.parametrize("grid_points", [0, -1])
+    def test_sweep_rejects_bad_grid_points(self, grid_points):
+        with pytest.raises(ValidationError, match="grid_points must be at least 1"):
+            classification_sweep(50, 5, ResemblanceConfig(), grid_points=grid_points,
+                                 replications=100)
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, math.nan, math.inf])
+    def test_reconstruction_rejects_bad_threshold(self, threshold):
+        with pytest.raises(ValidationError, match="threshold"):
+            reconstruction_probability(n=50, B=5, replications=100, seed=0,
+                                       psi_threshold=threshold)
+
 
 class TestReconstruction:
     def test_null_probability_small_n(self):

@@ -3,19 +3,26 @@
 A monitoring report is self-contained: every statistic, boundary and
 classification can be re-derived from its own fields.  History is an
 append-only JSON-lines file guarded by an exclusive lock; duplicate
-submissions (same label and content) are acknowledged as no-ops.
+submissions (same label and content) are acknowledged as no-ops.  Each append
+rewrites the sidecar ``<history>.idx``: the validated byte length, its SHA-256,
+the physical and non-blank line counts, and by label a flat list of each line's
+byte offset and ordinal.  The next append validates only what follows those
+bytes.  Deleting the sidecar is safe; an edited history is re-scanned in full.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import fcntl
+import hashlib
 import io
 import json
 import os
+import re
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -225,54 +232,106 @@ def render_csv(report: MonitoringReport) -> str:
 
 @dataclass(frozen=True)
 class HistoryAck:
+    """``line_count`` is the ordinal among non-blank lines of the appended line or,
+    for a duplicate, of the stored line that equals the report."""
+
     line_count: int
     duplicate: bool = False
 
 
-def _history(path: Path, lines: Iterable[str]) -> Iterator[dict]:
-    """Fields of each non-blank history line; any other line is corrupt."""
-    for i, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")  # ended as universal newlines end it
+
+
+def _history(path: Path, data: bytes, start: int = 0, line: int = 0) -> Iterator[tuple]:
+    """(line number, byte offset, fields or None if blank) of each line from byte
+    ``start``, the start of line ``line + 1``; a line that is not a report is corrupt."""
+    for number, match in enumerate(_LINE.finditer(data, start), start=line + 1):
+        entry = None
         try:
-            entry = json.loads(line)
-            if not isinstance(entry, dict):
-                raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
-            keys = entry.keys()
-            if not _REQUIRED_FIELDS <= keys <= _REPORT_FIELDS:
-                raise TypeError(
-                    f"unknown fields {sorted(keys - _REPORT_FIELDS)}, "
-                    f"missing fields {sorted(_REQUIRED_FIELDS - keys)}"
-                )
-        except (json.JSONDecodeError, TypeError) as exc:
-            raise ValidationError(f"{path}:{i}: corrupt history line ({exc})") from exc
-        yield entry
+            text = match[0].decode()
+            if text.strip():
+                entry = json.loads(text)
+                if not isinstance(entry, dict):
+                    raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
+                keys = entry.keys()
+                if not _REQUIRED_FIELDS <= keys <= _REPORT_FIELDS:
+                    raise TypeError(
+                        f"unknown fields {sorted(keys - _REPORT_FIELDS)}, "
+                        f"missing fields {sorted(_REQUIRED_FIELDS - keys)}"
+                    )
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"{path}:{number}: corrupt history line ({exc})") from exc
+        yield number, match.start(), entry
+
+
+def _read_index(path: Path, data: bytes, label: str) -> tuple:
+    """The sidecar's ``(length, lines, count, labels)``, the SHA-256 of the first ``length``
+    bytes and ``(ordinal, fields)`` of their lines of ``label``.  A sidecar that is missing,
+    stale, or inconsistent for ``label`` vouches for no bytes."""
+    try:
+        index = json.loads(Path(f"{path}.idx").read_bytes())
+        length = index["length"]
+        digest = hashlib.sha256(memoryview(data)[:length])
+        if not 0 <= length <= len(data) or digest.hexdigest() != index["sha256"]:
+            raise ValueError("the history changed since the sidecar was written")
+        labels = {str(key): list(value) for key, value in index["labels"].items()}
+        same, pairs = [], labels.get(label, [])
+        for offset, ordinal in zip(pairs[::2], pairs[1::2]):
+            starts = 0 <= offset < length and (not offset or data[offset - 1] in b"\r\n")
+            entry = next(_history(path, data, offset))[2] if starts else None
+            if entry is None or str(entry["label"]) != label:
+                raise ValueError(f"offset {offset} does not start a line of {label!r}")
+            same.append((ordinal, entry))
+        return (length, int(index["lines"]), int(index["count"]), labels), digest, same
+    except (OSError, ValueError, TypeError, KeyError, AttributeError):
+        return (0, 0, 0, {}), hashlib.sha256(), []
 
 
 def append_history(report: MonitoringReport, history_path: str | Path) -> HistoryAck:
-    """Append one JSON line; a report equal to one already stored is a no-op."""
+    """Append one JSON line; a report equal to one already stored is a no-op.
+
+    Every line is validated first, but of the lines the sidecar vouches for
+    only those of the report's label are parsed again."""
     path = Path(history_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a+") as fh:
+    label = str(report.label)
+    with open(path, "ab+") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         try:
             fh.seek(0)
-            existing = 0
-            for entry in _history(path, fh):
-                existing += 1
-                if entry["label"] == report.label and MonitoringReport(**entry) == report:
-                    return HistoryAck(line_count=existing, duplicate=True)
-            size = os.fstat(fh.fileno()).st_size
-            # a last line without its newline would run into the new one
-            if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
-                fh.write("\n")
-            fh.write(json.dumps(asdict(report), sort_keys=True) + "\n")
-            return HistoryAck(line_count=existing + 1)
+            data = fh.read()
+            (start, lines, count, labels), digest, same = _read_index(path, data, label)
+            for lines, offset, entry in _history(path, data, start, lines):
+                if entry is not None:
+                    count += 1
+                    labels.setdefault(str(entry["label"]), []).extend((offset, count))
+                    if str(entry["label"]) == label:
+                        same.append((count, entry))
+            # a report that differs in one field is unequal: test a cheap one first
+            ordinal = next((o for o, entry in same if entry["prs_value"] == report.prs_value
+                            and MonitoringReport(**entry) == report), None)
+            new = b""
+            if ordinal is None:
+                # a last line without its newline would run into the new one
+                new = b"" if data[-1:] in (b"", b"\n") else b"\n"
+                lines, count = lines + 1, count + 1
+                labels.setdefault(label, []).extend((len(data) + len(new), count))
+                new += json.dumps(asdict(report), sort_keys=True).encode() + b"\n"
+                fh.write(new)
+                fh.flush()
+            if start < len(data) + len(new):
+                digest.update(data[start:] + new)
+                index = {"length": len(data) + len(new), "sha256": digest.hexdigest(),
+                         "lines": lines, "count": count, "labels": labels}
+                with contextlib.suppress(OSError):  # the next append then scans further back
+                    Path(f"{path}.idx.tmp").write_text(json.dumps(index, separators=(",", ":")))
+                    os.replace(f"{path}.idx.tmp", f"{path}.idx")
+            return HistoryAck(count) if ordinal is None else HistoryAck(ordinal, duplicate=True)
         finally:
             fcntl.flock(fh, fcntl.LOCK_UN)
 
 
 def read_history(history_path: str | Path) -> list[MonitoringReport]:
     path = Path(history_path)
-    with open(path) as fh:
-        return [MonitoringReport(**entry) for entry in _history(path, fh)]
+    entries = _history(path, path.read_bytes())
+    return [MonitoringReport(**entry) for _, _, entry in entries if entry is not None]

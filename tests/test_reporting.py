@@ -1,8 +1,16 @@
+import functools
 import json
-from dataclasses import asdict
+import multiprocessing
+import os
+import shutil
+import tempfile
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popres.divergences import CategoryCounts, uniform_reference
 from popres.errors import ValidationError
@@ -22,6 +30,8 @@ from popres.reporting import (
 from popres.resemblance import ResemblanceConfig
 from popres.simulation import StudySpec, run_study
 
+from oracles import append_history_full_scan
+
 # the worked monitoring configuration matching the published tables
 CFG = ResemblanceConfig(c=0.7, M=2.0, alpha1=0.05, alpha2=0.10)
 
@@ -37,6 +47,59 @@ TIMELINE_50_5 = {
 
 def snap(label, counts):
     return Snapshot(label=label, counts=CategoryCounts(np.array(counts)))
+
+
+@functools.cache
+def base_report():
+    return monitor(snap("t1", TIMELINE_50_5["t1"][0]), uniform_reference(5), CFG)
+
+
+def report_pool(size, labels=3):
+    """Distinct reports: seed i under label L(i mod labels)."""
+    return [replace(base_report(), label=f"L{i % labels}", seed=i) for i in range(size)]
+
+
+def line(report, end="\n"):
+    return json.dumps(asdict(report), sort_keys=True) + end
+
+
+def outcome(append, report, path):
+    """The ack, or the ``<history>:line`` of the corrupt line it rejected."""
+    try:
+        return append(report, path)
+    except ValidationError as exc:
+        where, _, _ = str(exc).partition(" (")
+        return where.replace(str(path), "<history>")
+
+
+def append_each(history, reports, barrier):
+    barrier.wait(timeout=60)
+    for report in reports:
+        append_history(report, history)
+
+
+def edit_index(idx, edit):
+    index = json.loads(idx.read_text())
+    edit(index["labels"])
+    idx.write_text(json.dumps(index))
+
+
+def shift_offsets(pairs, by):
+    pairs[::2] = [offset + by for offset in pairs[::2]]
+
+
+# what a writer that does not know the sidecar may add to a history
+EXTERNAL = st.one_of(
+    st.tuples(st.integers(0, 5), st.sampled_from(["\n", "\r\n", "\r", ""])),
+    st.sampled_from(["\n", "\r\n", "  \n", "{not json\n", "[1]\n", '{"label": "L0"}\n']),
+)
+HISTORY_OPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 5)),
+    st.tuples(st.just("external"), EXTERNAL),
+    st.tuples(st.just("drop_sidecar")),
+    st.tuples(st.just("truncate"), st.integers(1, 400)),
+    st.tuples(st.just("edit_digit"), st.integers(0, 10**6)),
+), max_size=20)
 
 
 class TestLoaders:
@@ -275,6 +338,162 @@ class TestHistory:
         hist.write_text(hist.read_text().rstrip("\n"))
         assert append_history(r2, hist) == HistoryAck(line_count=2)
         assert read_history(hist) == [r1, r2]
+
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no-sidecar"])
+    def test_duplicate_is_not_acknowledged_before_a_later_corrupt_line(self, tmp_path, sidecar):
+        hist = tmp_path / "history.jsonl"
+        report = base_report()
+        append_history(report, hist)
+        if not sidecar:
+            Path(f"{hist}.idx").unlink(missing_ok=True)
+        with open(hist, "a") as fh:
+            fh.write("{not json\n")
+        with pytest.raises(ValidationError, match=r"history.jsonl:2: corrupt history line"):
+            append_history(report, hist)
+
+    def test_same_length_edit_of_another_label_is_rejected(self, tmp_path):
+        hist = tmp_path / "history.jsonl"
+        pool = report_pool(4, labels=2)
+        for report in pool:
+            append_history(report, hist)
+        lines = hist.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b'"label"', b'"lab3l"')  # line 2, label L1
+        hist.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValidationError, match=r"history.jsonl:2: corrupt history line"):
+            append_history(pool[0], hist)  # label L0, equal to line 1
+
+    def test_truncated_history_is_rescanned(self, tmp_path):
+        hist = tmp_path / "history.jsonl"
+        pool = report_pool(3)
+        for report in pool:
+            append_history(report, hist)
+        hist.write_text(line(pool[0]))
+        assert append_history(pool[2], hist) == HistoryAck(line_count=2)
+        assert append_history(pool[0], hist) == HistoryAck(line_count=1, duplicate=True)
+        assert read_history(hist) == [pool[0], pool[2]]
+
+    @pytest.mark.parametrize("spoil", [
+        lambda idx: idx.unlink(),
+        lambda idx: idx.write_bytes(b"\x00garbage{"),
+        lambda idx: idx.write_bytes(idx.read_bytes()[:40]),
+        lambda idx: idx.write_text("[]"),
+        lambda idx: edit_index(idx, lambda labels: shift_offsets(labels["L0"], 1)),
+        lambda idx: edit_index(idx, lambda labels: labels.update(L0=labels["L1"], L1=labels["L0"])),
+        lambda idx: edit_index(idx, lambda labels: shift_offsets(labels["L0"], 10**6)),
+        lambda idx: edit_index(idx, lambda labels: labels.update(L0=["0", 1])),
+    ], ids=["deleted", "garbage", "cut", "not-an-object", "offset-inside-a-line",
+            "offsets-of-another-label", "offset-beyond-the-end", "offset-not-a-number"])
+    def test_spoiled_sidecar_falls_back_to_a_full_scan(self, tmp_path, spoil):
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = report_pool(6, labels=2)
+        for report in pool[:4]:
+            append_history(report, hist)
+        spoil(Path(f"{hist}.idx"))
+        shutil.copyfile(hist, plain)
+        for report in (pool[2], pool[4], pool[3], pool[5], pool[4]):
+            assert append_history(report, hist) == append_history_full_scan(report, plain)
+        assert hist.read_bytes() == plain.read_bytes()
+
+    def test_append_by_a_writer_without_the_sidecar(self, tmp_path):
+        hist = tmp_path / "history.jsonl"
+        pool = report_pool(5, labels=2)
+        append_history(pool[0], hist)
+        append_history(pool[1], hist)
+        with open(hist, "a") as fh:
+            fh.write(line(pool[2]) + "\n")
+        assert append_history(pool[2], hist) == HistoryAck(line_count=3, duplicate=True)
+        assert append_history(pool[3], hist) == HistoryAck(line_count=4)
+        with open(hist, "a") as fh:
+            fh.write("{not json\n")
+        # line 4 is blank, so the corrupt line is physical line 6
+        with pytest.raises(ValidationError, match=r"history.jsonl:6: corrupt history line"):
+            append_history(pool[4], hist)
+
+    def test_external_last_line_without_newline(self, tmp_path):
+        hist = tmp_path / "history.jsonl"
+        pool = report_pool(3)
+        append_history(pool[0], hist)
+        with open(hist, "a") as fh:
+            fh.write(line(pool[1], end=""))
+        assert append_history(pool[1], hist) == HistoryAck(line_count=2, duplicate=True)
+        assert append_history(pool[2], hist) == HistoryAck(line_count=3)
+        assert hist.read_text() == "".join(line(r) for r in pool)
+        assert read_history(hist) == pool
+
+    @settings(max_examples=60, deadline=None)
+    @given(HISTORY_OPS)
+    def test_sidecar_agrees_with_a_full_scan(self, ops):
+        pool = report_pool(6)
+        with tempfile.TemporaryDirectory() as tmp:
+            hist, plain = Path(tmp, "history.jsonl"), Path(tmp, "plain.jsonl")
+            for op, *args in ops:
+                if op == "append":
+                    report = pool[args[0]]
+                    ours = outcome(append_history, report, hist)
+                    assert ours == outcome(append_history_full_scan, report, plain)
+                elif op == "external":
+                    text = args[0] if isinstance(args[0], str) else line(pool[args[0][0]], args[0][1])
+                    for path in (hist, plain):
+                        with open(path, "ab") as fh:
+                            fh.write(text.encode())
+                elif op == "drop_sidecar":
+                    Path(f"{hist}.idx").unlink(missing_ok=True)
+                elif hist.exists() and op == "truncate":
+                    for path in (hist, plain):
+                        os.truncate(path, max(0, path.stat().st_size - args[0]))
+                elif hist.exists():  # same-length edit of one digit
+                    data = bytearray(hist.read_bytes())
+                    digits = [i for i, byte in enumerate(data) if chr(byte).isdigit()]
+                    if digits:
+                        at = digits[args[0] % len(digits)]
+                        data[at] = ord("0") + (data[at] - ord("0") + 1) % 10
+                        hist.write_bytes(data)
+                        plain.write_bytes(data)
+                assert hist.exists() == plain.exists()
+                if hist.exists():
+                    assert hist.read_bytes() == plain.read_bytes()
+
+    def test_append_parses_only_new_and_same_label_lines(self, tmp_path, monkeypatch):
+        # 2,000 lines of 16 labels, 125 of each
+        hist = tmp_path / "history.jsonl"
+        base = base_report()
+        hist.write_text("".join(line(replace(base, label=f"L{j % 16}", seed=j)) for j in range(2000)))
+        parsed = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+        assert append_history(replace(base, label="L3", seed=-1), hist) == HistoryAck(line_count=2001)
+        assert len(parsed) >= 2000  # no sidecar yet: every line
+        with open(hist, "a") as fh:
+            fh.write("".join(line(replace(base, label=f"L{j}", seed=-10 - j)) for j in range(3)))
+        parsed.clear()
+        assert append_history(replace(base, label="L5", seed=-2), hist) == HistoryAck(line_count=2005)
+        assert len(parsed) <= 3 + 125 + 1  # new lines, label L5's lines, the sidecar
+        parsed.clear()
+        assert append_history(replace(base, label="L5", seed=5), hist) == HistoryAck(
+            line_count=6, duplicate=True)
+        assert len(parsed) <= 126 + 1
+
+    def test_two_processes_append_overlapping_reports(self, tmp_path):
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = report_pool(30, labels=4)
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        procs = [ctx.Process(target=append_each, args=(str(hist), pool[:20], barrier)),
+                 ctx.Process(target=append_each, args=(str(hist), pool[10:][::-1], barrier))]
+        try:
+            for proc in procs:
+                proc.start()
+            for proc in procs:
+                proc.join(timeout=120)
+            assert [proc.exitcode for proc in procs] == [0, 0]
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.kill()
+        assert sorted(report.seed for report in read_history(hist)) == list(range(30))
+        shutil.copyfile(hist, plain)
+        for report in (pool[12], replace(pool[0], seed=99)):
+            assert append_history(report, hist) == append_history_full_scan(report, plain)
 
 
 class TestRunStudy:

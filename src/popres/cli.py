@@ -81,7 +81,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha1", type=float, help="reconstruction sensitivity")
     parser.add_argument("--alpha2", type=float, help="continued-use sensitivity")
     parser.add_argument("--delta", type=float, help="explicit tolerance override")
-    parser.add_argument("--seed", type=int, help="random seed for Monte Carlo parts")
+    parser.add_argument("--seed", type=int, help="study random seed; a monitor report records it, but no monitor number uses it")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -46,7 +46,6 @@ from .resemblance import (
     yn_boundaries,
 )
 
-KS_REPLICATIONS = 10_000
 YN_ALPHA_UPPER = 0.01
 YN_ALPHA_LOWER = 0.10
 
@@ -168,7 +167,7 @@ def monitor(
     cfg: ResemblanceConfig,
     seed: int = 0,
 ) -> MonitoringReport:
-    """Compute every statistic and classification for one snapshot."""
+    """Every statistic and classification for one snapshot; ``seed`` is only recorded."""
     counts = snapshot.counts
     if counts.B != reference.B:
         raise ValidationError(
@@ -181,7 +180,7 @@ def monitor(
     psi_value = psi(phat, reference)
     tau_red, tau_green = yn_boundaries(counts.n, counts.B, YN_ALPHA_UPPER, YN_ALPHA_LOWER)
     ks_value = ks_statistic(phat, reference)
-    p_ks = ks_p_value(counts, reference, replications=KS_REPLICATIONS, seed=seed)
+    p_ks = ks_p_value(counts, reference)
     return MonitoringReport(
         label=snapshot.label,
         n=counts.n,

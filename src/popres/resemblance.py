@@ -3,8 +3,8 @@
 Critical values come from the non-central chi-square law of the scaled
 statistic under the least favorable delta-resemblant population.  The
 comparators are the fixed Lewis PSI thresholds, the sample-size dependent
-chi-square thresholds of Yurdakul-Novak type, and a Monte Carlo p-value for
-the discrete KS statistic.
+chi-square thresholds of Yurdakul-Novak type, and the exact p-value of the
+discrete KS statistic under the multinomial null.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import sampling, special_functions
+from . import special_functions
 from .divergences import (
     CategoryCounts,
     ReferenceDistribution,
@@ -29,6 +29,7 @@ from .errors import BoundaryOverlapError, ConstraintError, ValidationError
 
 LEWIS_WATCH = 0.10
 LEWIS_ACTION = 0.25
+KS_MAX_N = 10**9  # ks_p_value's windows grow as sqrt(n); here a call stays under ~100 MB
 
 
 class Region(enum.Enum):
@@ -191,27 +192,67 @@ def classify_yn(psi_value: float, tau_red: float, tau_green: float) -> Region:
     return Region.R2
 
 
-def ks_p_value(
-    counts: CategoryCounts,
-    p0: ReferenceDistribution,
-    replications: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo p-value for the discrete KS statistic under p0.
+def _window_halfwidth(var: float) -> int:
+    """Lattice half-width, about 12 standard deviations, that a binomial count
+    of variance <= var leaves with probability <= 2 exp(-72) < 1.1e-31:
+    Bernstein's 2 exp(-t^2 / (2 (var + t/3))) at t = 24 + sqrt(576 + 144 var)."""
+    return int(24.0 + math.sqrt(576.0 + 144.0 * var)) + 1
 
-    Uses the add-one estimator (1 + #{D* >= D}) / (1 + replications) so the
-    reported p-value is never exactly zero.
+
+def _poisson_window(mu: float) -> tuple[int, np.ndarray]:
+    """Poisson(mu) pmf on lo, lo + 1, ... around the mean, normalised over the window."""
+    m, w = int(mu), _window_halfwidth(mu)
+    lo = max(m - w, 0)
+    # log pmf(k) - log pmf(k - 1) = log(mu / k): no two large terms cancel
+    log_pmf = np.concatenate(([0.0], np.cumsum(np.log(mu / np.arange(lo + 1, m + w + 1)))))
+    pmf = np.exp(log_pmf - log_pmf.max())
+    return lo, pmf / pmf.sum()
+
+
+def ks_p_value(counts: CategoryCounts, p0: ReferenceDistribution) -> float:
+    """Exact P(D* >= D) for the discrete KS statistic under Multinomial(n, p0).
+
+    The multinomial is independent Poisson(n q_j) counts given their sum n.
+    Category by category, the cumulative count S_j is convolved with the next
+    pmf; mass leaving the band |S_j - n F_j| < n (D - 1e-12) is weighted by
+    the chance that the other categories bring the total to exactly n.  The
+    p-value is that escape mass over the mass of all paths ending at n, so
+    tiny values keep their relative accuracy.  Windows are cut by
+    ``_window_halfwidth``: band states beyond one count as escaped, and the
+    at most 4 (B - 1) exp(-72) the pmf cuts drop is added back, so the result
+    errs only upward, by at most 14 (B - 1) exp(-72), and is never 0.
     """
-    if replications < 1000:
-        raise ValidationError(f"need at least 1000 replications, got {replications}")
+    n = counts.n
+    if n > KS_MAX_N:
+        raise ValidationError(f"the exact KS p-value takes at most {KS_MAX_N:,} counts, got n = {n:,}")
     q = as_probs(p0)
-    observed = ks_statistic(proportions(counts), p0)
-    sims = sampling.multinomial_matrix(counts.n, q, replications, seed=seed, stream=5)
-    d_star = ks_statistic(sims / counts.n, q)
-    # the statistic lives on a lattice of multiples of 1/n; tolerance absorbs
-    # floating roundoff when counting ties
-    exceed = int(np.sum(d_star >= observed - 1e-12))
-    return (1 + exceed) / (1 + replications)
+    # D* >= D - 1e-12 counts as a tie: the tolerance absorbs floating roundoff
+    reach = n * (ks_statistic(proportions(counts), q) - 1e-12)
+    if reach <= 0:
+        return 1.0
+    dropped = 4 * (q.size - 1) * math.exp(-72)
+    # Massart's DKW bound P(D* >= reach / n) <= 2 exp(-2 reach^2 / n) holds for
+    # any reference; below the allowance it already certifies the answer
+    if 2.0 * math.exp(-2.0 * reach * reach / n) <= dropped:
+        return dropped
+    cdf = np.cumsum(q)
+    rest = np.cumsum(q[::-1])[::-1][1:]  # q_{j+1} + ... + q_B; 1 - F_j can round below 0
+    lo, states, escaped, stayed = 0, np.ones(1), 0.0, 0.0
+    for j in range(q.size - 1):
+        x_lo, pmf = _poisson_window(n * q[j])
+        mass = np.convolve(states, pmf)
+        s = np.arange(lo + x_lo, lo + x_lo + mass.size)
+        gap = np.abs(s - n * cdf[j])
+        keep = (gap < reach) & (gap <= _window_halfwidth(n * cdf[j] * rest[j]))
+        r_lo, finish = _poisson_window(n * rest[j])
+        k = n - s - r_lo
+        weighted = mass * np.where((k >= 0) & (k < finish.size), finish.take(k, mode="clip"), 0.0)
+        escaped += weighted[~keep].sum()
+        stayed = weighted[keep].sum()
+        if not keep.any():
+            break
+        lo, states = int(s[keep][0]), mass[keep]
+    return min(1.0, escaped / (escaped + stayed) + dropped)
 
 
 def classify_p_value(p: float, alpha_upper: float = 0.01, alpha_lower: float = 0.10) -> Region:

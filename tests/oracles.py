@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import fcntl
 import json
+import math
 import os
 from dataclasses import MISSING, asdict, fields
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+from scipy.special import gammaln
 
-from popres.divergences import ReferenceDistribution, as_probs
+from popres.divergences import CategoryCounts, ReferenceDistribution, as_probs
 from popres.errors import ValidationError
 from popres.reporting import HistoryAck, MonitoringReport
 
 MAX_ENUM_B = 12
+# at most C(n + B - 1, B - 1) count vectors: about 3.2e5 at n = 30, B = 6
+MAX_ENUM_VECTORS = 400_000
 
 
 def enumerate_extreme_points(p0: ReferenceDistribution, delta: float) -> list[np.ndarray]:
@@ -49,6 +53,26 @@ def enumerate_extreme_points(p0: ReferenceDistribution, delta: float) -> list[np
                 p[list(plus)] = q[list(plus)] + delta
                 points.append(p)
     return points
+
+
+def ks_p_value_enumerated(counts: CategoryCounts, p0: ReferenceDistribution) -> float:
+    """P(D* >= D - 1e-12) under Multinomial(n, p0), summed over every count vector.
+
+    Each vector comes from a choice of B - 1 bar positions among n + B - 1
+    slots; its probability is the multinomial pmf from log-gamma.
+    """
+    q = as_probs(p0)
+    n, B = counts.n, q.size
+    if math.comb(n + B - 1, B - 1) > MAX_ENUM_VECTORS:
+        raise ValidationError(f"enumeration guard: {math.comb(n + B - 1, B - 1)} count vectors")
+    bars = np.array(list(combinations(range(n + B - 1), B - 1)), dtype=np.int64).reshape(-1, B - 1)
+    edges = np.hstack([np.full((bars.shape[0], 1), -1), bars, np.full((bars.shape[0], 1), n + B - 1)])
+    every = np.diff(edges, axis=1) - 1
+    cdf = np.cumsum(q)
+    observed = np.abs(np.cumsum(counts.counts) / n - cdf).max()
+    d_star = np.abs(np.cumsum(every, axis=1) / n - cdf).max(axis=1)
+    log_pmf = gammaln(n + 1) - gammaln(every + 1).sum(axis=1) + (every * np.log(q)).sum(axis=1)
+    return float(np.exp(log_pmf[d_star >= observed - 1e-12]).sum())
 
 
 def append_history_full_scan(report: MonitoringReport, history_path) -> HistoryAck:

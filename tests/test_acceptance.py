@@ -160,10 +160,7 @@ class TestAcceptance:
         _check_table(TABLE_10000_20, 10000, 20, failures)
 
         def ks(counts, B):
-            return ks_p_value(
-                CategoryCounts(np.array(counts)), uniform_reference(B),
-                replications=10_000, seed=3,
-            )
+            return ks_p_value(CategoryCounts(np.array(counts)), uniform_reference(B))
 
         # KS p-values: two rows with published point values, the rest with
         # a published "<0.001" floor

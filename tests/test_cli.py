@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from popres.cli import (
     main,
 )
 from popres.errors import ValidationError
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -148,6 +154,21 @@ class TestMonitorCommand:
             "monitor", "--snapshot", str(empty), "--reference", str(reference_file),
         ])
         assert code == EXIT_VALIDATION
+
+    def test_snapshot_above_ks_limit_exits_validation(self, capsys, reference_file, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text("category,count\n" + "".join(f"{i},200000001\n" for i in range(1, 6)))
+        code = main(["monitor", "--snapshot", str(big), "--reference", str(reference_file)])
+        assert code == EXIT_VALIDATION
+        assert "at most 1,000,000,000 counts" in capsys.readouterr().err
+
+
+def test_cli_import_loads_neither_scipy_signal_nor_stats():
+    # either module adds a large share of the command's start-up time
+    code = "import sys, popres.cli; print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")})
+    assert out.stdout.strip() == "[]"
 
 
 class TestBoundariesCommand:

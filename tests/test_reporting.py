@@ -215,6 +215,12 @@ class TestMonitor:
         assert report.prs_value == pytest.approx(0.0025, abs=0.0001)
         assert report.prs_region == "green"
 
+    def test_seed_is_recorded_and_changes_no_number(self):
+        counts = TIMELINE_50_5["t4"][0]
+        a, b = (monitor(snap("t4", counts), uniform_reference(5), CFG, seed=s) for s in (1, 2))
+        assert (a.seed, b.seed) == (1, 2)
+        assert replace(a, seed=0) == replace(b, seed=0)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             monitor(snap("x", (10, 10, 10)), uniform_reference(5), CFG)

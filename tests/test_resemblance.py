@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from popres import resemblance
 from popres.divergences import (
     CategoryCounts,
     ReferenceDistribution,
+    ks_statistic,
     proportions,
     prs,
     uniform_reference,
 )
 from popres.errors import BoundaryOverlapError, ConstraintError, ValidationError
 from popres.resemblance import (
+    KS_MAX_N,
     DecisionBoundaries,
     Region,
     ResemblanceConfig,
@@ -25,8 +28,9 @@ from popres.resemblance import (
     recommended_delta,
     yn_boundaries,
 )
+from popres.sampling import multinomial_matrix
 
-from oracles import enumerate_extreme_points
+from oracles import enumerate_extreme_points, ks_p_value_enumerated
 
 UNIFORM5 = uniform_reference(5)
 # published critical values for the worked configurations
@@ -243,30 +247,118 @@ class TestYnRule:
             yn_boundaries(50, 5, **levels)
 
 
+# published snapshots: (500, 10) t2, (2000, 10) t3, and (10^4, 20) t2 to t4
+ROW_500_10_T2 = (40, 45, 45, 45, 47, 48, 55, 55, 60, 60)
+ROW_2000_10_T3 = (180, 180, 190, 194, 200, 200, 204, 210, 220, 222)
+ROW_10000_20_T2 = (150, 170, 400, 400, 450, 450, 460, 460, 525, 525,
+                   545, 545, 550, 550, 600, 620, 650, 650, 650, 650)
+ROW_10000_20_T3 = (445, 455, 480, 480, 485, 485, 490, 495, 500, 500,
+                   501, 502, 502, 510, 510, 520, 520, 530, 540, 550)
+ROW_10000_20_T4 = (425, 425, 440, 440, 445, 445, 460, 460, 475, 475,
+                   490, 490, 525, 525, 555, 555, 585, 585, 600, 600)
+
+
 class TestKsPValue:
     def test_zero_statistic_gives_p_one(self):
         counts = CategoryCounts(np.array([10, 10, 10, 10, 10]))
-        assert ks_p_value(counts, UNIFORM5, replications=2000, seed=3) == 1.0
+        assert ks_p_value(counts, UNIFORM5) == 1.0
 
     def test_extreme_row_is_significant(self):
         counts = CategoryCounts(np.array([2, 5, 13, 14, 16]))
-        assert ks_p_value(counts, UNIFORM5, replications=10_000, seed=3) < 0.001
+        assert ks_p_value(counts, UNIFORM5) < 0.001
 
     def test_mild_row_is_not(self):
         counts = CategoryCounts(np.array([6, 9, 10, 11, 14]))
-        p = ks_p_value(counts, UNIFORM5, replications=10_000, seed=3)
+        p = ks_p_value(counts, UNIFORM5)
         assert p == pytest.approx(0.40, abs=0.03)
 
-    def test_deterministic_in_seed(self):
+    def test_deterministic(self):
         counts = CategoryCounts(np.array([6, 9, 10, 11, 14]))
-        a = ks_p_value(counts, UNIFORM5, replications=5000, seed=11)
-        b = ks_p_value(counts, UNIFORM5, replications=5000, seed=11)
-        assert a == b
+        assert ks_p_value(counts, UNIFORM5) == ks_p_value(counts, UNIFORM5)
 
-    def test_replication_floor(self):
-        counts = CategoryCounts(np.array([10, 10, 10, 10, 10]))
-        with pytest.raises(ValidationError):
-            ks_p_value(counts, UNIFORM5, replications=100, seed=0)
+    @pytest.mark.parametrize(
+        "counts, probs",
+        [
+            ((6, 9, 10, 11, 14), [0.2] * 5),
+            ((10, 2, 3, 5, 0), [0.1, 0.2, 0.3, 0.25, 0.15]),
+            ((1, 1, 1, 7), [0.4, 0.3, 0.2, 0.1]),
+            # skewed reference, cumulative probabilities off the lattice
+            ((2, 3, 5, 9, 6, 0), [0.05, 0.1, 0.15, 0.2, 0.2, 0.3]),
+            ((30, 0, 0), [0.5, 0.3, 0.2]),
+            ((0, 0, 12), [0.45, 0.45, 0.1]),
+            # n F_j on the lattice: D = 2/20 is shared by many count vectors
+            ((7, 5, 4, 4), [0.25] * 4),
+            ((4, 4, 4, 3, 5), [0.2] * 5),
+            # sums to 1 + 2.1e-14, so 1 - F_2 rounds below 0
+            ((3, 5, 0), [0.3, 0.7 + 2e-14, 1e-15]),
+        ],
+    )
+    def test_matches_enumeration_of_every_count_vector(self, counts, probs):
+        c, q = CategoryCounts(np.array(counts)), ReferenceDistribution(np.array(probs))
+        assert ks_p_value(c, q) == pytest.approx(ks_p_value_enumerated(c, q), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 9), min_size=2, max_size=6),
+        base=st.lists(st.integers(0, 60), min_size=6, max_size=6),
+        move=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 60)),
+    )
+    def test_in_unit_interval_and_nonincreasing_in_statistic(self, weights, base, move):
+        B = len(weights)
+        q = ReferenceDistribution(np.array(weights) / sum(weights))
+        first = np.array(base[:B])
+        if first.sum() == 0:
+            first[0] = 1
+        # a second snapshot of the same size: units moved between two categories
+        src, dst, k = move[0] % B, move[1] % B, min(move[2], int(first[move[0] % B]))
+        second = first.copy()
+        second[src] -= k
+        second[dst] += k
+        pairs = []
+        for counts in (first, second):
+            c = CategoryCounts(counts)
+            p = ks_p_value(c, q)
+            assert 0.0 < p <= 1.0
+            pairs.append((ks_statistic(proportions(c), q), p))
+        (_, p_near), (_, p_far) = sorted(pairs)
+        assert p_far <= p_near * (1 + 1e-9)
+
+    @pytest.mark.parametrize("B, row", [(10, ROW_2000_10_T3), (20, ROW_10000_20_T3)])
+    def test_within_4_se_of_monte_carlo(self, B, row):
+        counts, q = CategoryCounts(np.array(row)), uniform_reference(B)
+        K = 200_000
+        sims = multinomial_matrix(counts.n, q.probs, K, seed=20)
+        observed = ks_statistic(proportions(counts), q)
+        p_mc = float(np.mean(ks_statistic(sims / counts.n, q) >= observed - 1e-12))
+        p = ks_p_value(counts, q)
+        assert abs(p_mc - p) <= 4 * np.sqrt(p * (1 - p) / K)
+
+    def test_far_tail_stays_positive(self):
+        counts = CategoryCounts(np.array(ROW_10000_20_T2))
+        assert 0.0 < ks_p_value(counts, uniform_reference(20)) < 1e-25
+
+    @pytest.mark.parametrize(
+        "B, row", [(10, ROW_500_10_T2), (20, ROW_10000_20_T3), (20, ROW_10000_20_T4)]
+    )
+    def test_trimming_errs_upward_within_its_bound(self, monkeypatch, B, row):
+        # at t4 (p about 7e-26) the band outgrows the 12-SD state window
+        counts, q = CategoryCounts(np.array(row)), uniform_reference(B)
+        p = ks_p_value(counts, q)
+        # 30 standard deviations leave out less than 1e-190 of the mass, so
+        # less the added allowance this is the p-value to rounding
+        monkeypatch.setattr(resemblance, "_window_halfwidth",
+                            lambda var: int(30 * np.sqrt(var) + 300))
+        exact = ks_p_value(counts, q) - 4 * (B - 1) * np.exp(-72)
+        assert exact * (1 - 1e-12) <= p <= exact * (1 + 1e-12) + 14 * (B - 1) * np.exp(-72)
+
+    def test_refuses_samples_above_the_limit_before_any_window(self, monkeypatch):
+        def no_window(mu):
+            raise AssertionError("a window was built")
+
+        monkeypatch.setattr(resemblance, "_poisson_window", no_window)
+        counts = CategoryCounts(np.array([KS_MAX_N // 2, KS_MAX_N // 2 + 1]))
+        with pytest.raises(ValidationError, match="at most 1,000,000,000 counts"):
+            ks_p_value(counts, uniform_reference(2))
 
 
 class TestConfigValidation:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .errors import BoundaryOverlapError, ConvergenceError, ValidationError
@@ -29,10 +29,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_OVERLAP = 4
 
-# configuration-file key -> ResemblanceConfig field; "seed" is read separately
-_CONFIG_FIELDS = {"c": "c", "m": "M", "alpha1": "alpha1", "alpha2": "alpha2",
-                  "delta_override": "delta_override"}
-_CONFIG_KEYS = {*_CONFIG_FIELDS, "seed"}
+# configuration-file key (a field name, case-insensitive) -> ResemblanceConfig field
+_FIELDS = {f.name.lower(): f.name for f in fields(ResemblanceConfig)}
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -46,7 +44,7 @@ def load_config_file(path: str | Path) -> dict:
             raise ValidationError(f"{path}:{i}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELDS and key != "seed":
             raise ValidationError(f"{path}:{i}: unknown configuration key {key!r}")
         try:
             values[key] = float(value.strip())
@@ -58,20 +56,14 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def _build_config(args: argparse.Namespace) -> tuple[ResemblanceConfig, int]:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values = load_config_file(args.config)
+    values = load_config_file(args.config) if args.config else {}
+    settings = {_FIELDS.get(key, key): v for key, v in values.items()}
     # CLI flags override file values
-    for flag, key in (("c", "c"), ("M", "m"), ("alpha1", "alpha1"),
-                      ("alpha2", "alpha2"), ("delta", "delta_override")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            values[key] = v
-    seed = int(values.pop("seed", 0))
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    cfg = ResemblanceConfig(**{_CONFIG_FIELDS[key]: v for key, v in values.items()})
-    return cfg, seed
+    for name in (*_FIELDS.values(), "seed"):
+        if getattr(args, name, None) is not None:
+            settings[name] = getattr(args, name)
+    seed = int(settings.pop("seed", 0))
+    return ResemblanceConfig(**settings), seed
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -80,8 +72,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--M", type=float, help="discrepancy multiplier (> 1)")
     parser.add_argument("--alpha1", type=float, help="reconstruction sensitivity")
     parser.add_argument("--alpha2", type=float, help="continued-use sensitivity")
-    parser.add_argument("--delta", type=float, help="explicit tolerance override")
-    parser.add_argument("--seed", type=int, help="study random seed; a monitor report records it, but no monitor number uses it")
+    parser.add_argument("--delta", dest="delta_override", type=float, help="explicit tolerance override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mon.add_argument("--snapshot", required=True)
     p_mon.add_argument("--reference", required=True)
     _add_config_flags(p_mon)
+    p_mon.add_argument("--seed", type=int, help="recorded in the report; no monitor number uses it")
     p_mon.add_argument("--history", help="append the report to this JSON-lines file")
     p_mon.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
@@ -116,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_st.add_argument("--threshold", type=float, default=StudySpec.threshold)
     p_st.add_argument("--workers", type=int, default=StudySpec.workers)
     _add_config_flags(p_st)
+    p_st.add_argument("--seed", type=int, help="study random seed")
     return parser
 
 

@@ -3,8 +3,8 @@
 The four measures (``psi``, ``prs``, the symmetric KL divergence
 ``j_divergence`` and the discrete KS ``ks_statistic``) operate on
 probability vectors over the same B ordered categories; given a matrix of
-proportions, each scores every row against the reference.  Natural
-logarithms throughout.
+proportions, each scores every row against the reference.  The
+J-divergence of a population is its PSI.  Natural logarithms throughout.
 """
 
 from __future__ import annotations
@@ -143,10 +143,9 @@ def j_divergence(p: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
     This is the population quantity: zero entries make it infinite, so they
     are rejected rather than silently dropped.
     """
-    x, q = _paired(p, p0)
-    if np.any(x <= 0):
+    if np.any(as_probs(p) <= 0):
         raise ValidationError("j_divergence requires strictly positive entries")
-    return _per_row(((x - q) * (np.log(x) - np.log(q))).sum(axis=-1))
+    return psi(p, p0)
 
 
 def ks_statistic(phat: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:

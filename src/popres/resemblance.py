@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,8 +51,7 @@ class ResemblanceConfig:
     delta_override: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("c", "M", "alpha1", "alpha2", "delta_override"):
-            v = getattr(self, name)
+        for name, v in asdict(self).items():
             if v is not None and not math.isfinite(v):
                 raise ValidationError(f"{name} must be finite, got {v}")
         if self.c <= 0:

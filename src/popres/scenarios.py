@@ -9,7 +9,6 @@ divergence.  Both return plain probability arrays.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from .divergences import ReferenceDistribution, as_probs, j_divergence
 from .errors import ConvergenceError, ValidationError
@@ -59,7 +58,8 @@ def solve_p_for_target_j(p0: ReferenceDistribution, target_j: float) -> np.ndarr
     hi = float(np.min(q)) - 1e-12
     if excess(hi) < 0:
         raise ValidationError(f"target divergence {target_j} is infeasible for this reference")
-    p = _blockwise(q, optimize.brentq(excess, 1e-12, hi))
+    from scipy.optimize import brentq  # imported here so that CLI start-up does not load it
+    p = _blockwise(q, brentq(excess, 1e-12, hi))
     achieved = j_divergence(p, q)
     if abs(achieved - target_j) > 1e-8:
         raise ConvergenceError(

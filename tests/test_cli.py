@@ -88,6 +88,32 @@ class TestMonitorCommand:
         assert payload["config"]["alpha1"] == 0.05
         assert payload["seed"] == 3
 
+    def test_config_keys_are_field_names_in_any_case(self, capsys, tmp_path, reference_file, snapshot_file):
+        configs = []
+        for key in ("M", "m"):
+            cfg = tmp_path / f"{key}.ini"
+            cfg.write_text(f"{key} = 3\n")
+            code = main([
+                "monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file),
+                "--config", str(cfg), "--format", "json",
+            ])
+            assert code == EXIT_OK
+            configs.append(json.loads(capsys.readouterr().out)["config"])
+        assert configs[0] == configs[1]
+        assert configs[0]["M"] == 3.0
+
+    def test_delta_flag_overrides_config_file(self, capsys, tmp_path, reference_file, snapshot_file):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("delta_override = 0.002\n")
+        code = main([
+            "monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file),
+            "--config", str(cfg), "--delta", "0.001", "--format", "json",
+        ])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["delta_override"] == 0.001
+        assert payload["delta"] == 0.001
+
     @pytest.mark.parametrize("value", ["inf", "nan", "1.7"])
     def test_config_file_non_integer_seed_exits_validation(
         self, capsys, tmp_path, reference_file, snapshot_file, value
@@ -164,8 +190,9 @@ class TestMonitorCommand:
 
 
 def test_cli_import_loads_neither_scipy_signal_nor_stats():
-    # either module adds a large share of the command's start-up time
-    code = "import sys, popres.cli; print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    # each module adds a large share of the command's start-up time
+    code = ("import sys, popres.cli; print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize')"
+            " if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")})
     assert out.stdout.strip() == "[]"
@@ -203,6 +230,21 @@ class TestBoundariesCommand:
         ])
         assert code == EXIT_VALIDATION
         assert f"sample size must be positive, got {n}" in capsys.readouterr().err
+
+    def test_seed_flag_is_refused(self, capsys, reference_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["boundaries", "--reference", str(reference_file), "--n", "50", "--seed", "5"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--seed" in capsys.readouterr().err
+
+    def test_config_file_seed_is_accepted(self, capsys, tmp_path, reference_file):
+        # one configuration file is shared by every command
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("seed = 5\nc = 0.7\n")
+        code = main(["boundaries", "--reference", str(reference_file), "--n", "50",
+                     "--config", str(cfg), "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["tau1"] == pytest.approx(0.07441, abs=5e-5)
 
     def test_failed_quantile_exits_numerical(self, capsys, monkeypatch, reference_file):
         monkeypatch.setattr(special_functions, "chndtrix", lambda *args: math.nan)

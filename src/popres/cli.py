@@ -66,48 +66,49 @@ def _build_config(args: argparse.Namespace) -> tuple[ResemblanceConfig, int]:
     return ResemblanceConfig(**settings), seed
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--c", type=float, help="tolerance scaling factor")
-    parser.add_argument("--M", type=float, help="discrepancy multiplier (> 1)")
-    parser.add_argument("--alpha1", type=float, help="reconstruction sensitivity")
-    parser.add_argument("--alpha2", type=float, help="continued-use sensitivity")
-    parser.add_argument("--delta", dest="delta_override", type=float, help="explicit tolerance override")
+# StudySpec fields that `popres study` takes as flags of the same name
+_STUDY_SETTINGS = ("replications", "grid_points", "target_j", "threshold", "workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="flat key=value configuration file")
+    shared.add_argument("--c", type=float, help="tolerance scaling factor")
+    shared.add_argument("--M", type=float, help="discrepancy multiplier (> 1)")
+    shared.add_argument("--alpha1", type=float, help="reconstruction sensitivity")
+    shared.add_argument("--alpha2", type=float, help="continued-use sensitivity")
+    shared.add_argument("--delta", dest="delta_override", type=float, help="explicit tolerance override")
+
     parser = argparse.ArgumentParser(
         prog="popres",
         description="Population resemblance monitoring for multinomial snapshots",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_mon = sub.add_parser("monitor", help="classify one snapshot against a reference")
+    p_mon = sub.add_parser("monitor", parents=[shared], help="classify one snapshot against a reference")
+    p_mon.set_defaults(run=_cmd_monitor)
     p_mon.add_argument("--snapshot", required=True)
     p_mon.add_argument("--reference", required=True)
-    _add_config_flags(p_mon)
     p_mon.add_argument("--seed", type=int, help="recorded in the report; no monitor number uses it")
     p_mon.add_argument("--history", help="append the report to this JSON-lines file")
     p_mon.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    p_bnd = sub.add_parser("boundaries", help="print delta, lambda_sup, tau1, tau2")
+    p_bnd = sub.add_parser("boundaries", parents=[shared], help="print delta, lambda_sup, tau1, tau2")
+    p_bnd.set_defaults(run=_cmd_boundaries)
     p_bnd.add_argument("--reference", required=True)
     p_bnd.add_argument("--n", type=int, required=True)
-    _add_config_flags(p_bnd)
     p_bnd.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_st = sub.add_parser("study", help="run a simulation study and write CSV")
+    p_st = sub.add_parser("study", parents=[shared], help="run a simulation study and write CSV")
+    p_st.set_defaults(run=_cmd_study)
     p_st.add_argument("--study", required=True, choices=STUDIES)
     p_st.add_argument("--out", required=True)
     p_st.add_argument("--n", type=int)
     p_st.add_argument("--n-grid", help="comma-separated sample sizes")
     p_st.add_argument("--B", type=int, required=True)
-    p_st.add_argument("--replications", type=int, default=StudySpec.replications)
-    p_st.add_argument("--grid-points", type=int, default=StudySpec.grid_points)
-    p_st.add_argument("--target-j", type=float, default=StudySpec.target_j)
-    p_st.add_argument("--threshold", type=float, default=StudySpec.threshold)
-    p_st.add_argument("--workers", type=int, default=StudySpec.workers)
-    _add_config_flags(p_st)
+    for name in _STUDY_SETTINGS:
+        default = getattr(StudySpec, name)
+        p_st.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p_st.add_argument("--seed", type=int, help="study random seed")
     return parser
 
@@ -147,6 +148,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     cfg, seed = _build_config(args)
     if args.n_grid and args.n is not None:
         raise ValidationError("give either --n or --n-grid, not both")
+    ns = () if args.n is None else (args.n,)
     if args.n_grid:
         try:
             ns = tuple(int(v) for v in args.n_grid.split(","))
@@ -154,13 +156,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
             raise ValidationError(
                 f"--n-grid takes comma-separated integers, got {args.n_grid!r}"
             ) from exc
-    else:
-        ns = () if args.n is None else (args.n,)
-    spec = StudySpec(
-        study=args.study, B=args.B, ns=ns, cfg=cfg, replications=args.replications,
-        seed=seed, grid_points=args.grid_points, target_j=args.target_j,
-        threshold=args.threshold, workers=args.workers,
-    )
+    spec = StudySpec(study=args.study, B=args.B, ns=ns, cfg=cfg, seed=seed,
+                     **{name: getattr(args, name) for name in _STUDY_SETTINGS})
     out = run_study(spec, args.out)
     print(f"wrote {out}")
     return EXIT_OK
@@ -169,13 +166,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "monitor": _cmd_monitor,
-        "boundaries": _cmd_boundaries,
-        "study": _cmd_study,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except BoundaryOverlapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERLAP

@@ -36,6 +36,8 @@ from .divergences import (
 )
 from .errors import ValidationError
 from .resemblance import (
+    P_GREEN,
+    P_RED,
     ResemblanceConfig,
     classify_lewis,
     classify_p_value,
@@ -45,9 +47,6 @@ from .resemblance import (
     ks_p_value,
     yn_boundaries,
 )
-
-YN_ALPHA_UPPER = 0.01
-YN_ALPHA_LOWER = 0.10
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ def monitor(
     phat = proportions(counts)
     prs_value = prs(phat, reference)
     psi_value = psi(phat, reference)
-    tau_red, tau_green = yn_boundaries(counts.n, counts.B, YN_ALPHA_UPPER, YN_ALPHA_LOWER)
+    tau_red, tau_green = yn_boundaries(counts.n, counts.B, P_RED, P_GREEN)
     ks_value = ks_statistic(phat, reference)
     p_ks = ks_p_value(counts, reference)
     return MonitoringReport(

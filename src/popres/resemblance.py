@@ -29,6 +29,8 @@ from .errors import BoundaryOverlapError, ConstraintError, ValidationError
 
 LEWIS_WATCH = 0.10
 LEWIS_ACTION = 0.25
+P_RED = 0.01  # p-value levels of the KS rule; YN thresholds are chi-square quantiles at them
+P_GREEN = 0.10
 KS_MAX_N = 10**9  # ks_p_value's windows grow as sqrt(n); here a call stays under ~100 MB
 
 
@@ -254,10 +256,10 @@ def ks_p_value(counts: CategoryCounts, p0: ReferenceDistribution) -> float:
     return min(1.0, escaped / (escaped + stayed) + dropped)
 
 
-def classify_p_value(p: float, alpha_upper: float = 0.01, alpha_lower: float = 0.10) -> Region:
-    """Two-threshold classification of a p-value (1% red, 10% green by default)."""
-    if p < alpha_upper:
+def classify_p_value(p: float) -> Region:
+    """Two-threshold classification of a p-value: below P_RED red, above P_GREEN green."""
+    if p < P_RED:
         return Region.R3
-    if p > alpha_lower:
+    if p > P_GREEN:
         return Region.R1
     return Region.R2

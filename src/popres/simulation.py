@@ -66,6 +66,12 @@ class MCEstimate:
     value: float
     std_error: float
 
+    @classmethod
+    def of_hits(cls, hits: int, replications: int) -> MCEstimate:
+        """Fraction of hits with its binomial standard error, floored at one hit."""
+        frac = hits / replications
+        return cls(frac, math.sqrt(max(frac * (1.0 - frac), 1.0 / replications) / replications))
+
 
 @dataclass(frozen=True)
 class StabilityRatios:
@@ -86,12 +92,6 @@ class SweepResult:
     boundaries: DecisionBoundaries
 
 
-def _binomial_estimate(hits: int, replications: int) -> MCEstimate:
-    """Fraction of hits with its binomial standard error, floored at one hit."""
-    frac = hits / replications
-    return MCEstimate(frac, math.sqrt(max(frac * (1.0 - frac), 1.0 / replications) / replications))
-
-
 def reconstruction_probability(
     n: int,
     B: int,
@@ -108,7 +108,7 @@ def reconstruction_probability(
     p = solve_p_for_target_j(p0, target_j)
     q = p0.probs
     counts = sampling.multinomial_matrix(n, p, replications, seed=seed, stream=1, workers=workers)
-    return _binomial_estimate(int(np.sum(psi(counts / n, q) >= psi_threshold)), replications)
+    return MCEstimate.of_hits(int(np.sum(psi(counts / n, q) >= psi_threshold)), replications)
 
 
 def stability_ratios(n: int, B: int, replications: int, seed: int, workers: int = 1) -> StabilityRatios:
@@ -143,14 +143,13 @@ def classification_sweep(
     _check_study_args((n,), B, replications, workers, grid_points=grid_points)
     p0 = uniform_reference(B)
     bounds = decision_boundaries(p0, n, cfg)
-    q = p0.probs
     # the nominal sweep extends to (3M+2)*delta, but a perturbation cannot
     # push any entry of the equi-probable reference below zero
     grid_max = min((3.0 * cfg.M + 2.0) * bounds.delta, (1.0 - 1e-9) / B)
     grid = np.linspace(0.0, grid_max, grid_points)
     probs = np.empty((grid_points, 3))
     for i, dv in enumerate(grid):
-        r1, r3 = _region_counts(bounds, float(dv), q, replications, seed, 10 + i, workers)
+        r1, r3 = _region_counts(bounds, float(dv), replications, seed, 10 + i, workers)
         r2 = replications - r1 - r3
         probs[i] = (r1 / replications, r2 / replications, r3 / replications)
     return SweepResult(grid=grid, region_probs=probs, boundaries=bounds)
@@ -173,29 +172,27 @@ def calibration_probabilities(
     _check_study_args((n,), B, replications, workers)
     p0 = uniform_reference(B)
     bounds = decision_boundaries(p0, n, cfg)
-    q = p0.probs
-    _, r3 = _region_counts(bounds, bounds.delta, q, replications, seed, 100, workers)
-    r1, _ = _region_counts(bounds, cfg.M * bounds.delta, q, replications, seed, 101, workers)
-    return {"r3_at_delta": _binomial_estimate(r3, replications),
-            "r1_at_m_delta": _binomial_estimate(r1, replications)}
+    _, r3 = _region_counts(bounds, bounds.delta, replications, seed, 100, workers)
+    r1, _ = _region_counts(bounds, cfg.M * bounds.delta, replications, seed, 101, workers)
+    return {"r3_at_delta": MCEstimate.of_hits(r3, replications),
+            "r1_at_m_delta": MCEstimate.of_hits(r1, replications)}
 
 
 def _region_counts(
     bounds: DecisionBoundaries,
     delta_v: float,
-    q: np.ndarray,
     replications: int,
     seed: int,
     stream: int,
     workers: int,
 ) -> tuple[int, int]:
     """Replications of the blockwise population at ``delta_v`` whose PRS
-    against q falls in R1 and in R3."""
+    against the equi-probable reference falls in R1 and in R3."""
     p = perturbed_pv(bounds.B, delta_v)
     counts = sampling.multinomial_matrix(
         bounds.n, p, replications, seed=seed, stream=stream, workers=workers
     )
-    prs_vals = prs(counts / bounds.n, q)
+    prs_vals = prs(counts / bounds.n, np.full(bounds.B, 1.0 / bounds.B))
     return int(np.sum(prs_vals <= bounds.tau1)), int(np.sum(prs_vals > bounds.tau2))
 
 

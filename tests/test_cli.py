@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,16 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from popres import special_functions
+from popres import cli, special_functions
 from popres.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_OVERLAP,
     EXIT_VALIDATION,
+    build_parser,
     load_config_file,
     main,
 )
 from popres.errors import ValidationError
+from popres.simulation import StudySpec
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -198,6 +201,22 @@ def test_cli_import_loads_neither_scipy_signal_nor_stats():
     assert out.stdout.strip() == "[]"
 
 
+SHARED_OPTIONS = ("--config", "--c", "--M", "--alpha1", "--alpha2", "--delta")
+OPTIONS = {
+    "monitor": ("--snapshot", "--reference", *SHARED_OPTIONS, "--seed", "--history", "--format"),
+    "boundaries": ("--reference", "--n", *SHARED_OPTIONS, "--format"),
+    "study": ("--study", "--out", "--n", "--n-grid", "--B", "--replications", "--grid-points",
+              "--target-j", "--threshold", "--workers", "--seed", *SHARED_OPTIONS),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_option_inventory(command):
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [s for a in commands.choices[command]._actions for s in a.option_strings]
+    assert sorted(options) == sorted(["-h", "--help", *OPTIONS[command]])
+
+
 class TestBoundariesCommand:
     def test_json_values(self, capsys, reference_file):
         code = main([
@@ -324,6 +343,22 @@ class TestStudyCommand:
         assert code == EXIT_VALIDATION
         assert f"({flag})" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, expected", [
+        ([], {}),
+        (["--replications", "500", "--grid-points", "3", "--target-j", "1", "--threshold", "0.3",
+          "--workers", "2", "--seed", "9"],
+         {"replications": 500, "grid_points": 3, "target_j": 1.0, "threshold": 0.3, "workers": 2,
+          "seed": 9}),
+    ])
+    def test_flags_build_study_spec_by_field_name(self, capsys, monkeypatch, tmp_path, flags, expected):
+        specs = []
+        monkeypatch.setattr(cli, "run_study", lambda spec, out: specs.append(spec) or out)
+        code = main(["study", "--study", "table1", "--out", str(tmp_path / "t.csv"),
+                     "--n-grid", "50,100", "--B", "5", *flags])
+        assert code == EXIT_OK
+        assert specs == [StudySpec(study="table1", B=5, ns=(50, 100), **expected)]
+        assert type(specs[0].target_j) is float
 
     def test_n_grid_rejects_empty_entry(self, capsys, tmp_path):
         out = tmp_path / "t.csv"

@@ -19,6 +19,7 @@ from popres.resemblance import (
     Region,
     ResemblanceConfig,
     classify_lewis,
+    classify_p_value,
     classify_prs,
     classify_yn,
     decision_boundaries,
@@ -207,6 +208,14 @@ class TestClassification:
         assert classify_lewis(0.227) is Region.R2
         assert classify_lewis(0.310) is Region.R3
         assert classify_lewis(0.25) is Region.R3  # ties at 0.25 go to action
+
+    @pytest.mark.parametrize("p, region", [
+        (0.0, Region.R3), (0.0099, Region.R3), (0.01, Region.R2), (0.05, Region.R2),
+        (0.10, Region.R2), (0.1001, Region.R1), (1.0, Region.R1),
+    ])
+    def test_p_value_rule(self, p, region):
+        # ties at 1 % and 10 % go to amber
+        assert classify_p_value(p) is region
 
     def test_rag_mapping(self):
         assert Region.R1.value == "green"

@@ -151,6 +151,13 @@ class TestReconstruction:
         shifted = reconstruction_probability(n=50, B=5, replications=50_000, seed=1, target_j=0.1)
         assert shifted.value > null.value + 3 * (null.std_error + shifted.std_error)
 
+    @pytest.mark.parametrize("K", [1, 40_000, 70_000, 100_000])
+    def test_standard_error_floors_at_one_hit(self, K):
+        # no hits (or all hits) still reports the error of a single hit
+        assert MCEstimate.of_hits(0, K) == MCEstimate(0.0, 1 / K)
+        assert MCEstimate.of_hits(K, K) == MCEstimate(1.0, 1 / K)
+        assert MCEstimate.of_hits(K // 2, K).std_error >= 1 / K
+
     def test_deterministic(self):
         spec = dict(n=50, B=5, replications=20_000, seed=6)
         assert reconstruction_probability(**spec) == reconstruction_probability(**spec)

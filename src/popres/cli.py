@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical/convergence error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, fields
@@ -113,6 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call, not at import; parse_args leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def _cmd_monitor(args: argparse.Namespace) -> int:
     cfg, seed = _build_config(args)
     snapshot = load_snapshot(args.snapshot)
@@ -164,8 +169,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except BoundaryOverlapError as exc:

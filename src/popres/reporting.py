@@ -86,31 +86,34 @@ _REPORT_FIELDS = frozenset(f.name for f in fields(MonitoringReport))
 _REQUIRED_FIELDS = frozenset(f.name for f in fields(MonitoringReport) if f.default is MISSING)
 
 
-def _read_rows(path: Path) -> tuple[list[str], list[dict]]:
-    """Lower-cased header fields and the rows keyed by them."""
+def _read_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Lower-cased header fields and the non-blank rows under them."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValidationError(f"{path}: empty file")
-        fields = [f.strip().lower() for f in reader.fieldnames]
-        return fields, [dict(zip(fields, row.values())) for row in reader]
+        return [f.strip().lower() for f in header], [row for row in reader if row]
 
 
 def _ordered_values(
-    path: Path, fields: list[str], rows: list[dict], value_field: str
+    path: Path, fields: list[str], rows: list[list[str]], value_field: str
 ) -> list[float]:
     """Values of a category,value table; categories must be 1..B in order, no gaps."""
     if "category" not in fields or value_field not in fields:
         raise ValidationError(
             f"{path}: expected header 'category,{value_field}', got {fields}"
         )
+    column = {name: j for j, name in enumerate(fields)}  # a repeated name: its last column
+    cat_at, value_at = column["category"], column[value_field]
     seen: dict[int, float] = {}
     for i, row in enumerate(rows, start=2):
         try:
-            cat = int(row["category"])
-            val = float(row[value_field])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}:{i}: unparsable row {row}") from exc
+            cat = int(row[cat_at])
+            val = float(row[value_at])
+        except (IndexError, ValueError) as exc:
+            cells = dict(zip(fields, row + [None] * (len(fields) - len(row))))
+            raise ValidationError(f"{path}:{i}: unparsable row {cells}") from exc
         if cat in seen:
             raise ValidationError(f"{path}:{i}: duplicate category {cat}")
         seen[cat] = val

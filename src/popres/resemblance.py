@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -53,9 +54,15 @@ class ResemblanceConfig:
     delta_override: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name, v in asdict(self).items():
-            if v is not None and not math.isfinite(v):
-                raise ValidationError(f"{name} must be finite, got {v}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.default is None:
+                continue
+            if not isinstance(v, numbers.Real):
+                raise ValidationError(f"{f.name} must be a number, got {v!r}")
+            if not math.isfinite(v):
+                raise ValidationError(f"{f.name} must be finite, got {v}")
+            object.__setattr__(self, f.name, float(v))
         if self.c <= 0:
             raise ValidationError(f"c must be positive, got {self.c}")
         if self.M <= 1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import fcntl
 import json
 import math
@@ -110,3 +111,42 @@ def append_history_full_scan(report: MonitoringReport, history_path) -> HistoryA
             return HistoryAck(line_count=len(entries) + 1)
         finally:
             fcntl.flock(fh, fcntl.LOCK_UN)
+
+
+def read_rows_dictreader(path: Path) -> tuple[list[str], list[dict]]:
+    """``reporting._read_rows`` as it was through ``csv.DictReader``: each row a dict.
+
+    DictReader keys a row by the raw header names, so it is exact only for a
+    header whose raw names differ (``count`` and ``Count`` do).
+    """
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValidationError(f"{path}: empty file")
+        fields = [f.strip().lower() for f in reader.fieldnames]
+        return fields, [dict(zip(fields, row.values())) for row in reader]
+
+
+def ordered_values_dictreader(
+    path: Path, fields: list[str], rows: list[dict], value_field: str
+) -> list[float]:
+    """``reporting._ordered_values`` over the dict rows of ``read_rows_dictreader``."""
+    if "category" not in fields or value_field not in fields:
+        raise ValidationError(
+            f"{path}: expected header 'category,{value_field}', got {fields}"
+        )
+    seen: dict[int, float] = {}
+    for i, row in enumerate(rows, start=2):
+        try:
+            cat = int(row["category"])
+            val = float(row[value_field])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}:{i}: unparsable row {row}") from exc
+        if cat in seen:
+            raise ValidationError(f"{path}:{i}: duplicate category {cat}")
+        seen[cat] = val
+    B = len(seen)
+    missing = [c for c in range(1, B + 1) if c not in seen]
+    if missing:
+        raise ValidationError(f"{path}: missing categories {missing}")
+    return [seen[c] for c in range(1, B + 1)]

@@ -369,3 +369,74 @@ class TestStudyCommand:
         assert code == EXIT_VALIDATION
         assert "--n-grid" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; each call sees only its own flags."""
+
+    @pytest.fixture
+    def run(self, monkeypatch):
+        """main(argv) -> (exit code, its command's namespace), checked against a fresh parser's."""
+        seen = []
+        build_config = cli._build_config
+        monkeypatch.setattr(cli, "_build_config", lambda args: seen.append(vars(args)) or build_config(args))
+
+        def run(argv):
+            code = main(argv)
+            args = seen.pop()
+            assert args == vars(build_parser().parse_args(argv))
+            return code, args
+        return run
+
+    def test_parser_is_built_once(self, capsys, reference_file):
+        cli._parser.cache_clear()
+        for n in ("50", "60", "70"):
+            assert main(["boundaries", "--reference", str(reference_file), "--n", n]) == EXIT_OK
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_history_flag_does_not_carry_over(self, capsys, run, tmp_path, reference_file, snapshot_file):
+        history = tmp_path / "h.jsonl"
+        other = tmp_path / "t2.csv"
+        other.write_text("category,count\n1,4\n2,10\n3,11\n4,11\n5,14\n")
+        base = ["--reference", str(reference_file), "--format", "json"]
+        assert run(["monitor", "--snapshot", str(snapshot_file), *base, "--history", str(history)])[0] == EXIT_OK
+        code, args = run(["monitor", "--snapshot", str(other), *base])
+        assert code == EXIT_OK and args["history"] is None
+        assert len(history.read_text().splitlines()) == 1
+
+    def test_parse_error_leaves_nothing_behind(self, capsys, run, reference_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["boundaries", "--reference", str(reference_file), "--format", "json",
+                  "--c", "0.5", "--n", "fifty"])
+        assert exc.value.code == EXIT_VALIDATION
+        capsys.readouterr()
+        code, args = run(["boundaries", "--reference", str(reference_file), "--n", "50"])
+        assert code == EXIT_OK and args["c"] is None and args["format"] == "text"
+        assert capsys.readouterr().out.startswith("(n=50, B=5)  delta=0.039598")
+
+    def test_each_command_sees_its_own_defaults(self, capsys, run, monkeypatch, tmp_path, reference_file):
+        specs = []
+        monkeypatch.setattr(cli, "run_study", lambda spec, out: specs.append(spec) or out)
+        boundaries = ["boundaries", "--reference", str(reference_file)]
+        assert run([*boundaries, "--n", "50", "--c", "0.5", "--format", "json"])[0] == EXIT_OK
+        code, args = run(["study", "--study", "table1", "--out", str(tmp_path / "t.csv"),
+                          "--n-grid", "50", "--B", "5"])
+        assert code == EXIT_OK and "reference" not in args and "format" not in args
+        assert specs == [StudySpec(study="table1", B=5, ns=(50,))]
+        code, args = run([*boundaries, "--n", "60"])
+        assert code == EXIT_OK and "study" not in args and args["format"] == "text"
+
+    def test_names_the_tracer_patches_are_looked_up_per_call(self, capsys, monkeypatch, tmp_path,
+                                                              reference_file, snapshot_file):
+        # perfbench's tracer wraps these names on cli, also after main has built its parser
+        assert main(["boundaries", "--reference", str(reference_file), "--n", "50"]) == EXIT_OK
+        calls = []
+        for name in ("load_reference", "decision_boundaries", "append_history"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, name=name, original=original, **k:
+                                calls.append(name) or original(*a, **k))
+        assert main(["boundaries", "--reference", str(reference_file), "--n", "50"]) == EXIT_OK
+        assert main(["monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file),
+                     "--history", str(tmp_path / "h.jsonl")]) == EXIT_OK
+        assert calls == ["load_reference", "decision_boundaries", "load_reference", "append_history"]

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from popres import reporting
 from popres.divergences import CategoryCounts, uniform_reference
 from popres.errors import ValidationError
 from popres.reporting import (
@@ -30,7 +32,7 @@ from popres.reporting import (
 from popres.resemblance import ResemblanceConfig
 from popres.simulation import StudySpec, run_study
 
-from oracles import append_history_full_scan
+from oracles import append_history_full_scan, ordered_values_dictreader, read_rows_dictreader
 
 # the worked monitoring configuration matching the published tables
 CFG = ResemblanceConfig(c=0.7, M=2.0, alpha1=0.05, alpha2=0.10)
@@ -100,6 +102,73 @@ HISTORY_OPS = st.lists(st.one_of(
     st.tuples(st.just("truncate"), st.integers(1, 400)),
     st.tuples(st.just("edit_digit"), st.integers(0, 10**6)),
 ), max_size=20)
+
+
+CATEGORY_NAMES = ["category", "Category", " CATEGORY "]
+VALUE_NAMES = ["count", "COUNT ", "prob", " Prob"]
+HEADER_NAMES = st.sampled_from(CATEGORY_NAMES + VALUE_NAMES + ["note", ""])
+VALID = "valid"
+CELLS = st.sampled_from([VALID] * 8 + ["1", "7", " 3 ", "0.25", "1e3", "0", "-1", "1.5", "nan", "inf", "x", ""])
+
+
+@st.composite
+def category_csv(draw):
+    """Lines of a category CSV drawn near a valid table: a header of possibly
+    repeated, reordered and extra names, rows that may be short or long, blank
+    lines, and categories that may repeat or leave gaps."""
+    core = [draw(st.sampled_from(CATEGORY_NAMES)), *draw(st.lists(st.sampled_from(VALUE_NAMES), min_size=1, max_size=2))]
+    near = st.permutations(core + draw(st.lists(HEADER_NAMES, max_size=2)))
+    header = draw(st.one_of(near, near, near, st.lists(HEADER_NAMES, max_size=4)))
+    names = [h.strip().lower() for h in header]
+    cats = draw(st.permutations(range(1, draw(st.sampled_from([3, 2, 4, 5, 3, 1])) + 1)))
+    cats += draw(st.lists(st.integers(0, 6), max_size=1))
+
+    def cell(name, cat):
+        drawn = draw(CELLS)
+        if name == "category":
+            return str(cat)
+        if drawn != VALID:
+            return drawn
+        return repr(1 / len(cats)) if name == "prob" else str(cat + 1)
+
+    lines = [",".join(header)]
+    for cat in cats:
+        lines += [""] * draw(st.integers(0, 1))
+        row = [cell(name, cat) for name in names]
+        keep = draw(st.sampled_from([len(row)] * 6 + list(range(len(row) + 3))))
+        lines.append(",".join(row[:keep] + [cell("", cat) for _ in range(keep - len(row))]))
+    return [""] * draw(st.sampled_from([0] * 5 + [1])) + lines
+
+
+def spelled_apart(lines):
+    """The lines with each repeated raw header name padded by spaces until it is new."""
+    if not lines or not lines[0]:
+        return lines
+    header = []
+    for name in lines[0].split(","):
+        while name in header:
+            name += " "
+        header.append(name)
+    return [",".join(header)] + lines[1:]
+
+
+def load_outcome(load, path):
+    try:
+        # an inf or overflowing reference count warns from numpy before it is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            loaded = load(path)
+    except ValidationError as exc:
+        return "error", str(exc)
+    if isinstance(loaded, Snapshot):
+        return loaded.label, loaded.counts.counts.tolist()
+    return "reference", loaded.probs.tolist()
+
+
+def load_with_dictreader(load, path):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reporting, "_read_rows", read_rows_dictreader)
+        mp.setattr(reporting, "_ordered_values", ordered_values_dictreader)
+        return load_outcome(load, path)
 
 
 class TestLoaders:
@@ -181,6 +250,34 @@ class TestLoaders:
         f.write_text("{not json")
         with pytest.raises(ValidationError):
             load_snapshot(f)
+
+    @settings(max_examples=400, deadline=None)
+    @given(category_csv())
+    def test_csv_loaders_agree_with_the_dictreader_oracle(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_text("\n".join(lines) + "\n")
+            got = [load_outcome(load_reference, path), load_outcome(load_snapshot, path)]
+            # the oracle is exact only for distinct raw header names
+            path.write_text("\n".join(spelled_apart(lines)) + "\n")
+            want = [load_with_dictreader(load_reference, path), load_with_dictreader(load_snapshot, path)]
+        assert got == want
+
+    @pytest.mark.parametrize("text", ["", "\n", "\ncategory,count\n1,2\n"])
+    def test_csv_loaders_agree_on_empty_and_headless_files(self, tmp_path, text):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        for load in (load_reference, load_snapshot):
+            got = load_outcome(load, path)
+            assert got[0] == "error" and got == load_with_dictreader(load, path)
+
+    def test_repeated_raw_header_name_reads_its_last_column(self, tmp_path):
+        # DictReader kept one key per raw name, so the fields after a repeated
+        # name took the next column's cells: count read 1, 2 and category 2, 1
+        path = tmp_path / "s.csv"
+        path.write_text("note,note,count,category,z\nx,y,5,1,2\nx,y,7,2,1\n")
+        assert load_outcome(load_snapshot, path) == ("s", [5, 7])
+        assert load_with_dictreader(load_snapshot, path) == ("s", [2, 1])
 
 
 class TestMonitor:
@@ -540,6 +637,14 @@ class TestRunStudy:
         a = run_study(spec, tmp_path / "a.csv").read_bytes()
         b = run_study(spec, tmp_path / "b.csv").read_bytes()
         assert a == b
+
+    def test_sweep_artifact_does_not_depend_on_the_config_number_type(self, tmp_path):
+        digests = []
+        for M in (2, 2.0):
+            cfg = ResemblanceConfig(c=0.7, M=M, alpha1=0.05, alpha2=0.10)
+            spec = StudySpec("sweep", B=5, ns=(50,), cfg=cfg, replications=70_000, seed=5, grid_points=4)
+            digests.append(hashlib.sha256(run_study(spec, tmp_path / f"{M}.csv").read_bytes()).hexdigest())
+        assert [d[:16] for d in digests] == ["505ec1b6a57eaca7"] * 2
 
     def test_unknown_study(self, tmp_path):
         with pytest.raises(ValidationError):

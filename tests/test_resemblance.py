@@ -386,3 +386,15 @@ class TestConfigValidation:
             ResemblanceConfig(alpha1=0.0)
         with pytest.raises(ValidationError):
             ResemblanceConfig(alpha2=1.0)
+
+    def test_stores_floats(self):
+        cfg = ResemblanceConfig(c=1, M=np.int64(3), alpha1=np.float32(0.25), alpha2=0.5, delta_override=2)
+        assert [type(getattr(cfg, f)) for f in ("c", "M", "alpha1", "alpha2", "delta_override")] == [float] * 5
+        assert ResemblanceConfig().delta_override is None
+
+    @pytest.mark.parametrize("field,value", [
+        ("c", "0.7"), ("M", None), ("alpha1", 1j), ("alpha2", [0.1]), ("delta_override", "x"),
+    ])
+    def test_rejects_non_numbers_by_field_name(self, field, value):
+        with pytest.raises(ValidationError, match=rf"^{field} must be a number, got "):
+            ResemblanceConfig(**{field: value})

@@ -6,8 +6,13 @@ append-only JSON-lines file guarded by an exclusive lock; duplicate
 submissions (same label and content) are acknowledged as no-ops.  Each append
 rewrites the sidecar ``<history>.idx``: the validated byte length, its SHA-256,
 the physical and non-blank line counts, and by label a flat list of each line's
-byte offset and ordinal.  The next append validates only what follows those
-bytes.  Deleting the sidecar is safe; an edited history is re-scanned in full.
+byte offset, ordinal and ``prs_value`` fingerprint (``hash`` of a number, which
+equal numbers share; ``null`` for anything else).  The sidecar opens with the
+SHA-256 of the rest of its own bytes, and its schema names the build's hash
+modulus.  The next append validates only what follows the recorded bytes; of
+the lines before, it parses only the report's label's lines whose fingerprint
+could equal the report's.  Deleting the sidecar is safe; an edited history or
+sidecar, or one written by another format or build, costs one full scan.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ import fcntl
 import hashlib
 import io
 import json
+import math
 import os
 import re
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Optional
@@ -134,7 +141,11 @@ def load_reference(path: str | Path) -> ReferenceDistribution:
         counts = np.asarray(_ordered_values(path, fields, rows, "count"))
         if np.any(counts <= 0):
             raise ValidationError(f"{path}: reference counts must be strictly positive")
-        probs = counts / counts.sum()
+        with np.errstate(over="ignore"):  # an overflowing sum is refused just below
+            total = counts.sum()
+        if not math.isfinite(total):  # also a NaN or inf count
+            raise ValidationError(f"{path}: reference counts and their sum must be finite")
+        probs = counts / total
     else:
         raise ValidationError(f"{path}: expected a 'prob' or 'count' column, got {fields}")
     try:
@@ -265,25 +276,55 @@ def _history(path: Path, data: bytes, start: int = 0, line: int = 0) -> Iterator
         yield number, match.start(), entry
 
 
-def _read_index(path: Path, data: bytes, label: str) -> tuple:
+# a sidecar of another layout, or whose fingerprints another hash function made, is stale
+_INDEX_SCHEMA = f"offset,ordinal,fingerprint;hash-modulus={sys.hash_info.modulus}"
+
+
+def _seal(body: bytes) -> bytes:
+    """A sidecar: ``body``, the members of a JSON object after its ``{``, opened by a
+    member holding the SHA-256 of ``body``."""
+    return b'{"self_sha256":"%s",%s' % (hashlib.sha256(body).hexdigest().encode(), body)
+
+
+_SEAL_HEAD = len(_seal(b""))
+
+
+def _fingerprint(value) -> Optional[int]:
+    """An integer equal ``prs_value``s share, or ``None`` (may equal anything): the hash
+    of other types, such as ``str``, may differ from one process to the next.  So may a
+    NaN's, but a NaN ``prs_value`` equals nothing."""
+    return hash(value) if type(value) in (int, float) else None
+
+
+def _may_equal(fingerprint: Optional[int], key: Optional[int]) -> bool:
+    return fingerprint is None or key is None or fingerprint == key
+
+
+def _read_index(path: Path, data: bytes, label: str, key: Optional[int]) -> tuple:
     """The sidecar's ``(length, lines, count, labels)``, the SHA-256 of the first ``length``
-    bytes and ``(ordinal, fields)`` of their lines of ``label``.  A sidecar that is missing,
-    stale, or inconsistent for ``label`` vouches for no bytes."""
+    bytes and ``(ordinal, fields)`` of their lines of ``label`` whose fingerprint may equal
+    ``key``.  A sidecar that is missing, stale, not sealed by its own digest, or wrong about
+    such a line vouches for no bytes."""
     try:
-        index = json.loads(Path(f"{path}.idx").read_bytes())
+        raw = Path(f"{path}.idx").read_bytes()
+        if _seal(raw[_SEAL_HEAD:]) != raw:
+            raise ValueError("the sidecar changed since it was written")
+        index = json.loads(raw)
         length = index["length"]
         digest = hashlib.sha256(memoryview(data)[:length])
-        if not 0 <= length <= len(data) or digest.hexdigest() != index["sha256"]:
+        if index["schema"] != _INDEX_SCHEMA or not 0 <= length <= len(data) \
+                or digest.hexdigest() != index["sha256"]:
             raise ValueError("the history changed since the sidecar was written")
-        labels = {str(key): list(value) for key, value in index["labels"].items()}
-        same, pairs = [], labels.get(label, [])
-        for offset, ordinal in zip(pairs[::2], pairs[1::2]):
-            starts = 0 <= offset < length and (not offset or data[offset - 1] in b"\r\n")
-            entry = next(_history(path, data, offset))[2] if starts else None
-            if entry is None or str(entry["label"]) != label:
-                raise ValueError(f"offset {offset} does not start a line of {label!r}")
-            same.append((ordinal, entry))
-        return (length, int(index["lines"]), int(index["count"]), labels), digest, same
+        labels = index["labels"]
+        same, triples = [], labels.get(label, [])
+        for offset, ordinal, fp in zip(triples[::3], triples[1::3], triples[2::3]):
+            if _may_equal(fp, key):
+                starts = 0 <= offset < length and (not offset or data[offset - 1] in b"\r\n")
+                entry = next(_history(path, data, offset))[2] if starts else None
+                if entry is None or str(entry["label"]) != label:
+                    raise ValueError(f"offset {offset} does not start a line of {label!r}")
+                same.append((ordinal, entry))
+        return (length, index["lines"], index["count"], labels), digest, same
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return (0, 0, 0, {}), hashlib.sha256(), []
 
@@ -292,23 +333,26 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
     """Append one JSON line; a report equal to one already stored is a no-op.
 
     Every line is validated first, but of the lines the sidecar vouches for
-    only those of the report's label are parsed again."""
+    only those of the report's label whose ``prs_value`` fingerprint matches
+    the report's are parsed again."""
     path = Path(history_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    label = str(report.label)
+    label, key = str(report.label), _fingerprint(report.prs_value)
     with open(path, "ab+") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         try:
             fh.seek(0)
             data = fh.read()
-            (start, lines, count, labels), digest, same = _read_index(path, data, label)
+            (start, lines, count, labels), digest, same = _read_index(path, data, label, key)
             for lines, offset, entry in _history(path, data, start, lines):
                 if entry is not None:
                     count += 1
-                    labels.setdefault(str(entry["label"]), []).extend((offset, count))
-                    if str(entry["label"]) == label:
+                    fp = _fingerprint(entry["prs_value"])
+                    labels.setdefault(str(entry["label"]), []).extend((offset, count, fp))
+                    if str(entry["label"]) == label and _may_equal(fp, key):
                         same.append((count, entry))
-            # a report that differs in one field is unequal: test a cheap one first
+            # prs_value first: it is cheap, and a NaN equals nothing, not even the one NaN
+            # object that json parses every NaN to
             ordinal = next((o for o, entry in same if entry["prs_value"] == report.prs_value
                             and MonitoringReport(**entry) == report), None)
             new = b""
@@ -316,16 +360,18 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
                 # a last line without its newline would run into the new one
                 new = b"" if data[-1:] in (b"", b"\n") else b"\n"
                 lines, count = lines + 1, count + 1
-                labels.setdefault(label, []).extend((len(data) + len(new), count))
+                labels.setdefault(label, []).extend((len(data) + len(new), count, key))
                 new += json.dumps(asdict(report), sort_keys=True).encode() + b"\n"
                 fh.write(new)
                 fh.flush()
             if start < len(data) + len(new):
                 digest.update(data[start:] + new)
-                index = {"length": len(data) + len(new), "sha256": digest.hexdigest(),
-                         "lines": lines, "count": count, "labels": labels}
+                index = {"schema": _INDEX_SCHEMA, "length": len(data) + len(new),
+                         "sha256": digest.hexdigest(), "lines": lines, "count": count,
+                         "labels": labels}
+                body = json.dumps(index, separators=(",", ":")).encode()[1:]
                 with contextlib.suppress(OSError):  # the next append then scans further back
-                    Path(f"{path}.idx.tmp").write_text(json.dumps(index, separators=(",", ":")))
+                    Path(f"{path}.idx.tmp").write_bytes(_seal(body))
                     os.replace(f"{path}.idx.tmp", f"{path}.idx")
             return HistoryAck(count) if ordinal is None else HistoryAck(ordinal, duplicate=True)
         finally:

@@ -61,6 +61,11 @@ def report_pool(size, labels=3):
     return [replace(base_report(), label=f"L{i % labels}", seed=i) for i in range(size)]
 
 
+def distinct_pool(size, labels=3):
+    """``report_pool`` with a prs_value of its own for each report."""
+    return [replace(report, prs_value=report.seed / 10) for report in report_pool(size, labels)]
+
+
 def line(report, end="\n"):
     return json.dumps(asdict(report), sort_keys=True) + end
 
@@ -88,6 +93,42 @@ def edit_index(idx, edit):
 
 def shift_offsets(pairs, by):
     pairs[::2] = [offset + by for offset in pairs[::2]]
+
+
+def shift_triples(triples, at, by):
+    """Add ``by`` to item ``at`` of each (offset, ordinal, fingerprint) triple."""
+    triples[at::3] = [value + by for value in triples[at::3]]
+
+
+def edit_index_body(idx, edit):
+    """Edit the sidecar's labels and write it as compactly as it was written, so its
+    opening self-digest stays as it was while the bytes after it change."""
+    raw = idx.read_bytes()
+    index = json.loads(raw)
+    edit(index["labels"])
+    idx.write_bytes(json.dumps(index, separators=(",", ":")).encode())
+    assert json.loads(idx.read_bytes())["self_sha256"] == index["self_sha256"]
+    assert idx.read_bytes() != raw
+
+
+def write_pair_sidecar(hist):
+    """A sidecar as written before fingerprints and the self-digest: per label, offset and
+    ordinal pairs, for a history of newline-ended report lines."""
+    data = hist.read_bytes()
+    labels, offset = {}, 0
+    for ordinal, text in enumerate(data.splitlines(keepends=True), start=1):
+        labels.setdefault(json.loads(text)["label"], []).extend((offset, ordinal))
+        offset += len(text)
+    index = {"length": len(data), "sha256": hashlib.sha256(data).hexdigest(),
+             "lines": ordinal, "count": ordinal, "labels": labels}
+    Path(f"{hist}.idx").write_text(json.dumps(index, separators=(",", ":")))
+
+
+def count_loads(monkeypatch):
+    """The texts ``json.loads`` is called on from now on."""
+    parsed, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+    return parsed
 
 
 # what a writer that does not know the sidecar may add to a history
@@ -154,9 +195,7 @@ def spelled_apart(lines):
 
 def load_outcome(load, path):
     try:
-        # an inf or overflowing reference count warns from numpy before it is refused
-        with np.errstate(over="ignore", invalid="ignore"):
-            loaded = load(path)
+        loaded = load(path)
     except ValidationError as exc:
         return "error", str(exc)
     if isinstance(loaded, Snapshot):
@@ -192,6 +231,17 @@ class TestLoaders:
         f.write_text("category,prob\n1,0.5\n2,0.6\n")
         with pytest.raises(ValidationError, match=r"ref\.csv: reference probabilities sum to 1\.1"):
             load_reference(f)
+
+    @pytest.mark.parametrize("counts", [
+        "1,2\n2,3\n3,inf",
+        "1,2\n2,nan\n3,4",
+        "1,1e308\n2,1e308",
+    ], ids=["inf", "nan", "overflowing-sum"])
+    def test_reference_counts_must_be_finite(self, tmp_path, counts):
+        f = tmp_path / "ref.csv"
+        f.write_text(f"category,count\n{counts}\n")
+        with pytest.raises(ValidationError, match=r"ref\.csv: reference counts and their sum must be finite$"):
+            load_reference(f)  # a numpy warning would fail under filterwarnings = error
 
     def test_reference_duplicate_category(self, tmp_path):
         f = tmp_path / "ref.csv"
@@ -575,6 +625,100 @@ class TestHistory:
         assert append_history(replace(base, label="L5", seed=5), hist) == HistoryAck(
             line_count=6, duplicate=True)
         assert len(parsed) <= 126 + 1
+
+    def test_append_parses_only_new_lines_and_fingerprint_matches(self, tmp_path, monkeypatch):
+        # 2,000 lines of 16 labels, each with its own prs_value
+        hist = tmp_path / "history.jsonl"
+        base = base_report()
+        stored = [replace(base, label=f"L{j % 16}", seed=j, prs_value=j / 7) for j in range(2000)]
+        hist.write_text("".join(line(report) for report in stored))
+        parsed = count_loads(monkeypatch)
+        assert append_history(replace(stored[3], seed=-1, prs_value=-1.0), hist) == HistoryAck(2001)
+        assert len(parsed) == 2000  # no sidecar yet: every line
+        with open(hist, "a") as fh:
+            fh.write("".join(line(replace(base, label=f"L{j}", seed=-10 - j, prs_value=-10.0 - j))
+                             for j in range(3)))
+        parsed.clear()
+        assert append_history(replace(stored[5], seed=-2, prs_value=-2.0), hist) == HistoryAck(2005)
+        assert len(parsed) == 1 + 3  # the sidecar, the new lines
+        parsed.clear()
+        assert append_history(stored[5], hist) == HistoryAck(line_count=6, duplicate=True)
+        assert len(parsed) == 1 + 1  # the sidecar, the one line of equal prs_value
+
+    def test_sidecar_of_the_pair_format_is_stale_once(self, tmp_path, monkeypatch):
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = distinct_pool(6, labels=2)
+        for report in pool[:4]:
+            append_history(report, hist)
+        write_pair_sidecar(hist)
+        shutil.copyfile(hist, plain)
+        # the old sidecar fails its self-digest unparsed, so the first append parses every
+        # line; the rewritten one is parsed, with no line but one of equal prs_value
+        for report, parses in ((pool[2], 4), (pool[4], 1), (pool[3], 1 + 1), (pool[5], 1)):
+            parsed = count_loads(monkeypatch)
+            ours = append_history(report, hist)
+            assert len(parsed) == parses
+            monkeypatch.undo()
+            assert ours == append_history_full_scan(report, plain)
+        assert hist.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda labels: shift_triples(labels["L0"], 2, 1),
+        lambda labels: labels.update(L0=labels["L1"], L1=labels["L0"]),
+        lambda labels: shift_triples(labels["L0"], 0, 1),
+    ], ids=["fingerprints", "offsets-of-another-label", "offset-inside-a-line"])
+    def test_body_edited_under_its_digest_falls_back_to_a_full_scan(self, tmp_path, edit):
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = distinct_pool(6, labels=2)
+        for report in pool[:4]:
+            append_history(report, hist)
+        edit_index_body(Path(f"{hist}.idx"), edit)
+        shutil.copyfile(hist, plain)
+        for report in (pool[2], pool[4], pool[3], pool[5], pool[4]):
+            assert append_history(report, hist) == append_history_full_scan(report, plain)
+        assert hist.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("stored, submitted, duplicate", [
+        (0, 0.0, True),
+        (-0.0, 0.0, True),
+        (float("nan"), float("nan"), False),
+        ("0.5", 0.5, False),
+        ("x", "x", True),
+    ], ids=["int-zero", "negative-zero", "nan", "string-and-float", "string"])
+    def test_external_prs_value_matches_as_in_a_full_scan(self, tmp_path, stored, submitted,
+                                                          duplicate):
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = report_pool(3, labels=1)
+        append_history(pool[0], hist)
+        shutil.copyfile(hist, plain)
+        for path in (hist, plain):
+            with open(path, "a") as fh:
+                fh.write(line(replace(pool[1], prs_value=stored)))
+        # the first append indexes the external line, the next two look it up by fingerprint
+        acks = []
+        for report in (pool[2], replace(pool[1], prs_value=submitted), replace(pool[1], prs_value=submitted)):
+            acks.append(append_history(report, hist))
+            assert acks[-1] == append_history_full_scan(report, plain)
+        assert acks[1].duplicate == duplicate
+        assert hist.read_bytes() == plain.read_bytes()
+
+    def test_nan_read_back_equals_no_stored_line(self, tmp_path):
+        # json parses every NaN to one float object, and a dataclass compares fields as a
+        # tuple, which takes an identical object as equal: the prs_value test comes first
+        hist = tmp_path / "history.jsonl"
+        pool = report_pool(3, labels=1)
+        append_history(pool[0], hist)
+        with open(hist, "a") as fh:
+            fh.write(line(replace(pool[1], prs_value=float("nan"))))
+        # another process indexes the NaN line, so its fingerprint is not this process's
+        proc = multiprocessing.get_context("spawn").Process(
+            target=append_history, args=(pool[2], str(hist)))
+        proc.start()
+        proc.join(timeout=120)
+        assert proc.exitcode == 0
+        stored = read_history(hist)[1]
+        assert append_history(stored, hist) == HistoryAck(4)
+        assert append_history(stored, hist) == HistoryAck(5)
 
     def test_two_processes_append_overlapping_reports(self, tmp_path):
         hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"

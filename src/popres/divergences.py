@@ -123,9 +123,14 @@ def psi(phat: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
     Rows of a matrix ``phat`` are scored separately.
     """
     ph, q = _paired(phat, p0)
+    return _per_row(_psi_terms(ph, q, np.log(q)).sum(axis=-1))
+
+
+def _psi_terms(ph: np.ndarray, q, log_q) -> np.ndarray:
+    """Per-cell PSI terms (ph - q) * (log ph - log q); a zero ph contributes 0."""
     mask = ph > 0
     safe = np.where(mask, ph, 1.0)
-    return _per_row(np.where(mask, (ph - q) * (np.log(safe) - np.log(q)), 0.0).sum(axis=-1))
+    return np.where(mask, (ph - q) * (np.log(safe) - log_q), 0.0)
 
 
 def prs(phat: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
@@ -134,7 +139,12 @@ def prs(phat: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
     Rows of a matrix ``phat`` are scored separately.
     """
     ph, q = _paired(phat, p0)
-    return _per_row(((ph - q) ** 2 / q).sum(axis=-1))
+    return _per_row(_prs_terms(ph, q).sum(axis=-1))
+
+
+def _prs_terms(ph: np.ndarray, q) -> np.ndarray:
+    """Per-cell PRS terms (ph - q)^2 / q."""
+    return (ph - q) ** 2 / q
 
 
 def j_divergence(p: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:

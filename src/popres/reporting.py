@@ -93,18 +93,19 @@ _REPORT_FIELDS = frozenset(f.name for f in fields(MonitoringReport))
 _REQUIRED_FIELDS = frozenset(f.name for f in fields(MonitoringReport) if f.default is MISSING)
 
 
-def _read_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Lower-cased header fields and the non-blank rows under them."""
+def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Lower-cased header fields and the non-blank rows under them, each with
+    the number of the line it ends on."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"{path}: empty file")
-        return [f.strip().lower() for f in header], [row for row in reader if row]
+        return [f.strip().lower() for f in header], [(reader.line_num, row) for row in reader if row]
 
 
 def _ordered_values(
-    path: Path, fields: list[str], rows: list[list[str]], value_field: str
+    path: Path, fields: list[str], rows: list[tuple[int, list[str]]], value_field: str
 ) -> list[float]:
     """Values of a category,value table; categories must be 1..B in order, no gaps."""
     if "category" not in fields or value_field not in fields:
@@ -114,7 +115,7 @@ def _ordered_values(
     column = {name: j for j, name in enumerate(fields)}  # a repeated name: its last column
     cat_at, value_at = column["category"], column[value_field]
     seen: dict[int, float] = {}
-    for i, row in enumerate(rows, start=2):
+    for i, row in rows:
         try:
             cat = int(row[cat_at])
             val = float(row[value_at])

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sampling
-from .divergences import prs, psi, uniform_reference
+from .divergences import _prs_terms, _psi_terms, uniform_reference
 from .errors import ValidationError
 from .resemblance import (
     LEWIS_ACTION,
@@ -59,6 +59,34 @@ def _check_study_args(
         raise ValidationError(
             f"threshold must be a finite positive PSI (--threshold), got {threshold}"
         )
+
+
+def _scorer(n: int, B: int, *statistics: str):
+    """Chunk scorer for ``sampling.multinomial_matrix``: each named statistic
+    ("psi" or "prs") of every row of counts against the uniform reference,
+    as ``divergences`` computes it on ``counts / n``.
+
+    Every statistic is a sum over categories of a term of one count, so the
+    terms are evaluated once per count in the chunk's range [lo, hi] and
+    gathered.  The table is used only while that range is no longer than the
+    chunk has cells; otherwise the terms are evaluated on the chunk itself.
+    """
+    q = uniform_reference(B).probs
+    log_q = np.log(q)  # the vector psi takes the log of, as divergences.psi does
+    terms = {"psi": lambda ph: _psi_terms(ph, q[0], log_q[0]),
+             "prs": lambda ph: _prs_terms(ph, q[0])}
+    chosen = [terms[name] for name in statistics]
+
+    def score(counts: np.ndarray) -> np.ndarray:
+        lo, hi = int(counts.min()), int(counts.max())
+        if hi - lo < counts.size:
+            counts -= lo  # the chunk's own array, now the table index
+            values = [term(np.arange(lo, hi + 1) / n)[counts].sum(axis=-1) for term in chosen]
+        else:
+            values = [term(counts / n).sum(axis=-1) for term in chosen]
+        return values[0] if len(values) == 1 else np.stack(values, axis=-1)
+
+    return score
 
 
 @dataclass(frozen=True)
@@ -106,19 +134,19 @@ def reconstruction_probability(
     _check_study_args((n,), B, replications, workers, target_j=target_j, threshold=psi_threshold)
     p0 = uniform_reference(B)
     p = solve_p_for_target_j(p0, target_j)
-    q = p0.probs
-    counts = sampling.multinomial_matrix(n, p, replications, seed=seed, stream=1, workers=workers)
-    return MCEstimate.of_hits(int(np.sum(psi(counts / n, q) >= psi_threshold)), replications)
+    psi_vals = sampling.multinomial_matrix(n, p, replications, seed=seed, stream=1, workers=workers,
+                                           score=_scorer(n, B, "psi"))
+    return MCEstimate.of_hits(int(np.sum(psi_vals >= psi_threshold)), replications)
 
 
 def stability_ratios(n: int, B: int, replications: int, seed: int, workers: int = 1) -> StabilityRatios:
     """Mean and variance stability of n*PSI and n*PRS under no shift."""
     _check_study_args((n,), B, replications, workers)
     q = uniform_reference(B).probs
-    counts = sampling.multinomial_matrix(n, q, replications, seed=seed, stream=2, workers=workers)
-    ph = counts / n
-    t = n * psi(ph, q)
-    s = n * prs(ph, q)
+    both = sampling.multinomial_matrix(n, q, replications, seed=seed, stream=2, workers=workers,
+                                       score=_scorer(n, B, "psi", "prs"))
+    t = n * both[:, 0]
+    s = n * both[:, 1]
     dof = B - 1
     return StabilityRatios(
         mean_ratio_psi=float(t.mean() / dof),
@@ -189,10 +217,10 @@ def _region_counts(
     """Replications of the blockwise population at ``delta_v`` whose PRS
     against the equi-probable reference falls in R1 and in R3."""
     p = perturbed_pv(bounds.B, delta_v)
-    counts = sampling.multinomial_matrix(
-        bounds.n, p, replications, seed=seed, stream=stream, workers=workers
+    prs_vals = sampling.multinomial_matrix(
+        bounds.n, p, replications, seed=seed, stream=stream, workers=workers,
+        score=_scorer(bounds.n, bounds.B, "prs"),
     )
-    prs_vals = prs(counts / bounds.n, np.full(bounds.B, 1.0 / bounds.B))
     return int(np.sum(prs_vals <= bounds.tau1)), int(np.sum(prs_vals > bounds.tau2))
 
 

@@ -14,9 +14,13 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaln
 
-from popres.divergences import CategoryCounts, ReferenceDistribution, as_probs
+from popres.divergences import CategoryCounts, ReferenceDistribution, as_probs, prs, psi, uniform_reference
 from popres.errors import ValidationError
 from popres.reporting import HistoryAck, MonitoringReport
+from popres.resemblance import LEWIS_ACTION
+from popres.sampling import CHUNK_ROWS, _chunk_key
+from popres.scenarios import perturbed_pv, solve_p_for_target_j
+from popres.simulation import MCEstimate, StabilityRatios
 
 MAX_ENUM_B = 12
 # at most C(n + B - 1, B - 1) count vectors: about 3.2e5 at n = 30, B = 6
@@ -101,7 +105,10 @@ def append_history_full_scan(report: MonitoringReport, history_path) -> HistoryA
                     raise ValidationError(f"{path}:{i}: corrupt history line ({exc})") from exc
                 entries.append(entry)
             for ordinal, entry in enumerate(entries, start=1):
-                if entry["label"] == report.label and MonitoringReport(**entry) == report:
+                # prs_value first, as append_history compares: a NaN read back from
+                # the history is the one NaN object json parses, but equals nothing
+                if (entry["label"] == report.label and entry["prs_value"] == report.prs_value
+                        and MonitoringReport(**entry) == report):
                     return HistoryAck(line_count=ordinal, duplicate=True)
             size = os.fstat(fh.fileno()).st_size
             if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
@@ -113,8 +120,9 @@ def append_history_full_scan(report: MonitoringReport, history_path) -> HistoryA
             fcntl.flock(fh, fcntl.LOCK_UN)
 
 
-def read_rows_dictreader(path: Path) -> tuple[list[str], list[dict]]:
-    """``reporting._read_rows`` as it was through ``csv.DictReader``: each row a dict.
+def read_rows_dictreader(path: Path) -> tuple[list[str], list[tuple[int, dict]]]:
+    """``reporting._read_rows`` as it was through ``csv.DictReader``: each row a
+    dict, with the number of the line it ends on.
 
     DictReader keys a row by the raw header names, so it is exact only for a
     header whose raw names differ (``count`` and ``Count`` do).
@@ -124,11 +132,11 @@ def read_rows_dictreader(path: Path) -> tuple[list[str], list[dict]]:
         if reader.fieldnames is None:
             raise ValidationError(f"{path}: empty file")
         fields = [f.strip().lower() for f in reader.fieldnames]
-        return fields, [dict(zip(fields, row.values())) for row in reader]
+        return fields, [(reader.line_num, dict(zip(fields, row.values()))) for row in reader]
 
 
 def ordered_values_dictreader(
-    path: Path, fields: list[str], rows: list[dict], value_field: str
+    path: Path, fields: list[str], rows: list[tuple[int, dict]], value_field: str
 ) -> list[float]:
     """``reporting._ordered_values`` over the dict rows of ``read_rows_dictreader``."""
     if "category" not in fields or value_field not in fields:
@@ -136,7 +144,7 @@ def ordered_values_dictreader(
             f"{path}: expected header 'category,{value_field}', got {fields}"
         )
     seen: dict[int, float] = {}
-    for i, row in enumerate(rows, start=2):
+    for i, row in rows:
         try:
             cat = int(row["category"])
             val = float(row[value_field])
@@ -150,3 +158,55 @@ def ordered_values_dictreader(
     if missing:
         raise ValidationError(f"{path}: missing categories {missing}")
     return [seen[c] for c in range(1, B + 1)]
+
+
+def multinomial_matrix_by_chunk(n: int, p: np.ndarray, replications: int, seed: int,
+                                stream: int = 0) -> np.ndarray:
+    """``sampling.multinomial_matrix`` as its docstring states it: chunks of
+    ``CHUNK_ROWS`` rows, each drawn by its own Philox generator, stacked in order."""
+    chunks = []
+    for c, lo in enumerate(range(0, replications, CHUNK_ROWS)):
+        gen = np.random.Generator(np.random.Philox(key=_chunk_key(seed, stream, c)))
+        chunks.append(gen.multinomial(n, p, size=min(CHUNK_ROWS, replications - lo)))
+    return np.vstack(chunks)
+
+
+# ``simulation``'s sampling kernels the direct way: the whole K x B matrix,
+# then ``divergences`` on ``counts / n``.  Each takes the keywords its
+# ``simulation`` namesake takes; the study specs are validated by the caller.
+
+
+def reconstruction_probability_full_matrix(n, B, replications, seed, target_j=0.0,
+                                           psi_threshold=LEWIS_ACTION, workers=1) -> MCEstimate:
+    q = uniform_reference(B)
+    p = solve_p_for_target_j(q, target_j)
+    counts = multinomial_matrix_by_chunk(n, p, replications, seed, stream=1)
+    return MCEstimate.of_hits(int(np.sum(psi(counts / n, q) >= psi_threshold)), replications)
+
+
+def stability_ratios_full_matrix(n, B, replications, seed, workers=1) -> StabilityRatios:
+    q = uniform_reference(B).probs
+    ph = multinomial_matrix_by_chunk(n, q, replications, seed, stream=2) / n
+    t, s, dof = n * psi(ph, q), n * prs(ph, q), B - 1
+    return StabilityRatios(
+        mean_ratio_psi=float(t.mean() / dof),
+        var_ratio_psi=float(t.var(ddof=1) / (2 * dof)),
+        mean_ratio_prs=float(s.mean() / dof),
+        var_ratio_prs=float(s.var(ddof=1) / (2 * dof)),
+        mean_se_psi=float(t.std(ddof=1) / math.sqrt(replications) / dof),
+        mean_se_prs=float(s.std(ddof=1) / math.sqrt(replications) / dof),
+    )
+
+
+def region_counts_full_matrix(bounds, delta_v, replications, seed, stream, workers) -> tuple[int, int]:
+    counts = multinomial_matrix_by_chunk(bounds.n, perturbed_pv(bounds.B, delta_v), replications,
+                                         seed, stream)
+    prs_vals = prs(counts / bounds.n, np.full(bounds.B, 1.0 / bounds.B))
+    return int(np.sum(prs_vals <= bounds.tau1)), int(np.sum(prs_vals > bounds.tau2))
+
+
+FULL_MATRIX_KERNELS = {
+    "reconstruction_probability": reconstruction_probability_full_matrix,
+    "stability_ratios": stability_ratios_full_matrix,
+    "_region_counts": region_counts_full_matrix,
+}

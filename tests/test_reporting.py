@@ -301,6 +301,21 @@ class TestLoaders:
         with pytest.raises(ValidationError):
             load_snapshot(f)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("\n\n1,6\n2,x\n", r":5: unparsable row \{'category': '2', 'count': 'x'\}"),
+        ("1,6\n\n\n1,7\n", ":5: duplicate category 1"),
+        ("\n1,6\n\n2,7\n\n3\n", r":7: unparsable row \{'category': '3', 'count': None\}"),
+        ("\r\n1,6\r\n\r\n2,x\r\n", ":5: unparsable row"),
+    ], ids=["unparsable", "duplicate", "short-row", "crlf"])
+    def test_csv_errors_name_the_line_in_the_file(self, tmp_path, rows, message):
+        # blank lines are skipped, but still counted
+        path = tmp_path / "s.csv"
+        path.write_bytes(f"category,count\n{rows}".encode())
+        for load in (load_reference, load_snapshot):
+            with pytest.raises(ValidationError, match=rf"s\.csv{message}"):
+                load(path)
+            assert load_outcome(load, path) == load_with_dictreader(load, path)
+
     @settings(max_examples=400, deadline=None)
     @given(category_csv())
     def test_csv_loaders_agree_with_the_dictreader_oracle(self, lines):
@@ -705,7 +720,7 @@ class TestHistory:
     def test_nan_read_back_equals_no_stored_line(self, tmp_path):
         # json parses every NaN to one float object, and a dataclass compares fields as a
         # tuple, which takes an identical object as equal: the prs_value test comes first
-        hist = tmp_path / "history.jsonl"
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
         pool = report_pool(3, labels=1)
         append_history(pool[0], hist)
         with open(hist, "a") as fh:
@@ -716,9 +731,14 @@ class TestHistory:
         proc.start()
         proc.join(timeout=120)
         assert proc.exitcode == 0
+        shutil.copyfile(hist, plain)
         stored = read_history(hist)[1]
         assert append_history(stored, hist) == HistoryAck(4)
         assert append_history(stored, hist) == HistoryAck(5)
+        # the oracle compares prs_value first too
+        for ack in (HistoryAck(4), HistoryAck(5)):
+            assert append_history_full_scan(stored, plain) == ack
+        assert hist.read_bytes() == plain.read_bytes()
 
     def test_two_processes_append_overlapping_reports(self, tmp_path):
         hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"

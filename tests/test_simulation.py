@@ -1,19 +1,26 @@
 import itertools
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import FULL_MATRIX_KERNELS, multinomial_matrix_by_chunk
 from scipy import stats
 
-from popres.divergences import uniform_reference
+from popres import simulation
+from popres.divergences import prs, psi, uniform_reference
 from popres.errors import ValidationError
 from popres.resemblance import ResemblanceConfig
-from popres.sampling import multinomial_matrix
+from popres.sampling import CHUNK_ROWS, multinomial_matrix
 from popres.simulation import (
     MCEstimate,
+    StudySpec,
+    _scorer,
     calibration_probabilities,
     classification_sweep,
     reconstruction_probability,
+    run_study,
     stability_ratios,
 )
 
@@ -90,6 +97,141 @@ class TestMultinomialSampling:
         short = multinomial_matrix(50, p, 40_000, seed=5)
         long = multinomial_matrix(50, p, 70_000, seed=5)
         assert np.array_equal(short, long[:40_000])
+
+
+    @pytest.mark.parametrize("K", [1, CHUNK_ROWS, CHUNK_ROWS + 5, 3 * CHUNK_ROWS - 1])
+    def test_unscored_matrix_is_the_chunks_stacked(self, K):
+        p = np.array([0.1, 0.2, 0.3, 0.4])
+        want = multinomial_matrix_by_chunk(50, p, K, seed=12, stream=3)
+        for workers in (1, 4):
+            got = multinomial_matrix(50, p, K, seed=12, stream=3, workers=workers)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_scored_chunks_join_in_chunk_order(self):
+        p, K = np.full(5, 0.2), 2 * CHUNK_ROWS + 17
+        counts = multinomial_matrix(50, p, K, seed=13)
+        for workers in (1, 4):
+            got = multinomial_matrix(50, p, K, seed=13, workers=workers,
+                                     score=lambda c: c[:, [0, 2]] * 2)
+            assert np.array_equal(got, counts[:, [0, 2]] * 2)
+            first = multinomial_matrix(50, p, K, seed=13, workers=workers, score=lambda c: c[:, 0])
+            assert np.array_equal(first, counts[:, 0])
+
+    def test_zero_replications_give_an_empty_matrix(self):
+        assert multinomial_matrix(50, np.full(5, 0.2), 0, seed=1).shape == (0, 5)
+
+
+class TestSamplerInputs:
+    @pytest.mark.parametrize("n, p, message", [
+        (50, [0.5, 0.6], "p must sum to 1, got 1.1"),
+        (50, [0.5, 0.4], "p must sum to 1, got 0.9"),
+        (50, [0.5, float("nan")], "p must be finite and non-negative"),
+        (50, [0.5, float("inf")], "p must be finite and non-negative"),
+        (50, [1.5, -0.5], "p must be finite and non-negative"),
+        (50, [], r"p must be a non-empty 1-d vector, got shape \(0,\)"),
+        (50, [[0.5, 0.5]], r"p must be a non-empty 1-d vector, got shape \(1, 2\)"),
+        (50, ["a", "b"], "p must be a vector of probabilities"),
+        (50.5, [0.5, 0.5], "n must be an integer, got 50.5"),
+        (50.0, [0.5, 0.5], "n must be an integer, got 50.0"),
+        ("50", [0.5, 0.5], "n must be an integer, got '50'"),
+        (True, [0.5, 0.5], "n must be an integer, got True"),
+        (-1, [0.5, 0.5], r"n must lie in \[0, 9223372036854775807\], got -1"),
+        (2**63, [0.5, 0.5], r"n must lie in \[0, 9223372036854775807\], got 9223372036854775808"),
+    ])
+    def test_bad_input_is_rejected_by_name(self, n, p, message):
+        with pytest.raises(ValidationError, match=message):
+            multinomial_matrix(n, p, 10, seed=1)
+
+    def test_negative_replications_are_rejected(self):
+        with pytest.raises(ValidationError, match="replications must be non-negative, got -1"):
+            multinomial_matrix(50, [0.5, 0.5], -1, seed=1)
+
+    def test_numpy_integers_and_zero_draws_are_accepted(self):
+        m = multinomial_matrix(np.int64(0), np.array([0.25, 0.75]), 3, seed=1)
+        assert np.array_equal(m, np.zeros((3, 2), dtype=np.int64))
+
+
+def _scored(n, counts, *statistics):
+    """The chunk scorer's values on a copy of ``counts``, one array per statistic."""
+    out = _scorer(n, counts.shape[1], *statistics)(counts.copy())
+    return [out] if len(statistics) == 1 else [out[:, i] for i in range(len(statistics))]
+
+
+class TestChunkScoring:
+    """The per-count table, the direct terms and ``divergences`` give the same floats."""
+
+    @pytest.mark.parametrize("n, B, rows", [
+        (1, 2, 40), (1, 5, 40), (2, 2, 30), (50, 5, 2000), (20, 10, 3000), (500, 10, 800),
+        (10_000, 2, 5000), (10**5, 10, 50), (10**6, 3, 20),
+    ])
+    def test_table_and_direct_terms_equal_divergences(self, n, B, rows):
+        rng = np.random.default_rng(n + B)
+        p = rng.dirichlet(np.ones(B))  # a skewed population, so some counts are zero
+        counts = rng.multinomial(n, p, size=rows)
+        # the same rows tiled until the chunk has more cells than its count range
+        tiled = np.tile(counts, (int(np.ptp(counts)) // counts.size + 1, 1))
+        assert np.ptp(tiled) < tiled.size
+        # a row alone is scored directly once its range is at least B wide
+        wide = [i for i in range(rows) if np.ptp(counts[i]) >= B][:50]
+        assert wide or n < 2 * B
+        q = uniform_reference(B).probs
+        for name, stat in (("psi", psi), ("prs", prs)):
+            want = stat(counts / n, q)
+            (table,) = _scored(n, tiled, name)
+            assert np.array_equal(table, np.tile(want, tiled.shape[0] // rows))
+            for i in wide:
+                (direct,) = _scored(n, counts[i : i + 1], name)
+                assert np.array_equal(direct, want[i : i + 1])
+        both = _scored(n, tiled, "psi", "prs")
+        assert np.array_equal(both[0], psi(tiled / n, q)) and np.array_equal(both[1], prs(tiled / n, q))
+
+    def test_wide_span_takes_the_direct_terms(self, monkeypatch):
+        # rows [0, n] and [n, 0] span n + 1 counts over 4 cells: no table of n + 1 entries is built
+        n = 10**9
+        counts = np.array([[0, n], [n, 0]])
+        monkeypatch.setattr(simulation.np, "arange", lambda *a, **k: pytest.fail("table built"))
+        (values,) = _scored(n, counts, "prs")
+        monkeypatch.undo()
+        assert np.array_equal(values, prs(counts / n, [0.5, 0.5]))
+
+    def test_zero_counts_contribute_nothing_to_psi(self):
+        counts = np.array([[0, 0, 3], [1, 1, 1], [3, 0, 0]])
+        (values,) = _scored(3, np.tile(counts, (4, 1)), "psi")
+        assert np.array_equal(values, np.tile(psi(counts / 3, uniform_reference(3)), 4))
+        assert values[1] == 0.0
+
+
+@pytest.mark.parametrize("spec", [
+    StudySpec("table1", B=5, ns=(1, 50, 1000), replications=CHUNK_ROWS + 10, seed=3),
+    StudySpec("table1", B=5, ns=(50, 10**5), replications=CHUNK_ROWS + 10, seed=3, target_j=0.1),
+    StudySpec("table1", B=2, ns=(2, 300), replications=CHUNK_ROWS, seed=4, threshold=0.01),
+    StudySpec("stability", B=10, ns=(1, 20, 10**5), replications=CHUNK_ROWS + 10, seed=4),
+    StudySpec("stability", B=2, ns=(3, 10**6), replications=500, seed=5),
+    StudySpec("sweep", B=5, ns=(50,), replications=CHUNK_ROWS + 10, seed=5, grid_points=3,
+              cfg=ResemblanceConfig(c=0.7, M=2.0, alpha1=0.05, alpha2=0.10)),
+    StudySpec("sweep", B=10, ns=(10**5,), replications=200, seed=6, grid_points=2),
+], ids=lambda spec: f"{spec.study}-B{spec.B}-n{'-'.join(map(str, spec.ns))}")
+def test_study_bytes_equal_the_full_matrix_oracle(spec, tmp_path, monkeypatch):
+    """Scored chunks write the bytes the whole K x B matrix scored by ``divergences`` writes."""
+    got = [run_study(replace(spec, workers=w), tmp_path / f"w{w}.csv").read_bytes() for w in (1, 4)]
+    for name, kernel in FULL_MATRIX_KERNELS.items():
+        monkeypatch.setattr(simulation, name, kernel)
+    want = run_study(spec, tmp_path / "oracle.csv").read_bytes()
+    assert got == [want, want]
+
+
+def test_stability_at_a_billion_allocates_nothing_of_size_n():
+    # a table over [0, n] would take 8 GB; the chunk's span (about 10^5 counts at
+    # 32,768 rows) and the direct terms (about 200 rows) each take well under 16 MB
+    for K in (CHUNK_ROWS, 200):
+        tracemalloc.start()
+        try:
+            r = stability_ratios(10**9, 10, K, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert abs(r.mean_ratio_prs - 1.0) < 10 * r.mean_se_prs
 
 
 class TestSpecValidation:

@@ -5,18 +5,23 @@ classification can be re-derived from its own fields.  History is an
 append-only JSON-lines file guarded by an exclusive lock; duplicate
 submissions (same label and content) are acknowledged as no-ops.  Each append
 rewrites the sidecar ``<history>.idx``: the validated byte length, its SHA-256,
-the physical and non-blank line counts, and by label a flat list of each line's
-byte offset, ordinal and ``prs_value`` fingerprint (``hash`` of a number, which
-equal numbers share; ``null`` for anything else).  The sidecar opens with the
-SHA-256 of the rest of its own bytes, and its schema names the build's hash
-modulus.  The next append validates only what follows the recorded bytes; of
-the lines before, it parses only the report's label's lines whose fingerprint
-could equal the report's.  Deleting the sidecar is safe; an edited history or
-sidecar, or one written by another format or build, costs one full scan.
+the physical and non-blank line counts, and by label one base64 string of packed
+int64 ``(offset, ordinal, fingerprint)`` triples, one per line: its byte offset,
+its ordinal and its ``prs_value`` fingerprint (``hash`` of a number, which equal
+numbers share; -1 for anything else).  The sidecar opens with the SHA-256 of the
+rest of its own bytes, and its schema names the packing, the byte order and the
+build's hash modulus.  The next append validates only what follows the recorded
+bytes and unpacks only the report's label's string: of the lines before, it
+parses only that label's lines whose fingerprint could equal the report's.  The
+other labels' strings are copied, extended by the base64 of any new triples.
+Deleting the sidecar is safe; an edited history or sidecar, one written by
+another format, build or byte order, or one whose length ends between the
+``\\r`` and ``\\n`` of a line ending, costs one full scan.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import csv
 import fcntl
@@ -27,6 +32,7 @@ import math
 import os
 import re
 import sys
+from array import array
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Optional
@@ -255,30 +261,47 @@ class HistoryAck:
 _LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")  # ended as universal newlines end it
 
 
+def _entry(text: bytes) -> Optional[dict]:
+    """The fields of one history line, or ``None`` if it is blank; ``ValueError`` or
+    ``TypeError`` if it is not a report."""
+    text = text.decode()
+    if not text.strip():
+        return None
+    entry = json.loads(text)
+    if not isinstance(entry, dict):
+        raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
+    keys = entry.keys()
+    if not _REQUIRED_FIELDS <= keys <= _REPORT_FIELDS:
+        raise TypeError(
+            f"unknown fields {sorted(keys - _REPORT_FIELDS)}, "
+            f"missing fields {sorted(_REQUIRED_FIELDS - keys)}"
+        )
+    return entry
+
+
 def _history(path: Path, data: bytes, start: int = 0, line: int = 0) -> Iterator[tuple]:
     """(line number, byte offset, fields or None if blank) of each line from byte
-    ``start``, the start of line ``line + 1``; a line that is not a report is corrupt."""
-    for number, match in enumerate(_LINE.finditer(data, start), start=line + 1):
-        entry = None
+    ``start``, the start of line ``line + 1``; a line that is not a report is corrupt.
+    Bytes split lines only at ``\\r\\n``, ``\\r`` and ``\\n``, as ``_LINE`` and
+    universal newlines do."""
+    offset = start
+    for number, text in enumerate(data[start:].splitlines(keepends=True), start=line + 1):
         try:
-            text = match[0].decode()
-            if text.strip():
-                entry = json.loads(text)
-                if not isinstance(entry, dict):
-                    raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
-                keys = entry.keys()
-                if not _REQUIRED_FIELDS <= keys <= _REPORT_FIELDS:
-                    raise TypeError(
-                        f"unknown fields {sorted(keys - _REPORT_FIELDS)}, "
-                        f"missing fields {sorted(_REQUIRED_FIELDS - keys)}"
-                    )
+            entry = _entry(text)
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"{path}:{number}: corrupt history line ({exc})") from exc
-        yield number, match.start(), entry
+        yield number, offset, entry
+        offset += len(text)
 
 
-# a sidecar of another layout, or whose fingerprints another hash function made, is stale
-_INDEX_SCHEMA = f"offset,ordinal,fingerprint;hash-modulus={sys.hash_info.modulus}"
+# A label's entry is the base64 of its (offset, ordinal, fingerprint) triples packed as
+# array("q") in this machine's byte order.  A triple is 24 bytes, a multiple of 3, so the
+# base64 of new triples extends a label's string as it is.  A sidecar of another layout,
+# packing or byte order, or whose fingerprints another hash function made, is stale.
+_ANY = -1  # the fingerprint that may equal anything; CPython's hash never returns -1
+_INDEX_SCHEMA = (f"offset,ordinal,fingerprint;base64 array-q {sys.byteorder}-endian;"
+                 f"any={_ANY};hash-modulus={sys.hash_info.modulus}")
+_TRIPLE = 3 * array("q").itemsize
 
 
 def _seal(body: bytes) -> bytes:
@@ -290,42 +313,61 @@ def _seal(body: bytes) -> bytes:
 _SEAL_HEAD = len(_seal(b""))
 
 
-def _fingerprint(value) -> Optional[int]:
-    """An integer equal ``prs_value``s share, or ``None`` (may equal anything): the hash
-    of other types, such as ``str``, may differ from one process to the next.  So may a
-    NaN's, but a NaN ``prs_value`` equals nothing."""
-    return hash(value) if type(value) in (int, float) else None
+def _fingerprint(value) -> int:
+    """An integer equal ``prs_value``s share, or ``_ANY``: the hash of other types, such
+    as ``str``, may differ from one process to the next.  So may a NaN's, but a NaN
+    ``prs_value`` equals nothing."""
+    return hash(value) if type(value) in (int, float) else _ANY
 
 
-def _may_equal(fingerprint: Optional[int], key: Optional[int]) -> bool:
-    return fingerprint is None or key is None or fingerprint == key
+def _may_equal(fingerprint: int, key: int) -> bool:
+    return fingerprint == key or _ANY in (fingerprint, key)
 
 
-def _read_index(path: Path, data: bytes, label: str, key: Optional[int]) -> tuple:
+def _pack(triples: list[int]) -> str:
+    return base64.b64encode(array("q", triples).tobytes()).decode("ascii")
+
+
+def _unpack(packed: str) -> array:
+    raw = base64.b64decode(packed, validate=True)
+    if len(raw) % _TRIPLE:
+        raise ValueError(f"{len(raw)} bytes are not a whole number of triples")
+    triples = array("q")
+    triples.frombytes(raw)
+    return triples
+
+
+def _read_index(path: Path, data: bytes, label: str, key: int) -> tuple:
     """The sidecar's ``(length, lines, count, labels)``, the SHA-256 of the first ``length``
     bytes and ``(ordinal, fields)`` of their lines of ``label`` whose fingerprint may equal
-    ``key``.  A sidecar that is missing, stale, not sealed by its own digest, or wrong about
-    such a line vouches for no bytes."""
+    ``key``.  Of the packed label entries only ``label``'s is unpacked.  A sidecar that is
+    missing, stale, not sealed by its own digest, wrong about such a line, or whose length
+    ends between the ``\\r`` and ``\\n`` of one line ending vouches for no bytes."""
     try:
         raw = Path(f"{path}.idx").read_bytes()
         if _seal(raw[_SEAL_HEAD:]) != raw:
             raise ValueError("the sidecar changed since it was written")
         index = json.loads(raw)
-        length = index["length"]
-        digest = hashlib.sha256(memoryview(data)[:length])
-        if index["schema"] != _INDEX_SCHEMA or not 0 <= length <= len(data) \
-                or digest.hexdigest() != index["sha256"]:
+        length, lines, count, labels = (index[k] for k in ("length", "lines", "count", "labels"))
+        if index["schema"] != _INDEX_SCHEMA or {type(length), type(lines), type(count)} != {int} \
+                or not all(type(packed) is str for packed in labels.values()):
+            raise ValueError("a sidecar of another format")
+        if not 0 <= length <= len(data) or (length and data[length - 1:length + 1] == b"\r\n"):
             raise ValueError("the history changed since the sidecar was written")
-        labels = index["labels"]
-        same, triples = [], labels.get(label, [])
-        for offset, ordinal, fp in zip(triples[::3], triples[1::3], triples[2::3]):
+        digest = hashlib.sha256(memoryview(data)[:length])
+        if digest.hexdigest() != index["sha256"]:
+            raise ValueError("the history changed since the sidecar was written")
+        same = []
+        triples = _unpack(labels[label]) if label in labels else array("q")
+        for i, fp in enumerate(triples[2::3]):
             if _may_equal(fp, key):
+                offset = triples[3 * i]
                 starts = 0 <= offset < length and (not offset or data[offset - 1] in b"\r\n")
-                entry = next(_history(path, data, offset))[2] if starts else None
+                entry = _entry(_LINE.match(data, offset)[0]) if starts else None
                 if entry is None or str(entry["label"]) != label:
                     raise ValueError(f"offset {offset} does not start a line of {label!r}")
-                same.append((ordinal, entry))
-        return (length, index["lines"], index["count"], labels), digest, same
+                same.append((triples[3 * i + 1], entry))
+        return (length, lines, count, labels), digest, same
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return (0, 0, 0, {}), hashlib.sha256(), []
 
@@ -345,11 +387,12 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
             fh.seek(0)
             data = fh.read()
             (start, lines, count, labels), digest, same = _read_index(path, data, label, key)
+            added: dict[str, list[int]] = {}  # triples of the lines after ``start``, by label
             for lines, offset, entry in _history(path, data, start, lines):
                 if entry is not None:
                     count += 1
                     fp = _fingerprint(entry["prs_value"])
-                    labels.setdefault(str(entry["label"]), []).extend((offset, count, fp))
+                    added.setdefault(str(entry["label"]), []).extend((offset, count, fp))
                     if str(entry["label"]) == label and _may_equal(fp, key):
                         same.append((count, entry))
             # prs_value first: it is cheap, and a NaN equals nothing, not even the one NaN
@@ -361,12 +404,14 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
                 # a last line without its newline would run into the new one
                 new = b"" if data[-1:] in (b"", b"\n") else b"\n"
                 lines, count = lines + 1, count + 1
-                labels.setdefault(label, []).extend((len(data) + len(new), count, key))
+                added.setdefault(label, []).extend((len(data) + len(new), count, key))
                 new += json.dumps(asdict(report), sort_keys=True).encode() + b"\n"
                 fh.write(new)
                 fh.flush()
             if start < len(data) + len(new):
                 digest.update(data[start:] + new)
+                for name, triples in added.items():
+                    labels[name] = labels.get(name, "") + _pack(triples)
                 index = {"schema": _INDEX_SCHEMA, "length": len(data) + len(new),
                          "sha256": digest.hexdigest(), "lines": lines, "count": count,
                          "labels": labels}

@@ -117,6 +117,7 @@ class StabilityRatios:
 class SweepResult:
     grid: np.ndarray
     region_probs: np.ndarray  # shape (grid, 3), rows sum to 1
+    region_se: np.ndarray  # shape (grid, 3), the binomial SE of each, floored at one hit
     boundaries: DecisionBoundaries
 
 
@@ -175,12 +176,13 @@ def classification_sweep(
     # push any entry of the equi-probable reference below zero
     grid_max = min((3.0 * cfg.M + 2.0) * bounds.delta, (1.0 - 1e-9) / B)
     grid = np.linspace(0.0, grid_max, grid_points)
-    probs = np.empty((grid_points, 3))
+    probs, se = np.empty((grid_points, 3)), np.empty((grid_points, 3))
     for i, dv in enumerate(grid):
         r1, r3 = _region_counts(bounds, float(dv), replications, seed, 10 + i, workers)
-        r2 = replications - r1 - r3
-        probs[i] = (r1 / replications, r2 / replications, r3 / replications)
-    return SweepResult(grid=grid, region_probs=probs, boundaries=bounds)
+        estimates = [MCEstimate.of_hits(hits, replications) for hits in (r1, replications - r1 - r3, r3)]
+        probs[i] = [est.value for est in estimates]
+        se[i] = [est.std_error for est in estimates]
+    return SweepResult(grid=grid, region_probs=probs, region_se=se, boundaries=bounds)
 
 
 def calibration_probabilities(
@@ -270,10 +272,12 @@ def _stability(spec: StudySpec) -> tuple[dict, list[str], list[list]]:
     for n in spec.ns:
         r = stability_ratios(n, spec.B, spec.replications, spec.seed, workers=spec.workers)
         rows.append([n, spec.B, repr(r.mean_ratio_psi), repr(r.var_ratio_psi),
-                     repr(r.mean_ratio_prs), repr(r.var_ratio_prs)])
+                     repr(r.mean_ratio_prs), repr(r.var_ratio_prs),
+                     repr(r.mean_se_psi), repr(r.mean_se_prs)])
     meta = {"study": "stability", "B": spec.B, "replications": spec.replications,
             "seed": spec.seed}
-    header = ["n", "B", "mean_ratio_psi", "var_ratio_psi", "mean_ratio_prs", "var_ratio_prs"]
+    header = ["n", "B", "mean_ratio_psi", "var_ratio_psi", "mean_ratio_prs", "var_ratio_prs",
+              "mean_se_psi", "mean_se_prs"]
     return meta, header, rows
 
 
@@ -289,9 +293,9 @@ def _sweep(spec: StudySpec) -> tuple[dict, list[str], list[list]]:
             "seed": spec.seed, "c": cfg.c, "M": cfg.M, "alpha1": cfg.alpha1,
             "alpha2": cfg.alpha2, "delta": repr(bounds.delta),
             "tau1": repr(bounds.tau1), "tau2": repr(bounds.tau2)}
-    rows = [[repr(float(dv)), repr(float(r1)), repr(float(r2)), repr(float(r3))]
-            for dv, (r1, r2, r3) in zip(result.grid, result.region_probs)]
-    return meta, ["delta_v", "p_r1", "p_r2", "p_r3"], rows
+    rows = [[repr(float(dv)), *(repr(float(v)) for v in (*probs, *se))]
+            for dv, probs, se in zip(result.grid, result.region_probs, result.region_se)]
+    return meta, ["delta_v", "p_r1", "p_r2", "p_r3", "se_r1", "se_r2", "se_r3"], rows
 
 
 _RUNNERS = {"table1": _table1, "stability": _stability, "sweep": _sweep}

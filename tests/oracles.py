@@ -7,6 +7,7 @@ import fcntl
 import json
 import math
 import os
+import re
 from dataclasses import MISSING, asdict, fields
 from itertools import combinations
 from pathlib import Path
@@ -118,6 +119,34 @@ def append_history_full_scan(report: MonitoringReport, history_path) -> HistoryA
             return HistoryAck(line_count=len(entries) + 1)
         finally:
             fcntl.flock(fh, fcntl.LOCK_UN)
+
+
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")  # ended as universal newlines end it
+
+
+def history_lines_finditer(path, data: bytes, start: int = 0, line: int = 0):
+    """``reporting._history`` as it was through a regular expression: (line number, byte
+    offset, fields or None if blank) of each line from byte ``start``, the start of line
+    ``line + 1``; a line that is not a report is corrupt."""
+    known = {f.name for f in fields(MonitoringReport)}
+    required = {f.name for f in fields(MonitoringReport) if f.default is MISSING}
+    for number, match in enumerate(_LINE.finditer(data, start), start=line + 1):
+        entry = None
+        try:
+            text = match[0].decode()
+            if text.strip():
+                entry = json.loads(text)
+                if not isinstance(entry, dict):
+                    raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
+                keys = entry.keys()
+                if not required <= keys <= known:
+                    raise TypeError(
+                        f"unknown fields {sorted(keys - known)}, "
+                        f"missing fields {sorted(required - keys)}"
+                    )
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"{path}:{number}: corrupt history line ({exc})") from exc
+        yield number, match.start(), entry
 
 
 def read_rows_dictreader(path: Path) -> tuple[list[str], list[tuple[int, dict]]]:

@@ -1,11 +1,14 @@
+import base64
 import functools
 import hashlib
 import json
 import multiprocessing
 import os
 import shutil
+import sys
 import tempfile
-from dataclasses import asdict, replace
+from array import array
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +35,12 @@ from popres.reporting import (
 from popres.resemblance import ResemblanceConfig
 from popres.simulation import StudySpec, run_study
 
-from oracles import append_history_full_scan, ordered_values_dictreader, read_rows_dictreader
+from oracles import (
+    append_history_full_scan,
+    history_lines_finditer,
+    ordered_values_dictreader,
+    read_rows_dictreader,
+)
 
 # the worked monitoring configuration matching the published tables
 CFG = ResemblanceConfig(c=0.7, M=2.0, alpha1=0.05, alpha2=0.10)
@@ -85,14 +93,36 @@ def append_each(history, reports, barrier):
         append_history(report, history)
 
 
+def unpacked(labels):
+    """The sidecar's packed label entries as lists of (offset, ordinal, fingerprint)
+    items: the base64 of int64 triples in this machine's byte order."""
+    return {name: array("q", base64.b64decode(packed)).tolist() for name, packed in labels.items()}
+
+
+def repacked(labels):
+    """``unpacked`` undone; a value that is not a list of integers is written as it is."""
+    return {name: base64.b64encode(array("q", items).tobytes()).decode()
+            if isinstance(items, list) and all(type(item) is int for item in items) else items
+            for name, items in labels.items()}
+
+
+def seal(index):
+    """A sidecar's bytes: ``index`` written compactly, opened by the SHA-256 of the rest."""
+    body = json.dumps(index, separators=(",", ":")).encode()[1:]
+    return b'{"self_sha256":"%s",%s' % (hashlib.sha256(body).hexdigest().encode(), body)
+
+
+def edit_labels(index, edit):
+    """Apply ``edit`` to the sidecar ``index``'s labels, unpacked, and pack them again."""
+    labels = unpacked(index["labels"])
+    edit(labels)
+    index["labels"] = repacked(labels)
+
+
 def edit_index(idx, edit):
     index = json.loads(idx.read_text())
-    edit(index["labels"])
+    edit_labels(index, edit)
     idx.write_text(json.dumps(index))
-
-
-def shift_offsets(pairs, by):
-    pairs[::2] = [offset + by for offset in pairs[::2]]
 
 
 def shift_triples(triples, at, by):
@@ -101,14 +131,23 @@ def shift_triples(triples, at, by):
 
 
 def edit_index_body(idx, edit):
-    """Edit the sidecar's labels and write it as compactly as it was written, so its
-    opening self-digest stays as it was while the bytes after it change."""
+    """Edit the sidecar's unpacked labels and write it as compactly as it was written, so
+    its opening self-digest stays as it was while the bytes after it change."""
     raw = idx.read_bytes()
     index = json.loads(raw)
-    edit(index["labels"])
+    edit_labels(index, edit)
     idx.write_bytes(json.dumps(index, separators=(",", ":")).encode())
     assert json.loads(idx.read_bytes())["self_sha256"] == index["self_sha256"]
     assert idx.read_bytes() != raw
+
+
+def reseal_index(idx, edit):
+    """Edit the sidecar as it is stored, label entries as strings, and seal it again, so
+    only the edited values are wrong."""
+    index = json.loads(idx.read_bytes())
+    del index["self_sha256"]
+    edit(index)
+    idx.write_bytes(seal(index))
 
 
 def write_pair_sidecar(hist):
@@ -122,6 +161,24 @@ def write_pair_sidecar(hist):
     index = {"length": len(data), "sha256": hashlib.sha256(data).hexdigest(),
              "lines": ordinal, "count": ordinal, "labels": labels}
     Path(f"{hist}.idx").write_text(json.dumps(index, separators=(",", ":")))
+
+
+def write_list_sidecar(hist):
+    """A sealed sidecar as written before the packed label entries: per label, a flat list
+    of offset, ordinal and fingerprint (``hash`` of a number, else ``null``) triples, for a
+    history of newline-ended report lines."""
+    data = hist.read_bytes()
+    labels, offset = {}, 0
+    for ordinal, text in enumerate(data.splitlines(keepends=True), start=1):
+        entry = json.loads(text)
+        value = entry["prs_value"]
+        labels.setdefault(entry["label"], []).extend(
+            (offset, ordinal, hash(value) if type(value) in (int, float) else None))
+        offset += len(text)
+    index = {"schema": f"offset,ordinal,fingerprint;hash-modulus={sys.hash_info.modulus}",
+             "length": len(data), "sha256": hashlib.sha256(data).hexdigest(),
+             "lines": ordinal, "count": ordinal, "labels": labels}
+    Path(f"{hist}.idx").write_bytes(seal(index))
 
 
 def count_loads(monkeypatch):
@@ -143,6 +200,15 @@ HISTORY_OPS = st.lists(st.one_of(
     st.tuples(st.just("truncate"), st.integers(1, 400)),
     st.tuples(st.just("edit_digit"), st.integers(0, 10**6)),
 ), max_size=20)
+
+
+# bytes of a history: its three line endings, what str.splitlines also ends a line at
+# (\x0b, \x1c, NEL), invalid UTF-8, JSON that is no report, and a line with every field
+HISTORY_BYTES = st.lists(st.sampled_from([
+    b"\r", b"\n", b"\x0b", b"\x1c", b"\x85", "\x85".encode(), b"{", b"a", "\u00e9".encode(),
+    b"\xc3", b"\xff", b" ", b"[1]", b"{}",
+    json.dumps({f.name: 0 for f in fields(MonitoringReport) if f.default is MISSING}).encode(),
+]), max_size=24).map(b"".join)
 
 
 CATEGORY_NAMES = ["category", "Category", " CATEGORY "]
@@ -545,9 +611,9 @@ class TestHistory:
         lambda idx: idx.write_bytes(b"\x00garbage{"),
         lambda idx: idx.write_bytes(idx.read_bytes()[:40]),
         lambda idx: idx.write_text("[]"),
-        lambda idx: edit_index(idx, lambda labels: shift_offsets(labels["L0"], 1)),
+        lambda idx: edit_index(idx, lambda labels: shift_triples(labels["L0"], 0, 1)),
         lambda idx: edit_index(idx, lambda labels: labels.update(L0=labels["L1"], L1=labels["L0"])),
-        lambda idx: edit_index(idx, lambda labels: shift_offsets(labels["L0"], 10**6)),
+        lambda idx: edit_index(idx, lambda labels: shift_triples(labels["L0"], 0, 10**6)),
         lambda idx: edit_index(idx, lambda labels: labels.update(L0=["0", 1])),
     ], ids=["deleted", "garbage", "cut", "not-an-object", "offset-inside-a-line",
             "offsets-of-another-label", "offset-beyond-the-end", "offset-not-a-number"])
@@ -677,6 +743,150 @@ class TestHistory:
             assert ours == append_history_full_scan(report, plain)
         assert hist.read_bytes() == plain.read_bytes()
 
+    def test_sidecar_of_the_list_format_is_stale_once(self, tmp_path, monkeypatch):
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = distinct_pool(6, labels=2)
+        for report in pool[:4]:
+            append_history(report, hist)
+        write_list_sidecar(hist)
+        shutil.copyfile(hist, plain)
+        # the old sidecar passes its self-digest but has another schema, so the first append
+        # parses it and every line; the rewritten one is parsed, with no line but one of
+        # equal prs_value
+        for report, parses in ((pool[2], 1 + 4), (pool[4], 1), (pool[3], 1 + 1), (pool[5], 1)):
+            parsed = count_loads(monkeypatch)
+            ours = append_history(report, hist)
+            assert len(parsed) == parses
+            monkeypatch.undo()
+            assert ours == append_history_full_scan(report, plain)
+        assert hist.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("spoiled, parses", [
+        ("L0", (1 + 4, 1, 1 + 1, 1)),
+        ("L1", (1 + 1, 1, 1 + 5, 1)),
+    ], ids=["appended-label", "other-label"])
+    @pytest.mark.parametrize("edit", [
+        lambda packed: base64.b64encode(base64.b64decode(packed)[:-8]).decode(),  # 5 int64s
+        lambda packed: "*" + packed[1:],
+    ], ids=["not-whole-triples", "not-base64"])
+    def test_spoiled_label_entry_costs_its_label_one_full_scan(self, tmp_path, monkeypatch, edit,
+                                                               spoiled, parses):
+        # only the appended label's entry is unpacked, so another label's entry is carried
+        # over as it is until that label is appended
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = distinct_pool(6, labels=2)
+        for report in pool[:4]:
+            append_history(report, hist)
+        reseal_index(Path(f"{hist}.idx"),
+                     lambda index: index["labels"].update({spoiled: edit(index["labels"][spoiled])}))
+        shutil.copyfile(hist, plain)
+        for report, count in zip((pool[2], pool[4], pool[3], pool[5]), parses):
+            parsed = count_loads(monkeypatch)
+            ours = append_history(report, hist)
+            assert len(parsed) == count
+            monkeypatch.undo()
+            assert ours == append_history_full_scan(report, plain)
+        assert hist.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda index: index.update(count=index["count"] + 0.5),
+        lambda index: index["labels"].update(L1=unpacked(index["labels"])["L1"]),
+    ], ids=["count-not-an-integer", "entry-not-a-string"])
+    def test_sealed_sidecar_of_wrong_types_falls_back_to_a_full_scan(self, tmp_path, edit):
+        # such values would otherwise reach array("q"), or a string concatenation for the
+        # line of label L1 another writer adds
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = distinct_pool(6, labels=2)
+        for report in pool[:4]:
+            append_history(report, hist)
+        reseal_index(Path(f"{hist}.idx"), edit)
+        with open(hist, "a") as fh:
+            fh.write(line(replace(pool[1], seed=50)))
+        shutil.copyfile(hist, plain)
+        for report in (pool[4], pool[5], pool[3]):
+            assert append_history(report, hist) == append_history_full_scan(report, plain)
+        assert hist.read_bytes() == plain.read_bytes()
+
+    def test_sidecar_grown_by_appends_equals_one_rebuilt_by_a_full_scan(self, tmp_path):
+        hist, rebuilt = tmp_path / "history.jsonl", tmp_path / "rebuilt.jsonl"
+        pool = distinct_pool(12, labels=4)
+        for i, report in enumerate(pool[:-1]):
+            append_history(report, hist)
+            if i % 4 == 2:  # a writer without the sidecar, once under a label of its own
+                with open(hist, "ab") as fh:
+                    fh.write(line(replace(report, label=f"E{i % 3}", seed=100 + i), "\r\n").encode())
+                    fh.write(b"\n  \r")
+        assert append_history(pool[3], hist).duplicate
+        shutil.copyfile(hist, rebuilt)
+        for path in (hist, rebuilt):
+            append_history(pool[-1], path)
+        assert hist.read_bytes() == rebuilt.read_bytes()
+        assert Path(f"{hist}.idx").read_bytes() == Path(f"{rebuilt}.idx").read_bytes()
+
+    def test_steady_append_unpacks_only_its_own_label(self, tmp_path, monkeypatch):
+        hist = tmp_path / "history.jsonl"
+        base = base_report()
+        hist.write_text("".join(line(replace(base, label=f"L{j % 16}", seed=j, prs_value=j / 7))
+                                for j in range(2000)))
+        assert append_history(replace(base, label="L3", seed=-1, prs_value=-1.0), hist) == HistoryAck(2001)
+        labels = json.loads(Path(f"{hist}.idx").read_bytes())["labels"]
+        decoded, b64decode = [], base64.b64decode
+        monkeypatch.setattr(base64, "b64decode",
+                            lambda packed, *args, **kw: decoded.append(packed) or b64decode(packed, *args, **kw))
+        assert append_history(replace(base, label="L5", seed=-2, prs_value=-2.0), hist) == HistoryAck(2002)
+        assert decoded == [labels["L5"]]
+        decoded.clear()
+        assert append_history(replace(base, label="new", seed=-3), hist) == HistoryAck(2003)
+        assert decoded == []
+
+    @pytest.mark.parametrize("external", ["\n{not json\n", "\n", "\nx"], ids=["corrupt", "lf", "text"])
+    def test_sidecar_ending_inside_a_crlf_vouches_for_nothing(self, tmp_path, external):
+        # a duplicate writes the sidecar while the history ends in a bare \r; another
+        # writer then adds a \n, which ends the same line
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = report_pool(3)
+        for path in (hist, plain):
+            path.write_bytes(line(pool[0]).encode() + line(pool[1], "\r").encode())
+        for report in (pool[1], pool[0]):
+            assert append_history(report, hist) == append_history_full_scan(report, plain)
+        for path in (hist, plain):
+            with open(path, "ab") as fh:
+                fh.write(external.encode())
+        for report in (pool[2], pool[1]):
+            assert outcome(append_history, report, hist) == outcome(append_history_full_scan, report, plain)
+        assert hist.read_bytes() == plain.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(HISTORY_BYTES, st.integers(0, 10**6))
+    def test_line_walker_agrees_with_the_regex_oracle(self, data, pick):
+        def walk(history, start=0, line=0):
+            items = []
+            try:
+                items.extend(history(Path("h.jsonl"), data, start, line))
+            except ValidationError as exc:
+                return items, str(exc)
+            return items, None
+
+        want = walk(history_lines_finditer)
+        assert walk(reporting._history) == want
+        if want[0]:  # from the start of a later line, numbered on from the lines before it
+            number, offset, _ = want[0][pick % len(want[0])]
+            assert walk(reporting._history, offset, number - 1) == walk(history_lines_finditer, offset,
+                                                                        number - 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "history.jsonl")
+            path.write_bytes(data)
+            try:
+                got = read_history(path)
+            except ValidationError as exc:
+                got = str(exc)
+            try:
+                want = [MonitoringReport(**entry) for _, _, entry in history_lines_finditer(path, data)
+                        if entry is not None]
+            except ValidationError as exc:
+                want = str(exc)
+            assert got == want
+
     @pytest.mark.parametrize("edit", [
         lambda labels: shift_triples(labels["L0"], 2, 1),
         lambda labels: labels.update(L0=labels["L1"], L1=labels["L0"]),
@@ -773,10 +983,14 @@ class TestRunStudy:
         meta = [l for l in lines if l.startswith("#")]
         body = [l for l in lines if not l.startswith("#")]
         assert any("study=sweep" in l for l in meta)
-        assert body[0] == "delta_v,p_r1,p_r2,p_r3"
+        assert body[0] == "delta_v,p_r1,p_r2,p_r3,se_r1,se_r2,se_r3"
         assert len(body) == 7
-        probs = [sum(float(v) for v in l.split(",")[1:]) for l in body[1:]]
-        assert all(abs(s - 1.0) < 1e-12 for s in probs)
+        rows = [[float(v) for v in l.split(",")] for l in body[1:]]
+        assert all(abs(sum(row[1:4]) - 1.0) < 1e-12 for row in rows)
+        # the binomial SE of each probability, floored at one hit in 2,000
+        for row in rows:
+            for p, se in zip(row[1:4], row[4:]):
+                assert se == pytest.approx(max(p * (1 - p), 1 / 2000) ** 0.5 / 2000 ** 0.5, rel=1e-12)
 
     def test_table1_artifact(self, tmp_path):
         out = run_study(
@@ -793,7 +1007,11 @@ class TestRunStudy:
             tmp_path / "s.csv",
         )
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert body[0] == ("n,B,mean_ratio_psi,var_ratio_psi,mean_ratio_prs,var_ratio_prs,"
+                           "mean_se_psi,mean_se_prs")
         assert len(body) == 2
+        mean_se_psi, mean_se_prs = (float(v) for v in body[1].split(",")[6:])
+        assert 0 < mean_se_psi < 0.1 and 0 < mean_se_prs < 0.1
 
     def test_reruns_are_byte_identical(self, tmp_path):
         spec = StudySpec("sweep", B=5, ns=(50,), cfg=CFG, replications=4000, seed=9,
@@ -808,7 +1026,7 @@ class TestRunStudy:
             cfg = ResemblanceConfig(c=0.7, M=M, alpha1=0.05, alpha2=0.10)
             spec = StudySpec("sweep", B=5, ns=(50,), cfg=cfg, replications=70_000, seed=5, grid_points=4)
             digests.append(hashlib.sha256(run_study(spec, tmp_path / f"{M}.csv").read_bytes()).hexdigest())
-        assert [d[:16] for d in digests] == ["505ec1b6a57eaca7"] * 2
+        assert [d[:16] for d in digests] == ["48934c92c4cb6f39"] * 2
 
     def test_unknown_study(self, tmp_path):
         with pytest.raises(ValidationError):

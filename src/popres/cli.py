@@ -10,7 +10,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import BoundaryOverlapError, ConvergenceError, ValidationError
@@ -128,7 +128,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         if ack.duplicate:
             print(f"note: duplicate report for {report.label!r}; history unchanged", file=sys.stderr)
     if args.format == "json":
-        print(json.dumps(asdict(report), sort_keys=True, indent=2))
+        print(json.dumps(vars(report), sort_keys=True, indent=2))
     elif args.format == "csv":
         sys.stdout.write(render_csv(report))
     else:
@@ -141,7 +141,7 @@ def _cmd_boundaries(args: argparse.Namespace) -> int:
     reference = load_reference(args.reference)
     bounds = decision_boundaries(reference, args.n, cfg)
     if args.format == "json":
-        print(json.dumps(asdict(bounds), sort_keys=True, indent=2))
+        print(json.dumps(vars(bounds), sort_keys=True, indent=2))
     else:
         print(f"(n={bounds.n}, B={bounds.B})  delta={bounds.delta:.6f}  "
               f"lambda_sup={bounds.lambda_sup:.4f}  tau1={bounds.tau1:.5f}  "

@@ -5,18 +5,17 @@ classification can be re-derived from its own fields.  History is an
 append-only JSON-lines file guarded by an exclusive lock; duplicate
 submissions (same label and content) are acknowledged as no-ops.  Each append
 rewrites the sidecar ``<history>.idx``: the validated byte length, its SHA-256,
-the physical and non-blank line counts, and by label one base64 string of packed
-int64 ``(offset, ordinal, fingerprint)`` triples, one per line: its byte offset,
-its ordinal and its ``prs_value`` fingerprint (``hash`` of a number, which equal
+the number of report lines, and by label one base64 string of packed int64
+``(offset, ordinal, fingerprint)`` triples, one per line: its byte offset, its
+ordinal and its ``prs_value`` fingerprint (``hash`` of a number, which equal
 numbers share; -1 for anything else).  The sidecar opens with the SHA-256 of the
 rest of its own bytes, and its schema names the packing, the byte order and the
 build's hash modulus.  The next append validates only what follows the recorded
 bytes and unpacks only the report's label's string: of the lines before, it
 parses only that label's lines whose fingerprint could equal the report's.  The
 other labels' strings are copied, extended by the base64 of any new triples.
-Deleting the sidecar is safe; an edited history or sidecar, one written by
-another format, build or byte order, or one whose length ends between the
-``\\r`` and ``\\n`` of a line ending, costs one full scan.
+Deleting the sidecar is safe; an edited history or sidecar, or one written by
+another format, build or byte order, costs one full scan.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 from array import array
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -167,7 +165,7 @@ def load_snapshot(path: str | Path) -> Snapshot:
     if path.suffix.lower() == ".json":
         try:
             payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bytes that are not UTF-8, an int of too many digits
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(payload, dict) or "counts" not in payload:
             raise ValidationError(f"{path}: expected an object with a 'counts' array")
@@ -177,7 +175,11 @@ def load_snapshot(path: str | Path) -> Snapshot:
         counts = CategoryCounts(np.asarray(payload["counts"]))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    label = str(payload.get("label") or path.stem)
+    label = payload.get("label")
+    if label == "" or type(label) not in (str, int, type(None)):
+        raise ValidationError(f"{path}: field 'label' must be a non-empty string or an integer, "
+                              f"got {label!r}")
+    label = path.stem if label is None else str(label)
     return Snapshot(label=label, counts=counts, timestamp=payload.get("timestamp"))
 
 
@@ -241,8 +243,7 @@ def render_text(report: MonitoringReport) -> str:
 
 def render_csv(report: MonitoringReport) -> str:
     buf = io.StringIO()
-    d = asdict(report)
-    d["config"] = json.dumps(d["config"], sort_keys=True)
+    d = {**vars(report), "config": json.dumps(report.config, sort_keys=True)}
     writer = csv.DictWriter(buf, fieldnames=list(d))
     writer.writeheader()
     writer.writerow(d)
@@ -256,9 +257,6 @@ class HistoryAck:
 
     line_count: int
     duplicate: bool = False
-
-
-_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")  # ended as universal newlines end it
 
 
 def _entry(text: bytes) -> Optional[dict]:
@@ -279,18 +277,18 @@ def _entry(text: bytes) -> Optional[dict]:
     return entry
 
 
-def _history(path: Path, data: bytes, start: int = 0, line: int = 0) -> Iterator[tuple]:
-    """(line number, byte offset, fields or None if blank) of each line from byte
-    ``start``, the start of line ``line + 1``; a line that is not a report is corrupt.
-    Bytes split lines only at ``\\r\\n``, ``\\r`` and ``\\n``, as ``_LINE`` and
-    universal newlines do."""
+def _history(path: Path, data: bytes, start: int = 0) -> Iterator[tuple]:
+    """(byte offset, fields or None if blank) of each line from byte ``start``; a line
+    that is not a report is corrupt, and numbered from the bytes before it.  Bytes split
+    lines only at ``\\r\\n``, ``\\r`` and ``\\n``, as universal newlines do."""
     offset = start
-    for number, text in enumerate(data[start:].splitlines(keepends=True), start=line + 1):
+    for text in data[start:].splitlines(keepends=True):
         try:
             entry = _entry(text)
         except (ValueError, TypeError) as exc:
+            number = len(data[:offset].splitlines()) + 1
             raise ValidationError(f"{path}:{number}: corrupt history line ({exc})") from exc
-        yield number, offset, entry
+        yield offset, entry
         offset += len(text)
 
 
@@ -338,21 +336,20 @@ def _unpack(packed: str) -> array:
 
 
 def _read_index(path: Path, data: bytes, label: str, key: int) -> tuple:
-    """The sidecar's ``(length, lines, count, labels)``, the SHA-256 of the first ``length``
-    bytes and ``(ordinal, fields)`` of their lines of ``label`` whose fingerprint may equal
-    ``key``.  Of the packed label entries only ``label``'s is unpacked.  A sidecar that is
-    missing, stale, not sealed by its own digest, wrong about such a line, or whose length
-    ends between the ``\\r`` and ``\\n`` of one line ending vouches for no bytes."""
+    """The sidecar's ``(length, count, labels)``, the SHA-256 of the first ``length`` bytes
+    and ``(ordinal, fields)`` of their lines of ``label`` whose fingerprint may equal ``key``.
+    Of the packed label entries only ``label``'s is unpacked.  A missing or stale sidecar,
+    one not sealed by its own digest or one wrong about such a line vouches for no bytes."""
     try:
         raw = Path(f"{path}.idx").read_bytes()
         if _seal(raw[_SEAL_HEAD:]) != raw:
             raise ValueError("the sidecar changed since it was written")
         index = json.loads(raw)
-        length, lines, count, labels = (index[k] for k in ("length", "lines", "count", "labels"))
-        if index["schema"] != _INDEX_SCHEMA or {type(length), type(lines), type(count)} != {int} \
+        length, count, labels = (index[k] for k in ("length", "count", "labels"))
+        if index["schema"] != _INDEX_SCHEMA or {type(length), type(count)} != {int} \
                 or not all(type(packed) is str for packed in labels.values()):
             raise ValueError("a sidecar of another format")
-        if not 0 <= length <= len(data) or (length and data[length - 1:length + 1] == b"\r\n"):
+        if not 0 <= length <= len(data):
             raise ValueError("the history changed since the sidecar was written")
         digest = hashlib.sha256(memoryview(data)[:length])
         if digest.hexdigest() != index["sha256"]:
@@ -363,13 +360,16 @@ def _read_index(path: Path, data: bytes, label: str, key: int) -> tuple:
             if _may_equal(fp, key):
                 offset = triples[3 * i]
                 starts = 0 <= offset < length and (not offset or data[offset - 1] in b"\r\n")
-                entry = _entry(_LINE.match(data, offset)[0]) if starts else None
+                # the line at offset up to its first \r or \n, where _history ends it too
+                end = data.find(b"\n", offset) + 1 or len(data)
+                cr = data.find(b"\r", offset, end)
+                entry = _entry(data[offset:end if cr < 0 else cr + 1]) if starts else None
                 if entry is None or str(entry["label"]) != label:
                     raise ValueError(f"offset {offset} does not start a line of {label!r}")
                 same.append((triples[3 * i + 1], entry))
-        return (length, lines, count, labels), digest, same
+        return (length, count, labels), digest, same
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
-        return (0, 0, 0, {}), hashlib.sha256(), []
+        return (0, 0, {}), hashlib.sha256(), []
 
 
 def append_history(report: MonitoringReport, history_path: str | Path) -> HistoryAck:
@@ -386,9 +386,9 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
         try:
             fh.seek(0)
             data = fh.read()
-            (start, lines, count, labels), digest, same = _read_index(path, data, label, key)
+            (start, count, labels), digest, same = _read_index(path, data, label, key)
             added: dict[str, list[int]] = {}  # triples of the lines after ``start``, by label
-            for lines, offset, entry in _history(path, data, start, lines):
+            for offset, entry in _history(path, data, start):
                 if entry is not None:
                     count += 1
                     fp = _fingerprint(entry["prs_value"])
@@ -403,18 +403,18 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
             if ordinal is None:
                 # a last line without its newline would run into the new one
                 new = b"" if data[-1:] in (b"", b"\n") else b"\n"
-                lines, count = lines + 1, count + 1
+                count += 1
                 added.setdefault(label, []).extend((len(data) + len(new), count, key))
-                new += json.dumps(asdict(report), sort_keys=True).encode() + b"\n"
+                new += json.dumps(vars(report), sort_keys=True).encode() + b"\n"
                 fh.write(new)
                 fh.flush()
-            if start < len(data) + len(new):
+            # a sidecar ends where a line ends: another writer may continue an unended last line
+            if start < len(data) + len(new) and (new or data.endswith((b"\r", b"\n"))):
                 digest.update(data[start:] + new)
                 for name, triples in added.items():
                     labels[name] = labels.get(name, "") + _pack(triples)
                 index = {"schema": _INDEX_SCHEMA, "length": len(data) + len(new),
-                         "sha256": digest.hexdigest(), "lines": lines, "count": count,
-                         "labels": labels}
+                         "sha256": digest.hexdigest(), "count": count, "labels": labels}
                 body = json.dumps(index, separators=(",", ":")).encode()[1:]
                 with contextlib.suppress(OSError):  # the next append then scans further back
                     Path(f"{path}.idx.tmp").write_bytes(_seal(body))
@@ -427,4 +427,4 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
 def read_history(history_path: str | Path) -> list[MonitoringReport]:
     path = Path(history_path)
     entries = _history(path, path.read_bytes())
-    return [MonitoringReport(**entry) for _, _, entry in entries if entry is not None]
+    return [MonitoringReport(**entry) for _, entry in entries if entry is not None]

@@ -16,12 +16,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .divergences import _INT64_MAX
 from .errors import ValidationError
 
 CHUNK_ROWS = 1 << 15
 # looser than a reference's 1e-12, so that a perturbed reference still passes
 _SUM_TOL = 1e-9
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _chunk_key(seed: int, stream: int, chunk: int) -> list[int]:

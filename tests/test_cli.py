@@ -1,9 +1,12 @@
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,8 @@ from popres.cli import (
     main,
 )
 from popres.errors import ValidationError
+from popres.reporting import append_history, load_reference, load_snapshot, monitor, read_history
+from popres.resemblance import ResemblanceConfig
 from popres.simulation import StudySpec
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -130,6 +135,30 @@ class TestMonitorCommand:
         assert code == EXIT_VALIDATION
         assert "cfg.ini:1: seed must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("read_back", [False, True], ids=["fresh", "read-back"])
+    def test_encodings_equal_the_asdict_encodings(self, capsys, monkeypatch, tmp_path, reference_file,
+                                                  snapshot_file, read_back):
+        # a report is encoded from its own fields, with no deep copy, into the same bytes
+        cfg = ResemblanceConfig(c=0.7, M=2.0, alpha1=0.05, alpha2=0.10)
+        report = monitor(load_snapshot(snapshot_file), load_reference(reference_file), cfg, seed=3)
+        if read_back:
+            append_history(report, tmp_path / "stored.jsonl")
+            [report] = read_history(tmp_path / "stored.jsonl")
+        monkeypatch.setattr(cli, "monitor", lambda *args, **kwargs: report)
+        argv = ["monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file)]
+        hist = tmp_path / "h.jsonl"
+        assert main([*argv, "--format", "json", "--history", str(hist)]) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
+        assert hist.read_text() == json.dumps(asdict(report), sort_keys=True) + "\n"
+        assert main([*argv, "--format", "csv"]) == EXIT_OK
+        row = asdict(report)
+        row["config"] = json.dumps(row["config"], sort_keys=True)
+        want = io.StringIO()
+        writer = csv.DictWriter(want, fieldnames=list(row))
+        writer.writeheader()
+        writer.writerow(row)
+        assert capsys.readouterr().out == want.getvalue()
+
     def test_history_dedupe_note(self, capsys, tmp_path, reference_file, snapshot_file):
         hist = tmp_path / "history.jsonl"
         argv = [
@@ -227,6 +256,15 @@ class TestBoundariesCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["tau1"] == pytest.approx(0.07441, abs=5e-5)
         assert payload["tau2"] == pytest.approx(0.25722, abs=5e-5)
+
+    def test_json_equals_the_asdict_encoding(self, capsys, monkeypatch, reference_file):
+        derived = []
+        boundaries = cli.decision_boundaries
+        monkeypatch.setattr(cli, "decision_boundaries",
+                            lambda *args: derived.append(boundaries(*args)) or derived[-1])
+        assert main(["boundaries", "--reference", str(reference_file), "--n", "50",
+                     "--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps(asdict(derived[0]), sort_keys=True, indent=2) + "\n"
 
     def test_overlap_exit_code(self, capsys, reference_file):
         code = main([

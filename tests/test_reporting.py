@@ -150,6 +150,12 @@ def reseal_index(idx, edit):
     idx.write_bytes(seal(index))
 
 
+def add_line_counter(index, lines):
+    """Edit a sidecar into the format that also stored the number of physical lines."""
+    rest = {name: index.pop(name) for name in ("count", "labels")}
+    index.update(lines=lines, **rest)
+
+
 def write_pair_sidecar(hist):
     """A sidecar as written before fingerprints and the self-digest: per label, offset and
     ordinal pairs, for a history of newline-ended report lines."""
@@ -365,6 +371,38 @@ class TestLoaders:
         f = tmp_path / "s.json"
         f.write_text("{not json")
         with pytest.raises(ValidationError):
+            load_snapshot(f)
+
+    @pytest.mark.parametrize("raw", [
+        b'{"label": "\xff", "counts": [1, 2, 3]}',
+        b'{"label": 1' + b"0" * 5000 + b', "counts": [1, 2, 3]}',
+    ], ids=["not-utf8", "int-of-5001-digits"])
+    def test_snapshot_json_that_python_cannot_read(self, tmp_path, raw):
+        f = tmp_path / "s.json"
+        f.write_bytes(raw)
+        with pytest.raises(ValidationError, match=r"s\.json: invalid JSON"):
+            load_snapshot(f)
+
+    @pytest.mark.parametrize("payload, label", [
+        ({"label": "t1"}, "t1"),
+        ({"label": "0"}, "0"),
+        ({"label": 0}, "0"),
+        ({"label": -12}, "-12"),
+        ({}, "week12"),
+        ({"label": None}, "week12"),
+    ], ids=["string", "string-zero", "int-zero", "negative-int", "absent", "null"])
+    def test_snapshot_json_label(self, tmp_path, payload, label):
+        f = tmp_path / "week12.json"
+        f.write_text(json.dumps({**payload, "counts": [6, 9, 10, 11, 14]}))
+        assert load_snapshot(f).label == label
+
+    @pytest.mark.parametrize("value", ["", False, True, 1.0, 0.5, [], ["t1"], {}, {"a": 1}],
+                             ids=["empty", "false", "true", "float-one", "float", "empty-list",
+                                  "list", "empty-object", "object"])
+    def test_snapshot_json_label_of_another_type(self, tmp_path, value):
+        f = tmp_path / "week12.json"
+        f.write_text(json.dumps({"label": value, "counts": [6, 9, 10, 11, 14]}))
+        with pytest.raises(ValidationError, match=r"week12\.json: field 'label' must be"):
             load_snapshot(f)
 
     @pytest.mark.parametrize("rows, message", [
@@ -840,7 +878,7 @@ class TestHistory:
         assert decoded == []
 
     @pytest.mark.parametrize("external", ["\n{not json\n", "\n", "\nx"], ids=["corrupt", "lf", "text"])
-    def test_sidecar_ending_inside_a_crlf_vouches_for_nothing(self, tmp_path, external):
+    def test_sidecar_ending_inside_a_crlf_agrees_with_a_full_scan(self, tmp_path, external):
         # a duplicate writes the sidecar while the history ends in a bare \r; another
         # writer then adds a \n, which ends the same line
         hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
@@ -856,23 +894,95 @@ class TestHistory:
             assert outcome(append_history, report, hist) == outcome(append_history_full_scan, report, plain)
         assert hist.read_bytes() == plain.read_bytes()
 
+    @pytest.mark.parametrize("end, external, want", [
+        ("\n", "X\n", HistoryAck(4)),
+        ("\n", "\n\r\nX\r", HistoryAck(4)),
+        ("\r", "\n{not json\n", "<history>:3: corrupt history line"),
+        ("\r", "\nX\n", HistoryAck(4)),
+    ], ids=["lf", "blank-lines", "bare-cr-then-corrupt", "bare-cr-then-lf"])
+    def test_sidecar_with_a_line_counter_is_reused(self, tmp_path, monkeypatch, end, external, want):
+        # the counter of physical lines is ignored: a corrupt line is numbered from the bytes
+        # before it, also when the sidecar was written while the history ended in a bare \r
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = distinct_pool(6, labels=2)
+        hist.write_bytes((line(pool[0]) + line(pool[1], end)).encode())
+        # a duplicate writes the sidecar, which then ends where the history ends
+        assert append_history(pool[1], hist) == HistoryAck(line_count=2, duplicate=True)
+        reseal_index(Path(f"{hist}.idx"), lambda index: add_line_counter(index, 2))
+        shutil.copyfile(hist, plain)
+        for path in (hist, plain):
+            with open(path, "ab") as fh:
+                fh.write(external.replace("X", line(pool[3], "")).encode())
+        parsed = count_loads(monkeypatch)
+        ours = outcome(append_history, pool[4], hist)
+        assert len(parsed) == 1 + 1  # the sidecar, the one line with a report
+        monkeypatch.undo()
+        assert ours == want == outcome(append_history_full_scan, pool[4], plain)
+        assert hist.read_bytes() == plain.read_bytes()
+        if isinstance(ours, HistoryAck):  # written again, without the counter
+            assert "lines" not in json.loads(Path(f"{hist}.idx").read_bytes())
+
+    @pytest.mark.parametrize("external, where", [
+        ("\n{not json\n", "<history>:3: corrupt history line"),
+        ("X\n", "<history>:2: corrupt history line"),
+    ], ids=["ended-then-corrupt", "continued"])
+    def test_last_line_without_its_ending_is_validated_again(self, tmp_path, external, where):
+        # a duplicate finds the last line without its line ending; another writer then ends
+        # it and adds a corrupt line, or continues it into one corrupt line
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = report_pool(3)
+        append_history(pool[0], hist)  # the sidecar ends after line 1
+        with open(hist, "ab") as fh:
+            fh.write(line(pool[1], "").encode())
+        shutil.copyfile(hist, plain)
+        assert append_history(pool[1], hist) == append_history_full_scan(pool[1], plain)
+        for path in (hist, plain):
+            with open(path, "ab") as fh:
+                fh.write(external.replace("X", line(pool[2], "")).encode())
+        assert outcome(append_history, pool[2], hist) == where
+        assert outcome(append_history_full_scan, pool[2], plain) == where
+
+    def test_duplicate_of_a_line_ended_by_a_bare_cr_parses_only_that_line(self, tmp_path,
+                                                                          monkeypatch):
+        # the candidate line ends at its \r, not at the next \n
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = distinct_pool(6, labels=2)
+        append_history(pool[0], hist)
+        with open(hist, "ab") as fh:
+            fh.write((line(pool[1], "\r") + line(pool[2], "\r") + line(pool[3])).encode())
+        append_history(pool[4], hist)
+        shutil.copyfile(hist, plain)
+        for report in (pool[1], pool[2], pool[3]):
+            parsed = count_loads(monkeypatch)
+            ours = append_history(report, hist)
+            assert len(parsed) == 1 + 1  # the sidecar, the one line of equal prs_value
+            monkeypatch.undo()
+            assert ours.duplicate
+            assert ours == append_history_full_scan(report, plain)
+        assert hist.read_bytes() == plain.read_bytes()
+
     @settings(max_examples=300, deadline=None)
     @given(HISTORY_BYTES, st.integers(0, 10**6))
     def test_line_walker_agrees_with_the_regex_oracle(self, data, pick):
-        def walk(history, start=0, line=0):
+        def walk(history, *start):
             items = []
             try:
-                items.extend(history(Path("h.jsonl"), data, start, line))
+                items.extend(history(Path("h.jsonl"), data, *start))
             except ValidationError as exc:
                 return items, str(exc)
             return items, None
 
-        want = walk(history_lines_finditer)
-        assert walk(reporting._history) == want
-        if want[0]:  # from the start of a later line, numbered on from the lines before it
-            number, offset, _ = want[0][pick % len(want[0])]
-            assert walk(reporting._history, offset, number - 1) == walk(history_lines_finditer, offset,
-                                                                        number - 1)
+        def unnumbered(walked):
+            """The oracle's (offset, fields) items, and its message with the line number."""
+            items, error = walked
+            return [(offset, entry) for _, offset, entry in items], error
+
+        numbered = walk(history_lines_finditer)
+        assert walk(reporting._history) == unnumbered(numbered)
+        if numbered[0]:  # from the start of a later line, numbered from the bytes before it
+            number, offset, _ = numbered[0][pick % len(numbered[0])]
+            assert walk(reporting._history, offset) == unnumbered(
+                walk(history_lines_finditer, offset, number - 1))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "history.jsonl")
             path.write_bytes(data)

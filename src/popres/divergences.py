@@ -1,10 +1,10 @@
 """Discrepancy statistics between observed proportions and a reference.
 
 The four measures (``psi``, ``prs``, the symmetric KL divergence
-``j_divergence`` and the discrete KS ``ks_statistic``) operate on
-probability vectors over the same B ordered categories; given a matrix of
-proportions, each scores every row against the reference.  The
-J-divergence of a population is its PSI.  Natural logarithms throughout.
+``j_divergence`` and the discrete KS ``ks_statistic``) each score one
+probability vector against a reference over the same B ordered categories
+and return a float.  The J-divergence of a population is its PSI.  Natural
+logarithms throughout.
 """
 
 from __future__ import annotations
@@ -98,17 +98,13 @@ def as_probs(v: VectorLike) -> np.ndarray:
     return np.asarray(getattr(v, "probs", v), dtype=float)
 
 
-def _paired(a: VectorLike, b: VectorLike) -> tuple[np.ndarray, np.ndarray]:
-    x, y = as_probs(a), as_probs(b)
-    if x.shape[-1:] != y.shape[-1:]:
-        raise ValidationError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return x, y
-
-
-def _per_row(out: np.ndarray) -> Union[float, np.ndarray]:
-    """A statistic reduced over the category (last) axis: a Python float for
-    a single vector, one value per row for a matrix."""
-    return float(out) if out.ndim == 0 else out
+def _paired(phat: VectorLike, p0: VectorLike) -> tuple[np.ndarray, np.ndarray]:
+    x, q = as_probs(phat), as_probs(p0)
+    if x.ndim != 1 or x.shape != q.shape:
+        raise ValidationError(
+            f"need one vector of the reference's shape {q.shape}, got shape {x.shape}"
+        )
+    return x, q
 
 
 def proportions(counts: CategoryCounts) -> np.ndarray:
@@ -116,14 +112,13 @@ def proportions(counts: CategoryCounts) -> np.ndarray:
     return counts.counts / counts.n
 
 
-def psi(phat: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
+def psi(phat: VectorLike, p0: VectorLike) -> float:
     """Population Stability Index of the observed proportions against p0.
 
     Zero-count categories contribute nothing (plug-in indicator convention).
-    Rows of a matrix ``phat`` are scored separately.
     """
     ph, q = _paired(phat, p0)
-    return _per_row(_psi_terms(ph, q, np.log(q)).sum(axis=-1))
+    return float(_psi_terms(ph, q, np.log(q)).sum())
 
 
 def _psi_terms(ph: np.ndarray, q, log_q) -> np.ndarray:
@@ -133,13 +128,10 @@ def _psi_terms(ph: np.ndarray, q, log_q) -> np.ndarray:
     return np.where(mask, (ph - q) * (np.log(safe) - log_q), 0.0)
 
 
-def prs(phat: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
-    """Population Resemblance Statistic: chi-square divergence of phat from p0.
-
-    Rows of a matrix ``phat`` are scored separately.
-    """
+def prs(phat: VectorLike, p0: VectorLike) -> float:
+    """Population Resemblance Statistic: chi-square divergence of phat from p0."""
     ph, q = _paired(phat, p0)
-    return _per_row(_prs_terms(ph, q).sum(axis=-1))
+    return float(_prs_terms(ph, q).sum())
 
 
 def _prs_terms(ph: np.ndarray, q) -> np.ndarray:
@@ -147,7 +139,7 @@ def _prs_terms(ph: np.ndarray, q) -> np.ndarray:
     return (ph - q) ** 2 / q
 
 
-def j_divergence(p: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
+def j_divergence(p: VectorLike, p0: VectorLike) -> float:
     """Symmetric Kullback-Leibler divergence between two population vectors.
 
     This is the population quantity: zero entries make it infinite, so they
@@ -158,10 +150,7 @@ def j_divergence(p: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
     return psi(p, p0)
 
 
-def ks_statistic(phat: VectorLike, p0: VectorLike) -> Union[float, np.ndarray]:
-    """Discrete KS statistic: max gap between the two cumulative distributions.
-
-    Rows of a matrix ``phat`` are scored separately.
-    """
+def ks_statistic(phat: VectorLike, p0: VectorLike) -> float:
+    """Discrete KS statistic: max gap between the two cumulative distributions."""
     ph, q = _paired(phat, p0)
-    return _per_row(np.abs(np.cumsum(ph, axis=-1) - np.cumsum(q, axis=-1)).max(axis=-1))
+    return float(np.abs(np.cumsum(ph) - np.cumsum(q)).max())

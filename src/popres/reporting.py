@@ -180,7 +180,11 @@ def load_snapshot(path: str | Path) -> Snapshot:
         raise ValidationError(f"{path}: field 'label' must be a non-empty string or an integer, "
                               f"got {label!r}")
     label = path.stem if label is None else str(label)
-    return Snapshot(label=label, counts=counts, timestamp=payload.get("timestamp"))
+    timestamp = payload.get("timestamp")
+    if not isinstance(timestamp, (str, type(None))):
+        raise ValidationError(f"{path}: field 'timestamp' must be a string or null, "
+                              f"got {timestamp!r}")
+    return Snapshot(label=label, counts=counts, timestamp=timestamp)
 
 
 def monitor(

@@ -22,6 +22,7 @@ from .divergences import (
     CategoryCounts,
     ReferenceDistribution,
     VectorLike,
+    _paired,
     as_probs,
     ks_statistic,
     proportions,
@@ -58,7 +59,7 @@ class ResemblanceConfig:
             v = getattr(self, f.name)
             if v is None and f.default is None:
                 continue
-            if not isinstance(v, numbers.Real):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ValidationError(f"{f.name} must be a number, got {v!r}")
             if not math.isfinite(v):
                 raise ValidationError(f"{f.name} must be finite, got {v}")
@@ -120,9 +121,7 @@ def lambda_sup(p0: ReferenceDistribution, n: int, delta: float) -> float:
 
 def is_delta_resemblant(p: VectorLike, p0: VectorLike, delta: float) -> bool:
     """Chebyshev-ball membership: no category deviates by more than delta."""
-    x, q = as_probs(p), as_probs(p0)
-    if x.shape != q.shape:
-        raise ValidationError(f"dimension mismatch: {x.shape} vs {q.shape}")
+    x, q = _paired(p, p0)
     # relative slack absorbs roundoff when the deviation sits exactly on the ball
     return bool(np.max(np.abs(q - x)) <= delta * (1.0 + 1e-12) + 1e-15)
 

@@ -64,7 +64,8 @@ def _check_study_args(
 def _scorer(n: int, B: int, *statistics: str):
     """Chunk scorer for ``sampling.multinomial_matrix``: each named statistic
     ("psi" or "prs") of every row of counts against the uniform reference,
-    as ``divergences`` computes it on ``counts / n``.
+    the float ``divergences.psi``/``prs`` gives on that row of ``counts / n``.
+    This is the one batch path; the statistics themselves take one vector.
 
     Every statistic is a sum over categories of a term of one count, so the
     terms are evaluated once per count in the chunk's range [lo, hi] and

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaln
 
-from popres.divergences import CategoryCounts, ReferenceDistribution, as_probs, prs, psi, uniform_reference
+from popres.divergences import CategoryCounts, ReferenceDistribution, as_probs, uniform_reference
 from popres.errors import ValidationError
 from popres.reporting import HistoryAck, MonitoringReport
 from popres.resemblance import LEWIS_ACTION
@@ -200,8 +200,26 @@ def multinomial_matrix_by_chunk(n: int, p: np.ndarray, replications: int, seed: 
     return np.vstack(chunks)
 
 
+# ``divergences.psi``, ``prs`` and ``ks_statistic`` of every row of a K x B
+# matrix of proportions against one reference vector q, in the arithmetic of
+# ``divergences``, so each row gives the float the statistic gives on it.
+
+
+def psi_rows(ph: np.ndarray, q: np.ndarray) -> np.ndarray:
+    seen = ph > 0
+    return np.where(seen, (ph - q) * (np.log(np.where(seen, ph, 1.0)) - np.log(q)), 0.0).sum(axis=1)
+
+
+def prs_rows(ph: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return ((ph - q) ** 2 / q).sum(axis=1)
+
+
+def ks_rows(ph: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.abs(np.cumsum(ph, axis=1) - np.cumsum(q)).max(axis=1)
+
+
 # ``simulation``'s sampling kernels the direct way: the whole K x B matrix,
-# then ``divergences`` on ``counts / n``.  Each takes the keywords its
+# then the row formulas above on ``counts / n``.  Each takes the keywords its
 # ``simulation`` namesake takes; the study specs are validated by the caller.
 
 
@@ -210,13 +228,14 @@ def reconstruction_probability_full_matrix(n, B, replications, seed, target_j=0.
     q = uniform_reference(B)
     p = solve_p_for_target_j(q, target_j)
     counts = multinomial_matrix_by_chunk(n, p, replications, seed, stream=1)
-    return MCEstimate.of_hits(int(np.sum(psi(counts / n, q) >= psi_threshold)), replications)
+    return MCEstimate.of_hits(int(np.sum(psi_rows(counts / n, q.probs) >= psi_threshold)),
+                              replications)
 
 
 def stability_ratios_full_matrix(n, B, replications, seed, workers=1) -> StabilityRatios:
     q = uniform_reference(B).probs
     ph = multinomial_matrix_by_chunk(n, q, replications, seed, stream=2) / n
-    t, s, dof = n * psi(ph, q), n * prs(ph, q), B - 1
+    t, s, dof = n * psi_rows(ph, q), n * prs_rows(ph, q), B - 1
     return StabilityRatios(
         mean_ratio_psi=float(t.mean() / dof),
         var_ratio_psi=float(t.var(ddof=1) / (2 * dof)),
@@ -230,7 +249,7 @@ def stability_ratios_full_matrix(n, B, replications, seed, workers=1) -> Stabili
 def region_counts_full_matrix(bounds, delta_v, replications, seed, stream, workers) -> tuple[int, int]:
     counts = multinomial_matrix_by_chunk(bounds.n, perturbed_pv(bounds.B, delta_v), replications,
                                          seed, stream)
-    prs_vals = prs(counts / bounds.n, np.full(bounds.B, 1.0 / bounds.B))
+    prs_vals = prs_rows(counts / bounds.n, np.full(bounds.B, 1.0 / bounds.B))
     return int(np.sum(prs_vals <= bounds.tau1)), int(np.sum(prs_vals > bounds.tau2))
 
 

@@ -205,6 +205,29 @@ class TestMonitorCommand:
             assert code == EXIT_VALIDATION
             assert "counts must be numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("timestamp", [{"a": [1, 2]}, [], 20240101, True],
+                             ids=["object", "list", "int", "bool"])
+    def test_snapshot_timestamp_of_another_type_exits_validation(self, capsys, reference_file,
+                                                                  tmp_path, timestamp):
+        snap, hist = tmp_path / "week12.json", tmp_path / "history.jsonl"
+        snap.write_text(json.dumps({"timestamp": timestamp, "counts": [6, 9, 10, 11, 14]}))
+        code = main(["monitor", "--snapshot", str(snap), "--reference", str(reference_file),
+                     "--history", str(hist), "--format", "csv"])
+        assert code == EXIT_VALIDATION
+        assert f"week12.json: field 'timestamp' must be a string or null, got {timestamp!r}" in (
+            capsys.readouterr().err)
+        assert not hist.exists()
+
+    @pytest.mark.parametrize("timestamp", ["2024-01-01T00:00:00Z", None])
+    def test_snapshot_timestamp_string_or_null_is_kept(self, capsys, reference_file, tmp_path,
+                                                       timestamp):
+        snap, hist = tmp_path / "week12.json", tmp_path / "history.jsonl"
+        snap.write_text(json.dumps({"timestamp": timestamp, "counts": [6, 9, 10, 11, 14]}))
+        code = main(["monitor", "--snapshot", str(snap), "--reference", str(reference_file),
+                     "--history", str(hist)])
+        assert code == EXIT_OK
+        assert [r.timestamp for r in read_history(hist)] == [timestamp]
+
     def test_empty_snapshot_file(self, capsys, reference_file, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,16 +191,8 @@ class TestKsStatistic:
 
 
 class TestRowwise:
-    """A matrix of proportions is scored row by row, bit for bit as one vector at a time."""
-
-    @pytest.mark.parametrize("n,B", [(50, 5), (20, 10), (500, 10), (10_000, 20)])
-    def test_matrix_rows_match_vectors(self, n, B):
-        q = uniform_reference(B).probs
-        ph = np.random.default_rng(B).multinomial(n, q, size=200) / n
-        for stat in (psi, prs, ks_statistic):
-            rows = stat(ph, q)
-            assert rows.shape == (200,)
-            assert rows.tolist() == [stat(row, q) for row in ph]
+    """Each statistic scores one vector; the rows of a matrix are scored only by the
+    study chunk scorer (``simulation._scorer``)."""
 
     def test_single_vector_gives_python_float(self):
         ph = proportions(CategoryCounts(np.array(T1_COUNTS)))
@@ -206,5 +200,9 @@ class TestRowwise:
             assert type(stat(ph, UNIFORM5)) is float
 
     def test_category_axis_mismatch(self):
-        with pytest.raises(ValidationError):
-            prs(np.full((3, 4), 0.25), UNIFORM5)
+        # a matrix is refused even when its rows have the reference's B categories
+        for shape in ((3, 4), (3, 5), (1, 5)):
+            message = re.escape(f"shape (5,), got shape {shape}")
+            for stat in (psi, prs, ks_statistic, j_divergence):
+                with pytest.raises(ValidationError, match=message):
+                    stat(np.full(shape, 1 / shape[1]), UNIFORM5)

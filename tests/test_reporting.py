@@ -2,8 +2,10 @@ import base64
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import os
+import random
 import shutil
 import sys
 import tempfile
@@ -1081,6 +1083,137 @@ class TestHistory:
         shutil.copyfile(hist, plain)
         for report in (pool[12], replace(pool[0], seed=99)):
             assert append_history(report, hist) == append_history_full_scan(report, plain)
+
+
+# a prs_value of each type a history line can hold; 0, 0.0 and -0.0 give equal reports
+TWIN_PRS_VALUES = [0, 0.0, -0.0, 1.5, math.nan, math.inf, "0.07", None]
+# what a writer that does not know the sidecar may add: line endings, blank and corrupt text
+TWIN_ENDS = ["\n", "\r\n", "\r", ""]
+TWIN_TEXT = ["\n", "\r\n", "\r", "  \n", "{not json\n", "{not json\r", "[1]\n",
+             '{"label": "L0"}\r\n', "{not json"]
+# how often each step is drawn
+TWIN_STEPS = {"append": 4, "append_stored": 4, "external_report": 4, "external_text": 2,
+              "continue_last_line": 3, "change_history": 1, "spoil_sidecar": 1}
+
+
+class HistoryTwins:
+    """``append_history`` and ``append_history_full_scan`` on twin files, driven by
+    steps drawn from a seeded generator.  After every step the histories hold the same
+    bytes, and after an append the two give the same ack or reject the same line.  The
+    reason after the line number is not compared: the oracle reads in text mode, which
+    turns a bare ``\\r`` into ``\\n`` and so moves the line and column ``json`` names.  A
+    sidecar that ``append_history`` wrote, over bytes still at the start of the history,
+    is used rather than rescanned."""
+
+    def __init__(self, tmp: Path, seed: int):
+        self.rng = random.Random(seed)
+        self.hist, self.plain = tmp / "history.jsonl", tmp / "plain.jsonl"
+        self.idx = Path(f"{self.hist}.idx")
+        self.pool = [replace(base_report(), label=f"L{i % 2}", prs_value=value)
+                     for i, value in enumerate(TWIN_PRS_VALUES)]
+        self.stored = []  # pool indices written to the history, by either writer
+        self.written = None  # the last sidecar append_history wrote, and the bytes it covers
+
+    def data(self):
+        return self.hist.read_bytes() if self.hist.exists() else b""
+
+    def sidecar(self):
+        return self.idx.read_bytes() if self.idx.exists() else None
+
+    def write(self, text):
+        for path in (self.hist, self.plain):
+            with open(path, "ab") as fh:
+                fh.write(text.encode())
+
+    def replace_history(self, data):
+        self.hist.write_bytes(data)
+        self.plain.write_bytes(data)
+
+    def draw(self):
+        """The name and arguments of a step that can run now."""
+        rng = self.rng
+        while True:
+            name = rng.choices(list(TWIN_STEPS), weights=list(TWIN_STEPS.values()))[0]
+            if name == "append":
+                return name, (rng.randrange(len(self.pool)),)
+            if name == "append_stored" and self.stored:
+                return "append", (rng.choice(self.stored),)
+            if name == "external_report":
+                return name, (rng.randrange(len(self.pool)), rng.choice(TWIN_ENDS))
+            if name == "external_text":
+                return name, (rng.choice(TWIN_TEXT),)
+            if name == "continue_last_line" and self.data()[-1:] not in (b"", b"\r", b"\n"):
+                return name, (rng.choice([' "x"\n', " \r", "\n", None]), rng.randrange(len(self.pool)))
+            if name == "change_history" and self.data():
+                return name, (rng.choice(["truncate", "edit_digit"]), rng.randrange(400))
+            if name == "spoil_sidecar" and self.sidecar() is not None:
+                return name, (rng.choice(["delete", "truncate", "flip_bit"]), rng.randrange(10**6))
+
+    def append(self, i):
+        report, before = self.pool[i], self.sidecar()
+        ack = outcome(append_history, report, self.hist)
+        assert ack == outcome(append_history_full_scan, report, self.plain)
+        if isinstance(ack, HistoryAck):
+            self.stored.append(i)
+        else:  # cut the rejected line and all after it, so later appends can succeed
+            number = int(ack.split(":")[1])
+            self.replace_history(b"".join(self.data().splitlines(keepends=True)[:number - 1]))
+        after = self.sidecar()
+        if after is not None and after != before:
+            self.written = after, self.data()[:json.loads(after)["length"]]
+
+    def external_report(self, i, end):
+        self.write(line(self.pool[i], end))
+        self.stored.append(i)
+
+    def external_text(self, text):
+        self.write(text)
+
+    def continue_last_line(self, text, i):
+        self.write(text or line(self.pool[i]))
+
+    def change_history(self, how, at):
+        data = bytearray(self.data())
+        digits = [i for i, byte in enumerate(data) if chr(byte).isdigit()]
+        if how == "truncate":
+            del data[max(0, len(data) - at):]
+        elif digits:  # a same-length edit of one digit
+            at = digits[at % len(digits)]
+            data[at] = ord("0") + (data[at] - ord("0") + 1) % 10
+        self.replace_history(bytes(data))
+
+    def spoil_sidecar(self, how, at):
+        data = bytearray(self.sidecar())
+        if how == "delete" or not data:
+            self.idx.unlink()
+            return
+        if how == "truncate":
+            del data[at % len(data):]
+        else:
+            data[at % len(data)] ^= 1
+        self.idx.write_bytes(data)
+
+    def check(self):
+        data = self.data()
+        assert data == (self.plain.read_bytes() if self.plain.exists() else b"")
+        if self.written and self.sidecar() == self.written[0] and data.startswith(self.written[1]):
+            for label in ("L0", "L1"):  # a fingerprint that may equal any: every line is read
+                (length, _, _), _, _ = reporting._read_index(self.hist, data, label, reporting._ANY)
+                assert length == len(self.written[1]), f"the sidecar was not used for {label}"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_history_twins_agree_after_every_step(tmp_path, seed):
+    twins, steps = HistoryTwins(tmp_path, seed), []
+    for _ in range(250):
+        name, args = twins.draw()
+        steps.append(f"{name}{args}")
+        try:
+            getattr(twins, name)(*args)
+            twins.check()
+        except AssertionError as exc:
+            last = "\n  ".join(steps[-12:])
+            pytest.fail(f"seed {seed}, step {len(steps)}: {exc}\nlast steps:\n  {last}")
 
 
 class TestRunStudy:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from popres.resemblance import (
 )
 from popres.sampling import multinomial_matrix
 
-from oracles import enumerate_extreme_points, ks_p_value_enumerated
+from oracles import enumerate_extreme_points, ks_p_value_enumerated, ks_rows
 
 UNIFORM5 = uniform_reference(5)
 # published critical values for the worked configurations
@@ -128,6 +130,11 @@ class TestDeltaResemblance:
     def test_table_row_not_resemblant(self):
         p = proportions(CategoryCounts(np.array([2, 5, 13, 14, 16])))
         assert not is_delta_resemblant(p, UNIFORM5, 0.0396)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 5)])
+    def test_refuses_another_shape(self, shape):
+        with pytest.raises(ValidationError, match=re.escape(f"shape (5,), got shape {shape}")):
+            is_delta_resemblant(np.full(shape, 0.2), UNIFORM5, 0.05)
 
 
 class TestDecisionBoundaries:
@@ -338,7 +345,7 @@ class TestKsPValue:
         K = 200_000
         sims = multinomial_matrix(counts.n, q.probs, K, seed=20)
         observed = ks_statistic(proportions(counts), q)
-        p_mc = float(np.mean(ks_statistic(sims / counts.n, q) >= observed - 1e-12))
+        p_mc = float(np.mean(ks_rows(sims / counts.n, q.probs) >= observed - 1e-12))
         p = ks_p_value(counts, q)
         assert abs(p_mc - p) <= 4 * np.sqrt(p * (1 - p) / K)
 
@@ -394,6 +401,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("c", "0.7"), ("M", None), ("alpha1", 1j), ("alpha2", [0.1]), ("delta_override", "x"),
+        ("c", True), ("delta_override", False),
     ])
     def test_rejects_non_numbers_by_field_name(self, field, value):
         with pytest.raises(ValidationError, match=rf"^{field} must be a number, got "):

@@ -175,15 +175,16 @@ class TestChunkScoring:
         wide = [i for i in range(rows) if np.ptp(counts[i]) >= B][:50]
         assert wide or n < 2 * B
         q = uniform_reference(B).probs
+        wants = []
         for name, stat in (("psi", psi), ("prs", prs)):
-            want = stat(counts / n, q)
+            want = np.array([stat(row, q) for row in counts / n])  # one vector at a time
+            wants.append(np.tile(want, tiled.shape[0] // rows))
             (table,) = _scored(n, tiled, name)
-            assert np.array_equal(table, np.tile(want, tiled.shape[0] // rows))
+            assert np.array_equal(table, wants[-1])
             for i in wide:
                 (direct,) = _scored(n, counts[i : i + 1], name)
                 assert np.array_equal(direct, want[i : i + 1])
-        both = _scored(n, tiled, "psi", "prs")
-        assert np.array_equal(both[0], psi(tiled / n, q)) and np.array_equal(both[1], prs(tiled / n, q))
+        assert np.array_equal(_scored(n, tiled, "psi", "prs"), wants)
 
     def test_wide_span_takes_the_direct_terms(self, monkeypatch):
         # rows [0, n] and [n, 0] span n + 1 counts over 4 cells: no table of n + 1 entries is built
@@ -192,12 +193,12 @@ class TestChunkScoring:
         monkeypatch.setattr(simulation.np, "arange", lambda *a, **k: pytest.fail("table built"))
         (values,) = _scored(n, counts, "prs")
         monkeypatch.undo()
-        assert np.array_equal(values, prs(counts / n, [0.5, 0.5]))
+        assert values.tolist() == [prs(row, [0.5, 0.5]) for row in counts / n]
 
     def test_zero_counts_contribute_nothing_to_psi(self):
         counts = np.array([[0, 0, 3], [1, 1, 1], [3, 0, 0]])
         (values,) = _scored(3, np.tile(counts, (4, 1)), "psi")
-        assert np.array_equal(values, np.tile(psi(counts / 3, uniform_reference(3)), 4))
+        assert values.tolist() == [psi(row, uniform_reference(3)) for row in counts / 3] * 4
         assert values[1] == 0.0
 
 
@@ -212,7 +213,8 @@ class TestChunkScoring:
     StudySpec("sweep", B=10, ns=(10**5,), replications=200, seed=6, grid_points=2),
 ], ids=lambda spec: f"{spec.study}-B{spec.B}-n{'-'.join(map(str, spec.ns))}")
 def test_study_bytes_equal_the_full_matrix_oracle(spec, tmp_path, monkeypatch):
-    """Scored chunks write the bytes the whole K x B matrix scored by ``divergences`` writes."""
+    """Scored chunks write the bytes the whole K x B matrix scored by the oracle row formulas
+    writes."""
     got = [run_study(replace(spec, workers=w), tmp_path / f"w{w}.csv").read_bytes() for w in (1, 4)]
     for name, kernel in FULL_MATRIX_KERNELS.items():
         monkeypatch.setattr(simulation, name, kernel)

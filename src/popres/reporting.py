@@ -4,16 +4,17 @@ A monitoring report is self-contained: every statistic, boundary and
 classification can be re-derived from its own fields.  History is an
 append-only JSON-lines file guarded by an exclusive lock; duplicate
 submissions (same label and content) are acknowledged as no-ops.  Each append
-rewrites the sidecar ``<history>.idx``: the validated byte length, its SHA-256,
-the number of report lines, and by label one base64 string of packed int64
-``(offset, ordinal, fingerprint)`` triples, one per line: its byte offset, its
-ordinal and its ``prs_value`` fingerprint (``hash`` of a number, which equal
+overwrites the sidecar ``<history>.idx`` in place: the validated byte length, its
+SHA-256, the number of report lines, and by label one base64 string of packed
+int64 ``(offset, ordinal, fingerprint)`` triples, one per line: its byte offset,
+its ordinal and its ``prs_value`` fingerprint (``hash`` of a number, which equal
 numbers share; -1 for anything else).  The sidecar opens with the SHA-256 of the
-rest of its own bytes, and its schema names the packing, the byte order and the
-build's hash modulus.  The next append validates only what follows the recorded
-bytes and unpacks only the report's label's string: of the lines before, it
-parses only that label's lines whose fingerprint could equal the report's.  The
-other labels' strings are copied, extended by the base64 of any new triples.
+rest of its own bytes, so a write that is torn or not cut to its new length is
+stale, and its schema names the packing, the byte order and the build's hash
+modulus.  The next append validates only what follows the recorded bytes and
+unpacks only the report's label's string: of the lines before, it parses only
+that label's lines whose fingerprint could equal the report's.  The other
+labels' strings are copied, extended by the base64 of any new triples.
 Deleting the sidecar is safe; an edited history or sidecar, or one written by
 another format, build or byte order, costs one full scan.
 """
@@ -419,10 +420,16 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
                     labels[name] = labels.get(name, "") + _pack(triples)
                 index = {"schema": _INDEX_SCHEMA, "length": len(data) + len(new),
                          "sha256": digest.hexdigest(), "count": count, "labels": labels}
-                body = json.dumps(index, separators=(",", ":")).encode()[1:]
+                sealed = _seal(json.dumps(index, separators=(",", ":")).encode()[1:])
+                # written in place: a torn or untruncated write fails the seal, and costs
+                # the next append one full scan
                 with contextlib.suppress(OSError):  # the next append then scans further back
-                    Path(f"{path}.idx.tmp").write_bytes(_seal(body))
-                    os.replace(f"{path}.idx.tmp", f"{path}.idx")
+                    fd = os.open(f"{path}.idx", os.O_WRONLY | os.O_CREAT, 0o666)
+                    try:
+                        os.pwrite(fd, sealed, 0)
+                        os.ftruncate(fd, len(sealed))
+                    finally:
+                        os.close(fd)
             return HistoryAck(count) if ordinal is None else HistoryAck(ordinal, duplicate=True)
         finally:
             fcntl.flock(fh, fcntl.LOCK_UN)

@@ -246,19 +246,31 @@ def ks_p_value(counts: CategoryCounts, p0: ReferenceDistribution) -> float:
     rest = np.cumsum(q[::-1])[::-1][1:]  # q_{j+1} + ... + q_B; 1 - F_j can round below 0
     lo, states, escaped, stayed = 0, np.ones(1), 0.0, 0.0
     for j in range(q.size - 1):
-        x_lo, pmf = _poisson_window(n * q[j])
+        # equal neighbouring means share a window: a uniform reference builds one, not B - 1
+        if j == 0 or q[j] != q[j - 1]:
+            x_lo, pmf = _poisson_window(n * q[j])
         mass = np.convolve(states, pmf)
-        s = np.arange(lo + x_lo, lo + x_lo + mass.size)
-        gap = np.abs(s - n * cdf[j])
-        keep = (gap < reach) & (gap <= _window_halfwidth(n * cdf[j] * rest[j]))
+        first = lo + x_lo  # the state of mass[0]
+        # the band |s - n F_j| < reach, cut by the state window, as indices [a, b) of mass
+        centre, cut = n * cdf[j], _window_halfwidth(n * cdf[j] * rest[j])
+        low = max(math.floor(centre - reach) + 1, math.ceil(centre - cut)) - first
+        high = min(math.ceil(centre + reach), math.floor(centre + cut) + 1) - first
+        a = min(max(low, 0), mass.size)
+        b = min(max(high, a), mass.size)
+        # mass[i] ends at n if the rest bring n - first - i, finish[top - i] in their window
         r_lo, finish = _poisson_window(n * rest[j])
-        k = n - s - r_lo
-        weighted = mass * np.where((k >= 0) & (k < finish.size), finish.take(k, mode="clip"), 0.0)
-        escaped += weighted[~keep].sum()
-        stayed = weighted[keep].sum()
-        if not keep.any():
+        top = n - first - r_lo
+        i0 = max(top - finish.size + 1, 0)
+        i1 = max(min(top + 1, mass.size), i0)
+        weighted = np.zeros(mass.size)
+        weighted[i0:i1] = mass[i0:i1] * finish[top - i1 + 1:top - i0 + 1][::-1]
+        # both sides in one sum, so that p keeps its bits across releases and a
+        # snapshot sent again after an upgrade still equals its stored report
+        escaped += np.concatenate((weighted[:a], weighted[b:])).sum()
+        stayed = weighted[a:b].sum()
+        if a == b:
             break
-        lo, states = int(s[keep][0]), mass[keep]
+        lo, states = first + a, mass[a:b]
     return min(1.0, escaped / (escaped + stayed) + dropped)
 
 

@@ -158,6 +158,18 @@ def add_line_counter(index, lines):
     index.update(lines=lines, **rest)
 
 
+def overwrite_in_place(idx, share):
+    """Write over ``idx``, as an append that stopped part way would, the first ``share``
+    of a newly sealed and shorter sidecar: the one of the history's first line alone."""
+    first = idx.parent / "first.jsonl"
+    first.write_bytes(Path(str(idx)[:-len(".idx")]).read_bytes().splitlines(keepends=True)[0])
+    assert append_history(MonitoringReport(**json.loads(first.read_bytes())), first).duplicate
+    new, old = Path(f"{first}.idx").read_bytes(), idx.read_bytes()
+    assert len(new) < len(old)
+    keep = int(len(new) * share)
+    idx.write_bytes(new[:keep] + old[keep:])
+
+
 def write_pair_sidecar(hist):
     """A sidecar as written before fingerprints and the self-digest: per label, offset and
     ordinal pairs, for a history of newline-ended report lines."""
@@ -643,6 +655,14 @@ class TestHistory:
             append_history(report, hist)
         hist.write_text(line(pool[0]))
         assert append_history(pool[2], hist) == HistoryAck(line_count=2)
+        # the sidecar, rewritten shorter in place, is its seal and nothing after it
+        raw = Path(f"{hist}.idx").read_bytes()
+        index = json.loads(raw)
+        del index["self_sha256"]
+        assert raw == seal(index)
+        # so the next append reads from it instead of scanning again
+        (length, _, _), _, _ = reporting._read_index(hist, hist.read_bytes(), "L0", reporting._ANY)
+        assert length == hist.stat().st_size
         assert append_history(pool[0], hist) == HistoryAck(line_count=1, duplicate=True)
         assert read_history(hist) == [pool[0], pool[2]]
 
@@ -655,8 +675,11 @@ class TestHistory:
         lambda idx: edit_index(idx, lambda labels: labels.update(L0=labels["L1"], L1=labels["L0"])),
         lambda idx: edit_index(idx, lambda labels: shift_triples(labels["L0"], 0, 10**6)),
         lambda idx: edit_index(idx, lambda labels: labels.update(L0=["0", 1])),
+        lambda idx: overwrite_in_place(idx, 0.5),
+        lambda idx: overwrite_in_place(idx, 1.0),
     ], ids=["deleted", "garbage", "cut", "not-an-object", "offset-inside-a-line",
-            "offsets-of-another-label", "offset-beyond-the-end", "offset-not-a-number"])
+            "offsets-of-another-label", "offset-beyond-the-end", "offset-not-a-number",
+            "torn-over-a-longer-one", "not-truncated-after-a-longer-one"])
     def test_spoiled_sidecar_falls_back_to_a_full_scan(self, tmp_path, spoil):
         hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
         pool = report_pool(6, labels=2)
@@ -1196,6 +1219,7 @@ class HistoryTwins:
     def check(self):
         data = self.data()
         assert data == (self.plain.read_bytes() if self.plain.exists() else b"")
+        assert not Path(f"{self.hist}.idx.tmp").exists()  # the sidecar is written in place
         if self.written and self.sidecar() == self.written[0] and data.startswith(self.written[1]):
             for label in ("L0", "L1"):  # a fingerprint that may equal any: every line is read
                 (length, _, _), _, _ = reporting._read_index(self.hist, data, label, reporting._ANY)

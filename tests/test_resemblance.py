@@ -273,6 +273,76 @@ ROW_10000_20_T3 = (445, 455, 480, 480, 485, 485, 490, 495, 500, 500,
 ROW_10000_20_T4 = (425, 425, 440, 440, 445, 445, 460, 460, 475, 475,
                    490, 490, 525, 525, 555, 555, 585, 585, 600, 600)
 
+# ks_p_value of the published (50, 5) and (500, 10) snapshots, pinned to rel 1e-12
+KS_PUBLISHED_PINS = [
+    ((6, 9, 10, 11, 14), 0.39537084109964626),
+    ((4, 10, 11, 11, 14), 0.2306731757703399),
+    ((7, 8, 8, 10, 17), 0.12297915691887595),
+    ((3, 8, 12, 13, 14), 0.027539123493271776),
+    ((2, 9, 12, 13, 14), 0.027539123493271776),
+    ((2, 5, 13, 14, 16), 0.0005215076612487123),
+    ((35, 40, 45, 45, 47, 50, 55, 58, 60, 65), 0.0020034499422950246),
+    ((40, 45, 45, 45, 47, 48, 55, 55, 60, 60), 0.02197069604324009),
+    ((35, 36, 42, 43, 44, 44, 60, 60, 61, 75), 1.4306172748272137e-06),
+    ((20, 35, 35, 40, 40, 62, 65, 65, 65, 73), 1.63743730246528e-12),
+]
+# (n, B, reference, p of a snapshot drawn from it, p of one drawn from it tilted)
+KS_SEEDED_PINS = [
+    (1_000, 5, "uniform", 0.8924228829907931, 2.656883247541886e-10),
+    (1_000, 5, "skewed", 0.8111661707123136, 3.627173910758007e-07),
+    (1_000, 5, "repeated", 0.4649953104460144, 0.005622005026721148),
+    (1_000, 20, "uniform", 0.6845246942245066, 1.0446248377628091e-07),
+    (1_000, 20, "skewed", 0.9184132313013402, 1.5036952046036872e-06),
+    (1_000, 20, "repeated", 0.29881637920207904, 1.6594548012827108e-06),
+    (1_000, 60, "uniform", 0.9284419705230619, 1.5694822588839685e-08),
+    (1_000, 60, "skewed", 0.8287933817251677, 3.121825152762082e-05),
+    (1_000, 60, "repeated", 0.9780068679719713, 6.90379876630257e-08),
+    (10_000, 5, "uniform", 0.011382477738491506, 3.212658352021838e-13),
+    (10_000, 5, "skewed", 0.045062379992952095, 1.8435061339567762e-08),
+    (10_000, 5, "repeated", 0.04277150503800498, 3.9616962630200674e-07),
+    (10_000, 20, "uniform", 0.6177646855696965, 4.879472653813085e-06),
+    (10_000, 20, "skewed", 0.5153306816034448, 0.008156534809327728),
+    (10_000, 20, "repeated", 0.7854396377051932, 0.0001271112513116005),
+    (10_000, 60, "uniform", 0.6716764482429121, 0.003219150107875545),
+    (10_000, 60, "skewed", 0.6864031593516752, 0.0094205364236233),
+    (10_000, 60, "repeated", 0.36521984101222366, 3.0496588613449046e-09),
+    (100_000, 5, "uniform", 0.3330533469640331, 1.4392514057603206e-10),
+    (100_000, 5, "skewed", 0.13699379785746046, 1.2645888877147766e-05),
+    (100_000, 5, "repeated", 0.019245267557873324, 5.93320347029026e-05),
+    (100_000, 20, "uniform", 0.5868797187092909, 6.133337452546292e-05),
+    (100_000, 20, "skewed", 0.400668507649141, 0.0005922003026645666),
+    (100_000, 20, "repeated", 0.7473580090269565, 0.0002108207000427848),
+    (100_000, 60, "uniform", 0.923617755335947, 5.94784675976512e-11),
+    (100_000, 60, "skewed", 0.6876297797517544, 1.5128514501136998e-08),
+    (100_000, 60, "repeated", 0.7022057192543852, 4.4525644422766046e-11),
+    (1_000_000, 5, "uniform", 0.6020091037319855, 1.9567324820591255e-09),
+    (1_000_000, 5, "skewed", 0.5550820248859266, 2.6961163765943736e-06),
+    (1_000_000, 5, "repeated", 0.7195681831166577, 0.00012863418381195196),
+    (1_000_000, 20, "uniform", 0.7822706333665485, 4.206662517787102e-07),
+    (1_000_000, 20, "skewed", 0.5774005470618864, 0.00018185704840348774),
+    (1_000_000, 20, "repeated", 0.5949232463418475, 7.297943282608684e-08),
+    (1_000_000, 60, "uniform", 0.27320694153112013, 4.239396434832003e-07),
+    (1_000_000, 60, "skewed", 0.7597981201324642, 1.4403643439179721e-06),
+    (1_000_000, 60, "repeated", 0.28696652227402697, 7.77219014483041e-08),
+]
+
+
+def ks_reference(kind, B):
+    """Uniform, skewed (q_j proportional to j), or repeating 0.1, 0.1, 0.3, 0.3, 0.2."""
+    if kind == "uniform":
+        return uniform_reference(B)
+    weights = np.arange(1, B + 1) if kind == "skewed" else np.tile([1, 1, 3, 3, 2], B // 5)
+    return ReferenceDistribution(weights / weights.sum())
+
+
+def ks_snapshot(n, q, tilt):
+    """n counts drawn, seeded by the shape, from ``q`` tilted by ``tilt`` standard errors:
+    category j's probability is scaled by 1 + tilt (2 j / (B - 1) - 1) / sqrt(n)."""
+    B = q.size
+    population = q * (1 + tilt * np.linspace(-1, 1, B) / np.sqrt(n))
+    rng = np.random.default_rng([n, B, tilt])
+    return CategoryCounts(rng.multinomial(n, population / population.sum()))
+
 
 class TestKsPValue:
     def test_zero_statistic_gives_p_one(self):
@@ -307,11 +377,28 @@ class TestKsPValue:
             ((4, 4, 4, 3, 5), [0.2] * 5),
             # sums to 1 + 2.1e-14, so 1 - F_2 rounds below 0
             ((3, 5, 0), [0.3, 0.7 + 2e-14, 1e-15]),
+            # repeated entries: equal Poisson windows, adjacent or not
+            ((3, 1, 4, 2, 2), [0.1, 0.1, 0.3, 0.3, 0.2]),
+            ((2, 6, 1, 5), [0.35, 0.15, 0.35, 0.15]),
         ],
     )
     def test_matches_enumeration_of_every_count_vector(self, counts, probs):
         c, q = CategoryCounts(np.array(counts)), ReferenceDistribution(np.array(probs))
         assert ks_p_value(c, q) == pytest.approx(ks_p_value_enumerated(c, q), rel=1e-12)
+
+    @pytest.mark.parametrize("row, pinned", KS_PUBLISHED_PINS,
+                             ids=[f"n{sum(row)}-{i}" for i, (row, _) in enumerate(KS_PUBLISHED_PINS)])
+    def test_published_snapshots_keep_their_pinned_value(self, row, pinned):
+        q = uniform_reference(len(row))
+        assert ks_p_value(CategoryCounts(np.array(row)), q) == pytest.approx(pinned, rel=1e-12)
+
+    @pytest.mark.parametrize("n, B, kind, drawn, tilted", KS_SEEDED_PINS,
+                             ids=[f"n{n}-B{B}-{kind}" for n, B, kind, _, _ in KS_SEEDED_PINS])
+    def test_seeded_snapshots_keep_their_pinned_value(self, n, B, kind, drawn, tilted):
+        q = ks_reference(kind, B)
+        for tilt, pinned in ((0, drawn), (10, tilted)):
+            p = ks_p_value(ks_snapshot(n, q.probs, tilt), q)
+            assert p == pytest.approx(pinned, rel=1e-12), f"tilt {tilt}"
 
     @settings(max_examples=60, deadline=None)
     @given(

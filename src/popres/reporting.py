@@ -4,24 +4,24 @@ A monitoring report is self-contained: every statistic, boundary and
 classification can be re-derived from its own fields.  History is an
 append-only JSON-lines file guarded by an exclusive lock; duplicate
 submissions (same label and content) are acknowledged as no-ops.  Each append
-overwrites the sidecar ``<history>.idx`` in place: the validated byte length, its
-SHA-256, the number of report lines, and by label one base64 string of packed
-int64 ``(offset, ordinal, fingerprint)`` triples, one per line: its byte offset,
-its ordinal and its ``prs_value`` fingerprint (``hash`` of a number, which equal
-numbers share; -1 for anything else).  The sidecar opens with the SHA-256 of the
-rest of its own bytes, so a write that is torn or not cut to its new length is
-stale, and its schema names the packing, the byte order and the build's hash
-modulus.  The next append validates only what follows the recorded bytes and
-unpacks only the report's label's string: of the lines before, it parses only
-that label's lines whose fingerprint could equal the report's.  The other
-labels' strings are copied, extended by the base64 of any new triples.
-Deleting the sidecar is safe; an edited history or sidecar, or one written by
-another format, build or byte order, costs one full scan.
+overwrites the sidecar ``<history>.idx`` in place: a one-line JSON header with the
+validated byte length, its SHA-256, the number of report lines and each label's
+number of triples, then the packed int64 ``(offset, ordinal, fingerprint)``
+triples of every line, one label after another: its byte offset, its ordinal and
+its ``prs_value`` fingerprint (``hash`` of a number, which equal numbers share; -1
+for anything else).  The sidecar opens with the SHA-256 of the rest of its own
+bytes, so a write that is torn or not cut to its new length is stale, and its
+schema names the packing, the byte order and the build's hash modulus.  The next
+append validates only what follows the recorded bytes and parses only the header:
+of the lines before, it parses only the report's label's lines whose fingerprint
+could equal the report's.  The other labels' triples are copied as bytes, joined
+by any new ones.  Deleting the sidecar is safe; an edited history or sidecar, one
+whose triple counts do not fit its payload, or one written by another format,
+build or byte order, costs one full scan.
 """
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import csv
 import fcntl
@@ -297,23 +297,20 @@ def _history(path: Path, data: bytes, start: int = 0) -> Iterator[tuple]:
         offset += len(text)
 
 
-# A label's entry is the base64 of its (offset, ordinal, fingerprint) triples packed as
-# array("q") in this machine's byte order.  A triple is 24 bytes, a multiple of 3, so the
-# base64 of new triples extends a label's string as it is.  A sidecar of another layout,
-# packing or byte order, or whose fingerprints another hash function made, is stale.
+# The body is a one-line JSON header, whose ``labels`` maps each label to its number of
+# (offset, ordinal, fingerprint) triples, and after it those triples packed as array("q")
+# in this machine's byte order, one label after another in the header's order.  A sidecar
+# of another layout, packing or byte order, or whose fingerprints another hash function
+# made, is stale.
 _ANY = -1  # the fingerprint that may equal anything; CPython's hash never returns -1
-_INDEX_SCHEMA = (f"offset,ordinal,fingerprint;base64 array-q {sys.byteorder}-endian;"
+_INDEX_SCHEMA = (f"offset,ordinal,fingerprint;raw array-q {sys.byteorder}-endian;"
                  f"any={_ANY};hash-modulus={sys.hash_info.modulus}")
 _TRIPLE = 3 * array("q").itemsize
 
 
 def _seal(body: bytes) -> bytes:
-    """A sidecar: ``body``, the members of a JSON object after its ``{``, opened by a
-    member holding the SHA-256 of ``body``."""
-    return b'{"self_sha256":"%s",%s' % (hashlib.sha256(body).hexdigest().encode(), body)
-
-
-_SEAL_HEAD = len(_seal(b""))
+    """A sidecar: the SHA-256 of ``body`` in hex, a newline and ``body``."""
+    return hashlib.sha256(body).hexdigest().encode() + b"\n" + body
 
 
 def _fingerprint(value) -> int:
@@ -327,40 +324,36 @@ def _may_equal(fingerprint: int, key: int) -> bool:
     return fingerprint == key or _ANY in (fingerprint, key)
 
 
-def _pack(triples: list[int]) -> str:
-    return base64.b64encode(array("q", triples).tobytes()).decode("ascii")
-
-
-def _unpack(packed: str) -> array:
-    raw = base64.b64decode(packed, validate=True)
-    if len(raw) % _TRIPLE:
-        raise ValueError(f"{len(raw)} bytes are not a whole number of triples")
-    triples = array("q")
-    triples.frombytes(raw)
-    return triples
-
-
 def _read_index(path: Path, data: bytes, label: str, key: int) -> tuple:
-    """The sidecar's ``(length, count, labels)``, the SHA-256 of the first ``length`` bytes
-    and ``(ordinal, fields)`` of their lines of ``label`` whose fingerprint may equal ``key``.
-    Of the packed label entries only ``label``'s is unpacked.  A missing or stale sidecar,
-    one not sealed by its own digest or one wrong about such a line vouches for no bytes."""
+    """The sidecar's ``(length, count, labels, payload)``, the SHA-256 of the first
+    ``length`` bytes and ``(ordinal, fields)`` of their lines of ``label`` whose fingerprint
+    may equal ``key``.  Only the header is parsed, and only ``label``'s triples unpacked.  A
+    missing or stale sidecar, one not sealed by its own digest, one whose triple counts do
+    not fit its payload or one wrong about such a line vouches for no bytes."""
     try:
         raw = Path(f"{path}.idx").read_bytes()
-        if _seal(raw[_SEAL_HEAD:]) != raw:
+        body = raw[raw.find(b"\n") + 1:]
+        if _seal(body) != raw:
             raise ValueError("the sidecar changed since it was written")
-        index = json.loads(raw)
+        head, _, payload = body.partition(b"\n")
+        index = json.loads(head)
         length, count, labels = (index[k] for k in ("length", "count", "labels"))
         if index["schema"] != _INDEX_SCHEMA or {type(length), type(count)} != {int} \
-                or not all(type(packed) is str for packed in labels.values()):
+                or not all(type(n) is int and n >= 0 for n in labels.values()) \
+                or sum(labels.values()) * _TRIPLE != len(payload):
             raise ValueError("a sidecar of another format")
         if not 0 <= length <= len(data):
             raise ValueError("the history changed since the sidecar was written")
         digest = hashlib.sha256(memoryview(data)[:length])
         if digest.hexdigest() != index["sha256"]:
             raise ValueError("the history changed since the sidecar was written")
+        at = 0  # where label's triples start: after those of the labels before it
+        for name, n in labels.items():
+            if name == label:
+                break
+            at += n * _TRIPLE
+        triples = array("q", payload[at:at + labels.get(label, 0) * _TRIPLE])
         same = []
-        triples = _unpack(labels[label]) if label in labels else array("q")
         for i, fp in enumerate(triples[2::3]):
             if _may_equal(fp, key):
                 offset = triples[3 * i]
@@ -372,9 +365,9 @@ def _read_index(path: Path, data: bytes, label: str, key: int) -> tuple:
                 if entry is None or str(entry["label"]) != label:
                     raise ValueError(f"offset {offset} does not start a line of {label!r}")
                 same.append((triples[3 * i + 1], entry))
-        return (length, count, labels), digest, same
+        return (length, count, labels, payload), digest, same
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
-        return (0, 0, {}), hashlib.sha256(), []
+        return (0, 0, {}, b""), hashlib.sha256(), []
 
 
 def append_history(report: MonitoringReport, history_path: str | Path) -> HistoryAck:
@@ -391,7 +384,7 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
         try:
             fh.seek(0)
             data = fh.read()
-            (start, count, labels), digest, same = _read_index(path, data, label, key)
+            (start, count, labels, payload), digest, same = _read_index(path, data, label, key)
             added: dict[str, list[int]] = {}  # triples of the lines after ``start``, by label
             for offset, entry in _history(path, data, start):
                 if entry is not None:
@@ -416,11 +409,15 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
             # a sidecar ends where a line ends: another writer may continue an unended last line
             if start < len(data) + len(new) and (new or data.endswith((b"\r", b"\n"))):
                 digest.update(data[start:] + new)
-                for name, triples in added.items():
-                    labels[name] = labels.get(name, "") + _pack(triples)
+                parts, at = [], 0
+                for name in dict.fromkeys([*labels, *added]):  # the stored labels first
+                    n, triples = labels.get(name, 0), array("q", added.get(name, ()))
+                    parts += payload[at:at + n * _TRIPLE], triples.tobytes()
+                    labels[name], at = n + len(triples) // 3, at + n * _TRIPLE
                 index = {"schema": _INDEX_SCHEMA, "length": len(data) + len(new),
                          "sha256": digest.hexdigest(), "count": count, "labels": labels}
-                sealed = _seal(json.dumps(index, separators=(",", ":")).encode()[1:])
+                head = json.dumps(index, separators=(",", ":")).encode()  # json escapes "\n"
+                sealed = _seal(b"".join([head, b"\n", *parts]))
                 # written in place: a torn or untruncated write fails the seal, and costs
                 # the next append one full scan
                 with contextlib.suppress(OSError):  # the next append then scans further back

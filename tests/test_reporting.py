@@ -95,36 +95,53 @@ def append_each(history, reports, barrier):
         append_history(report, history)
 
 
-def unpacked(labels):
-    """The sidecar's packed label entries as lists of (offset, ordinal, fingerprint)
-    items: the base64 of int64 triples in this machine's byte order."""
-    return {name: array("q", base64.b64decode(packed)).tolist() for name, packed in labels.items()}
+def seal(body):
+    """A sidecar's bytes: the SHA-256 of ``body`` in hex, a newline and ``body``."""
+    return hashlib.sha256(body).hexdigest().encode() + b"\n" + body
 
 
-def repacked(labels):
-    """``unpacked`` undone; a value that is not a list of integers is written as it is."""
-    return {name: base64.b64encode(array("q", items).tobytes()).decode()
-            if isinstance(items, list) and all(type(item) is int for item in items) else items
-            for name, items in labels.items()}
-
-
-def seal(index):
-    """A sidecar's bytes: ``index`` written compactly, opened by the SHA-256 of the rest."""
+def sealed_object(index):
+    """A sidecar as sealed before the one-line header: ``index`` written compactly as one
+    JSON object, opened by a member holding the SHA-256 of the rest."""
     body = json.dumps(index, separators=(",", ":")).encode()[1:]
     return b'{"self_sha256":"%s",%s' % (hashlib.sha256(body).hexdigest().encode(), body)
 
 
-def edit_labels(index, edit):
-    """Apply ``edit`` to the sidecar ``index``'s labels, unpacked, and pack them again."""
-    labels = unpacked(index["labels"])
+def split_sidecar(raw):
+    """A sidecar's header and each label's slice of its payload.  After the seal's line,
+    the body is a one-line JSON header whose ``labels`` maps each label to its number of
+    int64 (offset, ordinal, fingerprint) triples, 24 bytes each in this machine's byte
+    order, then those triples, one label after another in the header's order."""
+    head, _, payload = raw.partition(b"\n")[2].partition(b"\n")
+    index, slices, at = json.loads(head), {}, 0
+    for name, k in index["labels"].items():
+        slices[name], at = payload[at:at + 24 * k], at + 24 * k
+    assert at == len(payload)
+    return index, slices
+
+
+def sidecar(index, slices):
+    """``split_sidecar`` undone, sealed: the slices are joined in their own order."""
+    return seal(json.dumps(index, separators=(",", ":")).encode() + b"\n"
+                + b"".join(slices.values()))
+
+
+def edited(raw, edit):
+    """The sidecar ``raw`` with ``edit`` applied to its labels' triples as lists of
+    (offset, ordinal, fingerprint) items, sealed again, with the header's counts following
+    the edit; a value that is not a list of integers is written as it is, as bytes."""
+    index, slices = split_sidecar(raw)
+    labels = {name: array("q", part).tolist() for name, part in slices.items()}
     edit(labels)
-    index["labels"] = repacked(labels)
+    slices = {name: array("q", items).tobytes() if isinstance(items, list) else items
+              for name, items in labels.items()}
+    index["labels"] = {name: len(part) // 24 for name, part in slices.items()}
+    return sidecar(index, slices)
 
 
 def edit_index(idx, edit):
-    index = json.loads(idx.read_text())
-    edit_labels(index, edit)
-    idx.write_text(json.dumps(index))
+    """Edit the sidecar's labels' triples and write its body without the seal's line."""
+    idx.write_bytes(edited(idx.read_bytes(), edit).partition(b"\n")[2])
 
 
 def shift_triples(triples, at, by):
@@ -133,27 +150,25 @@ def shift_triples(triples, at, by):
 
 
 def edit_index_body(idx, edit):
-    """Edit the sidecar's unpacked labels and write it as compactly as it was written, so
-    its opening self-digest stays as it was while the bytes after it change."""
+    """Edit the sidecar's labels' triples and keep its opening seal, so the seal stays as
+    it was while the bytes after it change."""
     raw = idx.read_bytes()
-    index = json.loads(raw)
-    edit_labels(index, edit)
-    idx.write_bytes(json.dumps(index, separators=(",", ":")).encode())
-    assert json.loads(idx.read_bytes())["self_sha256"] == index["self_sha256"]
+    idx.write_bytes(raw.partition(b"\n")[0] + b"\n" + edited(raw, edit).partition(b"\n")[2])
+    assert idx.read_bytes().partition(b"\n")[0] == raw.partition(b"\n")[0]
     assert idx.read_bytes() != raw
 
 
 def reseal_index(idx, edit):
-    """Edit the sidecar as it is stored, label entries as strings, and seal it again, so
-    only the edited values are wrong."""
-    index = json.loads(idx.read_bytes())
-    del index["self_sha256"]
-    edit(index)
-    idx.write_bytes(seal(index))
+    """Apply ``edit`` to the sidecar's header and its labels' slices, as they are stored,
+    and seal it again, so only the edited values are wrong."""
+    index, slices = split_sidecar(idx.read_bytes())
+    edit(index, slices)
+    idx.write_bytes(sidecar(index, slices))
 
 
 def add_line_counter(index, lines):
-    """Edit a sidecar into the format that also stored the number of physical lines."""
+    """Edit a sidecar's header into the format that also stored the number of physical
+    lines."""
     rest = {name: index.pop(name) for name in ("count", "labels")}
     index.update(lines=lines, **rest)
 
@@ -198,7 +213,28 @@ def write_list_sidecar(hist):
     index = {"schema": f"offset,ordinal,fingerprint;hash-modulus={sys.hash_info.modulus}",
              "length": len(data), "sha256": hashlib.sha256(data).hexdigest(),
              "lines": ordinal, "count": ordinal, "labels": labels}
-    Path(f"{hist}.idx").write_bytes(seal(index))
+    Path(f"{hist}.idx").write_bytes(sealed_object(index))
+
+
+def write_base64_sidecar(hist):
+    """A sidecar as written before the one-line header: one sealed JSON object whose
+    ``labels`` maps each label to the base64 of its packed int64 triples (fingerprint -1
+    for a ``prs_value`` that is not a number), for a history of newline-ended report
+    lines."""
+    data = hist.read_bytes()
+    labels, offset = {}, 0
+    for ordinal, text in enumerate(data.splitlines(keepends=True), start=1):
+        entry = json.loads(text)
+        value = entry["prs_value"]
+        labels.setdefault(entry["label"], []).extend(
+            (offset, ordinal, hash(value) if type(value) in (int, float) else -1))
+        offset += len(text)
+    index = {"schema": f"offset,ordinal,fingerprint;base64 array-q {sys.byteorder}-endian;"
+                       f"any=-1;hash-modulus={sys.hash_info.modulus}",
+             "length": len(data), "sha256": hashlib.sha256(data).hexdigest(), "count": ordinal,
+             "labels": {name: base64.b64encode(array("q", triples).tobytes()).decode()
+                        for name, triples in labels.items()}}
+    Path(f"{hist}.idx").write_bytes(sealed_object(index))
 
 
 def count_loads(monkeypatch):
@@ -657,11 +693,9 @@ class TestHistory:
         assert append_history(pool[2], hist) == HistoryAck(line_count=2)
         # the sidecar, rewritten shorter in place, is its seal and nothing after it
         raw = Path(f"{hist}.idx").read_bytes()
-        index = json.loads(raw)
-        del index["self_sha256"]
-        assert raw == seal(index)
+        assert raw == sidecar(*split_sidecar(raw))
         # so the next append reads from it instead of scanning again
-        (length, _, _), _, _ = reporting._read_index(hist, hist.read_bytes(), "L0", reporting._ANY)
+        (length, *_), _, _ = reporting._read_index(hist, hist.read_bytes(), "L0", reporting._ANY)
         assert length == hist.stat().st_size
         assert append_history(pool[0], hist) == HistoryAck(line_count=1, duplicate=True)
         assert read_history(hist) == [pool[0], pool[2]]
@@ -674,7 +708,7 @@ class TestHistory:
         lambda idx: edit_index(idx, lambda labels: shift_triples(labels["L0"], 0, 1)),
         lambda idx: edit_index(idx, lambda labels: labels.update(L0=labels["L1"], L1=labels["L0"])),
         lambda idx: edit_index(idx, lambda labels: shift_triples(labels["L0"], 0, 10**6)),
-        lambda idx: edit_index(idx, lambda labels: labels.update(L0=["0", 1])),
+        lambda idx: edit_index(idx, lambda labels: labels.update(L0=b'["0", 1]'.ljust(24))),
         lambda idx: overwrite_in_place(idx, 0.5),
         lambda idx: overwrite_in_place(idx, 1.0),
     ], ids=["deleted", "garbage", "cut", "not-an-object", "offset-inside-a-line",
@@ -813,10 +847,10 @@ class TestHistory:
             append_history(report, hist)
         write_list_sidecar(hist)
         shutil.copyfile(hist, plain)
-        # the old sidecar passes its self-digest but has another schema, so the first append
-        # parses it and every line; the rewritten one is parsed, with no line but one of
-        # equal prs_value
-        for report, parses in ((pool[2], 1 + 4), (pool[4], 1), (pool[3], 1 + 1), (pool[5], 1)):
+        # the old sidecar fails the seal of the one-line header unparsed, so the first append
+        # parses every line; the rewritten one is parsed, with no line but one of equal
+        # prs_value
+        for report, parses in ((pool[2], 4), (pool[4], 1), (pool[3], 1 + 1), (pool[5], 1)):
             parsed = count_loads(monkeypatch)
             ours = append_history(report, hist)
             assert len(parsed) == parses
@@ -824,26 +858,50 @@ class TestHistory:
             assert ours == append_history_full_scan(report, plain)
         assert hist.read_bytes() == plain.read_bytes()
 
-    @pytest.mark.parametrize("spoiled, parses", [
-        ("L0", (1 + 4, 1, 1 + 1, 1)),
-        ("L1", (1 + 1, 1, 1 + 5, 1)),
-    ], ids=["appended-label", "other-label"])
-    @pytest.mark.parametrize("edit", [
-        lambda packed: base64.b64encode(base64.b64decode(packed)[:-8]).decode(),  # 5 int64s
-        lambda packed: "*" + packed[1:],
-    ], ids=["not-whole-triples", "not-base64"])
-    def test_spoiled_label_entry_costs_its_label_one_full_scan(self, tmp_path, monkeypatch, edit,
-                                                               spoiled, parses):
-        # only the appended label's entry is unpacked, so another label's entry is carried
-        # over as it is until that label is appended
+    def test_sidecar_of_the_base64_format_is_stale_once(self, tmp_path, monkeypatch):
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = distinct_pool(6, labels=2)
+        for report in pool[:4]:
+            append_history(report, hist)
+        write_base64_sidecar(hist)
+        shutil.copyfile(hist, plain)
+        # the old sidecar fails the seal of the one-line header unparsed, so the first append
+        # parses each line once; the rewritten one is parsed, with no line but one of equal
+        # prs_value
+        lines = hist.read_text().splitlines(keepends=True)
+        for report, parses in ((pool[2], 4), (pool[4], 1), (pool[3], 1 + 1), (pool[5], 1)):
+            parsed = count_loads(monkeypatch)
+            ours = append_history(report, hist)
+            assert len(parsed) == parses and (report is not pool[2] or parsed == lines)
+            monkeypatch.undo()
+            assert ours == append_history_full_scan(report, plain)
+            index, _ = split_sidecar(Path(f"{hist}.idx").read_bytes())
+            assert index["schema"] == reporting._INDEX_SCHEMA
+        assert hist.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("spoiled, other", [("L0", "L1"), ("L1", "L0")],
+                             ids=["appended-label", "other-label"])
+    @pytest.mark.parametrize("spoil", [
+        lambda counts, slices, s, o: slices.update({s: slices[s][:-8]}),
+        lambda counts, slices, s, o: counts.update({s: counts[s] + 1}),
+        # the other label's count makes up the sum, so only the spoiled count is wrong
+        lambda counts, slices, s, o: counts.update({s: -1, o: counts[o] + counts[s] + 1}),
+        lambda counts, slices, s, o: counts.update({s: True, o: counts[o] + counts[s] - 1}),
+        lambda counts, slices, s, o: counts.update({s: 1.5, o: counts[o] + counts[s] - 1.5}),
+    ], ids=["not-whole-triples", "count-off-by-one", "count-negative", "count-true",
+            "count-not-an-integer"])
+    def test_spoiled_label_entry_costs_its_label_one_full_scan(self, tmp_path, monkeypatch, spoil,
+                                                               spoiled, other):
+        # a sealed sidecar whose triple counts do not fit its payload is stale, whichever
+        # label they are wrong for
         hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
         pool = distinct_pool(6, labels=2)
         for report in pool[:4]:
             append_history(report, hist)
         reseal_index(Path(f"{hist}.idx"),
-                     lambda index: index["labels"].update({spoiled: edit(index["labels"][spoiled])}))
+                     lambda index, slices: spoil(index["labels"], slices, spoiled, other))
         shutil.copyfile(hist, plain)
-        for report, count in zip((pool[2], pool[4], pool[3], pool[5]), parses):
+        for report, count in zip((pool[2], pool[4], pool[3], pool[5]), (1 + 4, 1, 1 + 1, 1)):
             parsed = count_loads(monkeypatch)
             ours = append_history(report, hist)
             assert len(parsed) == count
@@ -852,12 +910,12 @@ class TestHistory:
         assert hist.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("edit", [
-        lambda index: index.update(count=index["count"] + 0.5),
-        lambda index: index["labels"].update(L1=unpacked(index["labels"])["L1"]),
-    ], ids=["count-not-an-integer", "entry-not-a-string"])
+        lambda index, slices: index.update(count=index["count"] + 0.5),
+        lambda index, slices: index["labels"].update(L1=array("q", slices["L1"]).tolist()),
+    ], ids=["count-not-an-integer", "entry-not-an-integer"])
     def test_sealed_sidecar_of_wrong_types_falls_back_to_a_full_scan(self, tmp_path, edit):
-        # such values would otherwise reach array("q"), or a string concatenation for the
-        # line of label L1 another writer adds
+        # such values would otherwise reach a slice of the payload, or the count of label
+        # L1 after the line another writer adds
         hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
         pool = distinct_pool(6, labels=2)
         for report in pool[:4]:
@@ -892,15 +950,48 @@ class TestHistory:
         hist.write_text("".join(line(replace(base, label=f"L{j % 16}", seed=j, prs_value=j / 7))
                                 for j in range(2000)))
         assert append_history(replace(base, label="L3", seed=-1, prs_value=-1.0), hist) == HistoryAck(2001)
-        labels = json.loads(Path(f"{hist}.idx").read_bytes())["labels"]
-        decoded, b64decode = [], base64.b64decode
-        monkeypatch.setattr(base64, "b64decode",
-                            lambda packed, *args, **kw: decoded.append(packed) or b64decode(packed, *args, **kw))
+        _, slices = split_sidecar(Path(f"{hist}.idx").read_bytes())
+        unpacked, array_q = [], reporting.array
+        monkeypatch.setattr(reporting, "array", lambda code, *init: unpacked.extend(
+            part for part in init if isinstance(part, bytes)) or array_q(code, *init))
         assert append_history(replace(base, label="L5", seed=-2, prs_value=-2.0), hist) == HistoryAck(2002)
-        assert decoded == [labels["L5"]]
-        decoded.clear()
+        assert unpacked == [slices["L5"]] and len(slices["L5"]) == 24 * 125
+        unpacked.clear()
         assert append_history(replace(base, label="new", seed=-3), hist) == HistoryAck(2003)
-        assert decoded == []
+        assert b"".join(unpacked) == b""
+
+    def test_steady_append_hashes_and_parses_only_what_it_must(self, tmp_path, monkeypatch):
+        # 2,000 lines of 16 labels, each with its own prs_value
+        hist = tmp_path / "history.jsonl"
+        base = base_report()
+        stored = [replace(base, label=f"L{j % 16}", seed=j, prs_value=j / 7) for j in range(2000)]
+        hist.write_text("".join(line(report) for report in stored))
+        assert append_history(replace(stored[3], seed=-1, prs_value=-1.0), hist) == HistoryAck(2001)
+        hashed, sha256 = [], hashlib.sha256
+
+        class Spy:
+            def __init__(self, data=b""):
+                self.digest = sha256()
+                self.update(data)
+
+            def update(self, data):
+                hashed.append(memoryview(data).nbytes)
+                self.digest.update(data)
+
+            def hexdigest(self):
+                return self.digest.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", Spy)
+        for report, ack in ((replace(stored[5], seed=-2, prs_value=-2.0), HistoryAck(2002)),
+                            (stored[5], HistoryAck(6, duplicate=True))):
+            hashed.clear()
+            head = Path(f"{hist}.idx").read_bytes().split(b"\n")[1]
+            parsed = count_loads(monkeypatch)
+            assert append_history(report, hist) == ack
+            assert sum(hashed) <= hist.stat().st_size + 2 * Path(f"{hist}.idx").stat().st_size
+            # the header, then the one line of equal prs_value, if any
+            assert parsed[0] == head
+            assert parsed[1:] == ([line(stored[5])] if ack.duplicate else [])
 
     @pytest.mark.parametrize("external", ["\n{not json\n", "\n", "\nx"], ids=["corrupt", "lf", "text"])
     def test_sidecar_ending_inside_a_crlf_agrees_with_a_full_scan(self, tmp_path, external):
@@ -933,7 +1024,7 @@ class TestHistory:
         hist.write_bytes((line(pool[0]) + line(pool[1], end)).encode())
         # a duplicate writes the sidecar, which then ends where the history ends
         assert append_history(pool[1], hist) == HistoryAck(line_count=2, duplicate=True)
-        reseal_index(Path(f"{hist}.idx"), lambda index: add_line_counter(index, 2))
+        reseal_index(Path(f"{hist}.idx"), lambda index, slices: add_line_counter(index, 2))
         shutil.copyfile(hist, plain)
         for path in (hist, plain):
             with open(path, "ab") as fh:
@@ -945,7 +1036,7 @@ class TestHistory:
         assert ours == want == outcome(append_history_full_scan, pool[4], plain)
         assert hist.read_bytes() == plain.read_bytes()
         if isinstance(ours, HistoryAck):  # written again, without the counter
-            assert "lines" not in json.loads(Path(f"{hist}.idx").read_bytes())
+            assert "lines" not in split_sidecar(Path(f"{hist}.idx").read_bytes())[0]
 
     @pytest.mark.parametrize("external, where", [
         ("\n{not json\n", "<history>:3: corrupt history line"),
@@ -1183,7 +1274,7 @@ class HistoryTwins:
             self.replace_history(b"".join(self.data().splitlines(keepends=True)[:number - 1]))
         after = self.sidecar()
         if after is not None and after != before:
-            self.written = after, self.data()[:json.loads(after)["length"]]
+            self.written = after, self.data()[:split_sidecar(after)[0]["length"]]
 
     def external_report(self, i, end):
         self.write(line(self.pool[i], end))
@@ -1222,7 +1313,7 @@ class HistoryTwins:
         assert not Path(f"{self.hist}.idx.tmp").exists()  # the sidecar is written in place
         if self.written and self.sidecar() == self.written[0] and data.startswith(self.written[1]):
             for label in ("L0", "L1"):  # a fingerprint that may equal any: every line is read
-                (length, _, _), _, _ = reporting._read_index(self.hist, data, label, reporting._ANY)
+                (length, *_), _, _ = reporting._read_index(self.hist, data, label, reporting._ANY)
                 assert length == len(self.written[1]), f"the sidecar was not used for {label}"
 
 

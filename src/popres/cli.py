@@ -168,8 +168,26 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The whole parser's Namespace for argv, with a named command's flags parsed once.
+
+    That command's parser takes the rest of argv, as the whole parser's subcommand
+    step would.  No command, an unknown one, or a flag the command does not know
+    goes through the whole parser, so help, usage lines and errors stay its own.
+    """
+    parser = _parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.run(args)
     except BoundaryOverlapError as exc:

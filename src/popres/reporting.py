@@ -15,9 +15,12 @@ schema names the packing, the byte order and the build's hash modulus.  The next
 append validates only what follows the recorded bytes and parses only the header:
 of the lines before, it parses only the report's label's lines whose fingerprint
 could equal the report's.  The other labels' triples are copied as bytes, joined
-by any new ones.  Deleting the sidecar is safe; an edited history or sidecar, one
-whose triple counts do not fit its payload, or one written by another format,
-build or byte order, costs one full scan.
+by any new ones.  Deleting the sidecar is safe and costs one full scan.  So does a
+sidecar whose seal fails (a torn or partial write, or an edit not sealed again),
+one whose triple counts do not fit its payload, one written by another format,
+build or byte order, and an edited history.  The seal is a checksum, not a
+signature: a sidecar edited and sealed again is trusted, and only its triples that
+could equal the report are checked against the history.
 """
 
 from __future__ import annotations

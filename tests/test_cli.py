@@ -501,3 +501,44 @@ class TestParserReuse:
         assert main(["monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file),
                      "--history", str(tmp_path / "h.jsonl")]) == EXIT_OK
         assert calls == ["load_reference", "decision_boundaries", "load_reference", "append_history"]
+
+
+# argv that argparse refuses or answers with help, each checked against the whole parser
+PARSE_EXITS = {
+    "no-command": [],
+    "top-level-help": ["-h"],
+    "unknown-command": ["bogus"],
+    **{f"{command}-help": [command, "-h"] for command in OPTIONS},
+    "missing-required-flags": ["study"],
+    "bad-value": ["boundaries", "--reference", "ref.csv", "--n", "fifty"],
+    "bad-choice": ["monitor", "--snapshot", "t1.csv", "--reference", "ref.csv", "--format", "xml"],
+    "unrecognised-flag": ["boundaries", "--reference", "ref.csv", "--n", "50", "--seed", "5"],
+}
+
+
+class TestDispatch:
+    """`main` parses a named command with that command's parser; its output is the whole parser's."""
+
+    @pytest.mark.parametrize("argv", PARSE_EXITS.values(), ids=PARSE_EXITS)
+    def test_exit_and_output_equal_the_whole_parser(self, capsys, argv):
+        outcomes = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            outcomes.append((exc.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch, reference_file):
+        argv = ["boundaries", "--reference", str(reference_file), "--n", "50", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        expected = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["popres", *argv])
+        assert main() == EXIT_OK
+        assert capsys.readouterr() == expected
+
+    def test_module_entry_point(self, reference_file):
+        out = subprocess.run([sys.executable, "-m", "popres.cli", "boundaries", "--reference", str(reference_file),
+                              "--n", "50"], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")})
+        assert (out.returncode, out.stderr) == (EXIT_OK, "")
+        assert out.stdout.startswith("(n=50, B=5)  delta=0.039598")

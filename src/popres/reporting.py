@@ -4,22 +4,17 @@ A monitoring report is self-contained: every statistic, boundary and
 classification can be re-derived from its own fields.  History is an
 append-only JSON-lines file guarded by an exclusive lock; duplicate
 submissions (same label and content) are acknowledged as no-ops.  Each append
-overwrites the sidecar ``<history>.idx`` in place: a one-line JSON header with the
-validated byte length, its SHA-256, the number of report lines and each label's
-number of triples, then the packed int64 ``(offset, ordinal, fingerprint)``
-triples of every line, one label after another: its byte offset, its ordinal and
-its ``prs_value`` fingerprint (``hash`` of a number, which equal numbers share; -1
-for anything else).  The sidecar opens with the SHA-256 of the rest of its own
-bytes, so a write that is torn or not cut to its new length is stale, and its
-schema names the packing, the byte order and the build's hash modulus.  The next
-append validates only what follows the recorded bytes and parses only the header:
-of the lines before, it parses only the report's label's lines whose fingerprint
-could equal the report's.  The other labels' triples are copied as bytes, joined
-by any new ones.  Deleting the sidecar is safe and costs one full scan.  So does a
-sidecar whose seal fails (a torn or partial write, or an edit not sealed again),
-one whose triple counts do not fit its payload, one written by another format,
-build or byte order, and an edited history.  The seal is a checksum, not a
-signature: a sidecar edited and sealed again is trusted, and only its triples that
+overwrites the sidecar ``<history>.idx`` in place.  Its first line holds the SHA-256 of
+the validated bytes followed by the rest of the sidecar, and the number of validated
+bytes; then come a one-line JSON header listing the labels and one packed int64
+``(offset, label position, fingerprint)`` triple per report line, in file order.  The
+fingerprint is ``hash`` of a ``prs_value`` that is a number, which equal numbers share,
+and -1 for anything else.  The next append validates only what follows the recorded
+bytes and, of the lines before, parses only the report's label's lines whose fingerprint
+could equal the report's.  Deleting the sidecar is safe and costs one full scan.  So
+does a stale one: a torn or partial write, an edit not sealed again, one written by
+another format, build or byte order, and an edited history.  The digest is a checksum,
+not a signature: a sidecar edited and sealed again is trusted, and only its triples that
 could equal the report are checked against the history.
 """
 
@@ -135,8 +130,10 @@ def _ordered_values(
         seen[cat] = val
     B = len(seen)
     missing = [c for c in range(1, B + 1) if c not in seen]
-    if missing:
-        raise ValidationError(f"{path}: missing categories {missing}")
+    if missing:  # then as many categories lie outside 1..B
+        stray = sorted(c for c in seen if not 1 <= c <= B)
+        raise ValidationError(f"{path}: missing categories {missing}, "
+                              f"categories outside 1..{B}: {stray}")
     return [seen[c] for c in range(1, B + 1)]
 
 
@@ -300,20 +297,17 @@ def _history(path: Path, data: bytes, start: int = 0) -> Iterator[tuple]:
         offset += len(text)
 
 
-# The body is a one-line JSON header, whose ``labels`` maps each label to its number of
-# (offset, ordinal, fingerprint) triples, and after it those triples packed as array("q")
-# in this machine's byte order, one label after another in the header's order.  A sidecar
-# of another layout, packing or byte order, or whose fingerprints another hash function
-# made, is stale.
+# The first line holds the SHA-256 hex of the history's first ``length`` bytes followed by
+# the body, a space and ``length``.  The body is a one-line JSON header, whose ``labels``
+# lists the labels in the order they first occur, and after it one (offset, position of the
+# label in ``labels``, fingerprint) triple per report line in file order, packed as
+# array("q") in this machine's byte order: a line's ordinal is its triple's position + 1.
+# A sidecar of another layout, packing or byte order, or whose fingerprints another hash
+# function made, is stale.
 _ANY = -1  # the fingerprint that may equal anything; CPython's hash never returns -1
-_INDEX_SCHEMA = (f"offset,ordinal,fingerprint;raw array-q {sys.byteorder}-endian;"
+_INDEX_SCHEMA = (f"offset,label,fingerprint;raw array-q {sys.byteorder}-endian;"
                  f"any={_ANY};hash-modulus={sys.hash_info.modulus}")
 _TRIPLE = 3 * array("q").itemsize
-
-
-def _seal(body: bytes) -> bytes:
-    """A sidecar: the SHA-256 of ``body`` in hex, a newline and ``body``."""
-    return hashlib.sha256(body).hexdigest().encode() + b"\n" + body
 
 
 def _fingerprint(value) -> int:
@@ -328,49 +322,43 @@ def _may_equal(fingerprint: int, key: int) -> bool:
 
 
 def _read_index(path: Path, data: bytes, label: str, key: int) -> tuple:
-    """The sidecar's ``(length, count, labels, payload)``, the SHA-256 of the first
-    ``length`` bytes and ``(ordinal, fields)`` of their lines of ``label`` whose fingerprint
-    may equal ``key``.  Only the header is parsed, and only ``label``'s triples unpacked.  A
-    missing or stale sidecar, one not sealed by its own digest, one whose triple counts do
-    not fit its payload or one wrong about such a line vouches for no bytes."""
+    """The sidecar's ``(length, labels, payload)``, with ``labels`` mapping each label to
+    its position, the SHA-256 of the first ``length`` bytes and ``(ordinal, fields)`` of
+    their lines of ``label`` whose fingerprint may equal ``key``.  Nothing is parsed before
+    the digest holds.  A missing or stale sidecar, or one wrong about such a line, vouches
+    for no bytes."""
     try:
         raw = Path(f"{path}.idx").read_bytes()
-        body = raw[raw.find(b"\n") + 1:]
-        if _seal(body) != raw:
-            raise ValueError("the sidecar changed since it was written")
-        head, _, payload = body.partition(b"\n")
-        index = json.loads(head)
-        length, count, labels = (index[k] for k in ("length", "count", "labels"))
-        if index["schema"] != _INDEX_SCHEMA or {type(length), type(count)} != {int} \
-                or not all(type(n) is int and n >= 0 for n in labels.values()) \
-                or sum(labels.values()) * _TRIPLE != len(payload):
-            raise ValueError("a sidecar of another format")
+        seal, _, body = raw.partition(b"\n")
+        hexdigest, length = seal.split(b" ")
+        length = int(length)
         if not 0 <= length <= len(data):
             raise ValueError("the history changed since the sidecar was written")
         digest = hashlib.sha256(memoryview(data)[:length])
-        if digest.hexdigest() != index["sha256"]:
-            raise ValueError("the history changed since the sidecar was written")
-        at = 0  # where label's triples start: after those of the labels before it
-        for name, n in labels.items():
-            if name == label:
-                break
-            at += n * _TRIPLE
-        triples = array("q", payload[at:at + labels.get(label, 0) * _TRIPLE])
-        same = []
-        for i, fp in enumerate(triples[2::3]):
-            if _may_equal(fp, key):
-                offset = triples[3 * i]
-                starts = 0 <= offset < length and (not offset or data[offset - 1] in b"\r\n")
-                # the line at offset up to its first \r or \n, where _history ends it too
-                end = data.find(b"\n", offset) + 1 or len(data)
-                cr = data.find(b"\r", offset, end)
-                entry = _entry(data[offset:end if cr < 0 else cr + 1]) if starts else None
-                if entry is None or str(entry["label"]) != label:
-                    raise ValueError(f"offset {offset} does not start a line of {label!r}")
-                same.append((triples[3 * i + 1], entry))
-        return (length, count, labels, payload), digest, same
-    except (OSError, ValueError, TypeError, KeyError, AttributeError):
-        return (0, 0, {}, b""), hashlib.sha256(), []
+        sealed = digest.copy()
+        sealed.update(body)
+        if sealed.hexdigest().encode() != hexdigest:
+            raise ValueError("the history or the sidecar changed since it was written")
+        head, _, payload = body.partition(b"\n")
+        index = json.loads(head)
+        labels = {name: at for at, name in enumerate(index["labels"])}
+        if index["schema"] != _INDEX_SCHEMA or list(labels) != index["labels"]:
+            raise ValueError("a sidecar of another format")
+        triples = np.frombuffer(payload, np.int64).reshape(-1, 3)
+        fps, same = triples[:, 2], []
+        may_equal = (fps == key) | (fps == _ANY) | (key == _ANY)
+        for i in np.flatnonzero((triples[:, 1] == labels.get(label, -1)) & may_equal).tolist():
+            offset = int(triples[i, 0])
+            starts = 0 <= offset < length and (not offset or data[offset - 1] in b"\r\n")
+            # the line at offset, ended where _history ends it
+            text = data[offset:data.find(b"\n", offset) + 1 or len(data)].splitlines(True)[0]
+            entry = _entry(text) if starts else None
+            if entry is None or str(entry["label"]) != label:
+                raise ValueError(f"offset {offset} does not start a line of {label!r}")
+            same.append((i + 1, entry))
+        return (length, labels, payload), digest, same
+    except (OSError, ValueError, TypeError, KeyError):
+        return (0, {}, b""), hashlib.sha256(), []
 
 
 def append_history(report: MonitoringReport, history_path: str | Path) -> HistoryAck:
@@ -387,14 +375,14 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
         try:
             fh.seek(0)
             data = fh.read()
-            (start, count, labels, payload), digest, same = _read_index(path, data, label, key)
-            added: dict[str, list[int]] = {}  # triples of the lines after ``start``, by label
+            (start, labels, payload), digest, same = _read_index(path, data, label, key)
+            count, added = len(payload) // _TRIPLE, array("q")  # the triples after ``start``
             for offset, entry in _history(path, data, start):
                 if entry is not None:
                     count += 1
-                    fp = _fingerprint(entry["prs_value"])
-                    added.setdefault(str(entry["label"]), []).extend((offset, count, fp))
-                    if str(entry["label"]) == label and _may_equal(fp, key):
+                    name, fp = str(entry["label"]), _fingerprint(entry["prs_value"])
+                    added.extend((offset, labels.setdefault(name, len(labels)), fp))
+                    if name == label and _may_equal(fp, key):
                         same.append((count, entry))
             # prs_value first: it is cheap, and a NaN equals nothing, not even the one NaN
             # object that json parses every NaN to
@@ -405,23 +393,19 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
                 # a last line without its newline would run into the new one
                 new = b"" if data[-1:] in (b"", b"\n") else b"\n"
                 count += 1
-                added.setdefault(label, []).extend((len(data) + len(new), count, key))
+                added.extend((len(data) + len(new), labels.setdefault(label, len(labels)), key))
                 new += json.dumps(vars(report), sort_keys=True).encode() + b"\n"
                 fh.write(new)
                 fh.flush()
             # a sidecar ends where a line ends: another writer may continue an unended last line
             if start < len(data) + len(new) and (new or data.endswith((b"\r", b"\n"))):
-                digest.update(data[start:] + new)
-                parts, at = [], 0
-                for name in dict.fromkeys([*labels, *added]):  # the stored labels first
-                    n, triples = labels.get(name, 0), array("q", added.get(name, ()))
-                    parts += payload[at:at + n * _TRIPLE], triples.tobytes()
-                    labels[name], at = n + len(triples) // 3, at + n * _TRIPLE
-                index = {"schema": _INDEX_SCHEMA, "length": len(data) + len(new),
-                         "sha256": digest.hexdigest(), "count": count, "labels": labels}
+                index = {"schema": _INDEX_SCHEMA, "labels": list(labels)}
                 head = json.dumps(index, separators=(",", ":")).encode()  # json escapes "\n"
-                sealed = _seal(b"".join([head, b"\n", *parts]))
-                # written in place: a torn or untruncated write fails the seal, and costs
+                body = b"".join([head, b"\n", payload, added.tobytes()])
+                digest.update(data[start:] + new)
+                digest.update(body)
+                sealed = b"%s %d\n%s" % (digest.hexdigest().encode(), len(data) + len(new), body)
+                # written in place: a torn or untruncated write fails the digest, and costs
                 # the next append one full scan
                 with contextlib.suppress(OSError):  # the next append then scans further back
                     fd = os.open(f"{path}.idx", os.O_WRONLY | os.O_CREAT, 0o666)

@@ -184,8 +184,10 @@ def ordered_values_dictreader(
         seen[cat] = val
     B = len(seen)
     missing = [c for c in range(1, B + 1) if c not in seen]
-    if missing:
-        raise ValidationError(f"{path}: missing categories {missing}")
+    if missing:  # then as many categories lie outside 1..B
+        stray = sorted(c for c in seen if not 1 <= c <= B)
+        raise ValidationError(f"{path}: missing categories {missing}, "
+                              f"categories outside 1..{B}: {stray}")
     return [seen[c] for c in range(1, B + 1)]
 
 

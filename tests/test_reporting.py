@@ -95,11 +95,6 @@ def append_each(history, reports, barrier):
         append_history(report, history)
 
 
-def seal(body):
-    """A sidecar's bytes: the SHA-256 of ``body`` in hex, a newline and ``body``."""
-    return hashlib.sha256(body).hexdigest().encode() + b"\n" + body
-
-
 def sealed_object(index):
     """A sidecar as sealed before the one-line header: ``index`` written compactly as one
     JSON object, opened by a member holding the SHA-256 of the rest."""
@@ -108,69 +103,83 @@ def sealed_object(index):
 
 
 def split_sidecar(raw):
-    """A sidecar's header and each label's slice of its payload.  After the seal's line,
-    the body is a one-line JSON header whose ``labels`` maps each label to its number of
-    int64 (offset, ordinal, fingerprint) triples, 24 bytes each in this machine's byte
-    order, then those triples, one label after another in the header's order."""
-    head, _, payload = raw.partition(b"\n")[2].partition(b"\n")
-    index, slices, at = json.loads(head), {}, 0
-    for name, k in index["labels"].items():
-        slices[name], at = payload[at:at + 24 * k], at + 24 * k
-    assert at == len(payload)
-    return index, slices
+    """A sidecar's ``length``, header and triples.  Its first line is the SHA-256 hex of the
+    history's first ``length`` bytes followed by the body, a space and ``length``.  The body
+    is a one-line JSON header whose ``labels`` lists the labels in the order they first
+    occur, then one int64 (offset, position of the label in ``labels``, fingerprint) triple
+    per report line in file order, 24 bytes each in this machine's byte order."""
+    seal, _, body = raw.partition(b"\n")
+    head, _, payload = body.partition(b"\n")
+    items = array("q", payload).tolist()
+    assert len(items) % 3 == 0
+    triples = [items[i:i + 3] for i in range(0, len(items), 3)]
+    return int(seal.split(b" ")[1]), json.loads(head), triples
 
 
-def sidecar(index, slices):
-    """``split_sidecar`` undone, sealed: the slices are joined in their own order."""
-    return seal(json.dumps(index, separators=(",", ":")).encode() + b"\n"
-                + b"".join(slices.values()))
+def sidecar(data, index, triples):
+    """``split_sidecar`` undone and sealed over the history bytes ``data``; a triple of
+    fewer than three items is packed as it is, so the payload is short."""
+    body = (json.dumps(index, separators=(",", ":")).encode() + b"\n"
+            + array("q", [item for triple in triples for item in triple]).tobytes())
+    return b"%s %d\n" % (hashlib.sha256(data + body).hexdigest().encode(), len(data)) + body
 
 
-def edited(raw, edit):
-    """The sidecar ``raw`` with ``edit`` applied to its labels' triples as lists of
-    (offset, ordinal, fingerprint) items, sealed again, with the header's counts following
-    the edit; a value that is not a list of integers is written as it is, as bytes."""
-    index, slices = split_sidecar(raw)
-    labels = {name: array("q", part).tolist() for name, part in slices.items()}
-    edit(labels)
-    slices = {name: array("q", items).tobytes() if isinstance(items, list) else items
-              for name, items in labels.items()}
-    index["labels"] = {name: len(part) // 24 for name, part in slices.items()}
-    return sidecar(index, slices)
+def history_bytes(idx):
+    return Path(str(idx)[:-len(".idx")]).read_bytes()
+
+
+def edited(idx, edit):
+    """The sidecar ``idx`` sealed again after ``edit`` changed its labels' triples, given as
+    a dict of each label's (offset, position, fingerprint) lists in file order."""
+    length, index, triples = split_sidecar(idx.read_bytes())
+    edit({name: [t for t in triples if t[1] == at] for at, name in enumerate(index["labels"])})
+    return sidecar(history_bytes(idx)[:length], index, triples)
 
 
 def edit_index(idx, edit):
-    """Edit the sidecar's labels' triples and write its body without the seal's line."""
-    idx.write_bytes(edited(idx.read_bytes(), edit).partition(b"\n")[2])
+    """Edit the sidecar's labels' triples and write its body without the digest's line."""
+    idx.write_bytes(edited(idx, edit).partition(b"\n")[2])
 
 
 def shift_triples(triples, at, by):
-    """Add ``by`` to item ``at`` of each (offset, ordinal, fingerprint) triple."""
-    triples[at::3] = [value + by for value in triples[at::3]]
+    """Add ``by`` to item ``at`` of each (offset, position, fingerprint) triple."""
+    for triple in triples:
+        triple[at] += by
+
+
+def swap_offsets(mine, theirs):
+    """Swap the offsets of the triples of two labels, pair by pair."""
+    for a, b in zip(mine, theirs):
+        a[0], b[0] = b[0], a[0]
+
+
+def offsets_as_text(triples):
+    """Make the bytes of each triple's offset the JSON text ``["0", 1]``."""
+    for triple in triples:
+        triple[0] = int.from_bytes(b'["0", 1]', sys.byteorder)
 
 
 def edit_index_body(idx, edit):
-    """Edit the sidecar's labels' triples and keep its opening seal, so the seal stays as
-    it was while the bytes after it change."""
+    """Edit the sidecar's labels' triples and keep its digest's line, so the digest stays
+    as it was while the bytes after it change."""
     raw = idx.read_bytes()
-    idx.write_bytes(raw.partition(b"\n")[0] + b"\n" + edited(raw, edit).partition(b"\n")[2])
+    idx.write_bytes(raw.partition(b"\n")[0] + b"\n" + edited(idx, edit).partition(b"\n")[2])
     assert idx.read_bytes().partition(b"\n")[0] == raw.partition(b"\n")[0]
     assert idx.read_bytes() != raw
 
 
 def reseal_index(idx, edit):
-    """Apply ``edit`` to the sidecar's header and its labels' slices, as they are stored,
-    and seal it again, so only the edited values are wrong."""
-    index, slices = split_sidecar(idx.read_bytes())
-    edit(index, slices)
-    idx.write_bytes(sidecar(index, slices))
+    """Apply ``edit`` to the sidecar's header and its triples, as they are stored, and seal
+    it again, so only the edited values are wrong."""
+    length, index, triples = split_sidecar(idx.read_bytes())
+    edit(index, triples)
+    idx.write_bytes(sidecar(history_bytes(idx)[:length], index, triples))
 
 
 def add_line_counter(index, lines):
     """Edit a sidecar's header into the format that also stored the number of physical
     lines."""
-    rest = {name: index.pop(name) for name in ("count", "labels")}
-    index.update(lines=lines, **rest)
+    index.update(lines=lines, labels=index.pop("labels"))
 
 
 def overwrite_in_place(idx, share):
@@ -235,6 +244,29 @@ def write_base64_sidecar(hist):
              "labels": {name: base64.b64encode(array("q", triples).tobytes()).decode()
                         for name, triples in labels.items()}}
     Path(f"{hist}.idx").write_bytes(sealed_object(index))
+
+
+def write_per_label_sidecar(hist):
+    """A sidecar as written before the flat layout: a line with the SHA-256 of the body,
+    then a one-line JSON header with the history's length and SHA-256, the number of report
+    lines and each label's number of triples, then each label's packed int64 (offset,
+    ordinal, fingerprint) triples, one label after another, for a history of newline-ended
+    report lines."""
+    data = hist.read_bytes()
+    labels, offset = {}, 0
+    for ordinal, text in enumerate(data.splitlines(keepends=True), start=1):
+        entry = json.loads(text)
+        value = entry["prs_value"]
+        labels.setdefault(entry["label"], []).extend(
+            (offset, ordinal, hash(value) if type(value) in (int, float) else -1))
+        offset += len(text)
+    index = {"schema": f"offset,ordinal,fingerprint;raw array-q {sys.byteorder}-endian;"
+                       f"any=-1;hash-modulus={sys.hash_info.modulus}",
+             "length": len(data), "sha256": hashlib.sha256(data).hexdigest(), "count": ordinal,
+             "labels": {name: len(triples) // 3 for name, triples in labels.items()}}
+    body = b"".join([json.dumps(index, separators=(",", ":")).encode(), b"\n",
+                     *(array("q", triples).tobytes() for triples in labels.values())])
+    Path(f"{hist}.idx").write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
 
 
 def count_loads(monkeypatch):
@@ -376,6 +408,16 @@ class TestLoaders:
         f.write_text("category,prob\n1,0.5\n3,0.5\n")
         with pytest.raises(ValidationError):
             load_reference(f)
+
+    @pytest.mark.parametrize("categories, stray", [((0, 1, 2, 3, 4), 0), ((1, 2, 3, 4, 9), 9)],
+                             ids=["zero", "beyond-B"])
+    def test_categories_outside_one_to_b_are_named(self, tmp_path, categories, stray):
+        f = tmp_path / "s.csv"
+        f.write_text("category,count\n" + "".join(f"{c},{c + 1}\n" for c in categories))
+        for load in (load_reference, load_snapshot):
+            with pytest.raises(ValidationError, match=rf"s\.csv: missing categories \[5\], "
+                                                      rf"categories outside 1\.\.5: \[{stray}\]$"):
+                load(f)
 
     def test_snapshot_from_csv(self, tmp_path):
         f = tmp_path / "week12.csv"
@@ -691,9 +733,10 @@ class TestHistory:
             append_history(report, hist)
         hist.write_text(line(pool[0]))
         assert append_history(pool[2], hist) == HistoryAck(line_count=2)
-        # the sidecar, rewritten shorter in place, is its seal and nothing after it
+        # the sidecar, rewritten shorter in place, is its digest and nothing after it
         raw = Path(f"{hist}.idx").read_bytes()
-        assert raw == sidecar(*split_sidecar(raw))
+        length, index, triples = split_sidecar(raw)
+        assert raw == sidecar(hist.read_bytes()[:length], index, triples)
         # so the next append reads from it instead of scanning again
         (length, *_), _, _ = reporting._read_index(hist, hist.read_bytes(), "L0", reporting._ANY)
         assert length == hist.stat().st_size
@@ -706,9 +749,9 @@ class TestHistory:
         lambda idx: idx.write_bytes(idx.read_bytes()[:40]),
         lambda idx: idx.write_text("[]"),
         lambda idx: edit_index(idx, lambda labels: shift_triples(labels["L0"], 0, 1)),
-        lambda idx: edit_index(idx, lambda labels: labels.update(L0=labels["L1"], L1=labels["L0"])),
+        lambda idx: edit_index(idx, lambda labels: swap_offsets(labels["L0"], labels["L1"])),
         lambda idx: edit_index(idx, lambda labels: shift_triples(labels["L0"], 0, 10**6)),
-        lambda idx: edit_index(idx, lambda labels: labels.update(L0=b'["0", 1]'.ljust(24))),
+        lambda idx: edit_index(idx, lambda labels: offsets_as_text(labels["L0"])),
         lambda idx: overwrite_in_place(idx, 0.5),
         lambda idx: overwrite_in_place(idx, 1.0),
     ], ids=["deleted", "garbage", "cut", "not-an-object", "offset-inside-a-line",
@@ -875,31 +918,46 @@ class TestHistory:
             assert len(parsed) == parses and (report is not pool[2] or parsed == lines)
             monkeypatch.undo()
             assert ours == append_history_full_scan(report, plain)
-            index, _ = split_sidecar(Path(f"{hist}.idx").read_bytes())
+            _, index, _ = split_sidecar(Path(f"{hist}.idx").read_bytes())
+            assert index["schema"] == reporting._INDEX_SCHEMA
+        assert hist.read_bytes() == plain.read_bytes()
+
+    def test_sidecar_of_the_per_label_format_is_stale_once(self, tmp_path, monkeypatch):
+        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
+        pool = distinct_pool(6, labels=2)
+        for report in pool[:4]:
+            append_history(report, hist)
+        write_per_label_sidecar(hist)
+        shutil.copyfile(hist, plain)
+        # the old sidecar has no length after its digest and fails unparsed, so the first
+        # append parses each line once; the rewritten one is parsed, with no line but one
+        # of equal prs_value
+        lines = hist.read_text().splitlines(keepends=True)
+        for report, parses in ((pool[2], 4), (pool[4], 1), (pool[3], 1 + 1), (pool[5], 1)):
+            parsed = count_loads(monkeypatch)
+            ours = append_history(report, hist)
+            assert len(parsed) == parses and (report is not pool[2] or parsed == lines)
+            monkeypatch.undo()
+            assert ours == append_history_full_scan(report, plain)
+            _, index, _ = split_sidecar(Path(f"{hist}.idx").read_bytes())
             assert index["schema"] == reporting._INDEX_SCHEMA
         assert hist.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("spoiled, other", [("L0", "L1"), ("L1", "L0")],
                              ids=["appended-label", "other-label"])
     @pytest.mark.parametrize("spoil", [
-        lambda counts, slices, s, o: slices.update({s: slices[s][:-8]}),
-        lambda counts, slices, s, o: counts.update({s: counts[s] + 1}),
-        # the other label's count makes up the sum, so only the spoiled count is wrong
-        lambda counts, slices, s, o: counts.update({s: -1, o: counts[o] + counts[s] + 1}),
-        lambda counts, slices, s, o: counts.update({s: True, o: counts[o] + counts[s] - 1}),
-        lambda counts, slices, s, o: counts.update({s: 1.5, o: counts[o] + counts[s] - 1.5}),
-    ], ids=["not-whole-triples", "count-off-by-one", "count-negative", "count-true",
-            "count-not-an-integer"])
+        lambda labels, s, o: labels[s][-1].pop(),
+    ], ids=["not-whole-triples"])
     def test_spoiled_label_entry_costs_its_label_one_full_scan(self, tmp_path, monkeypatch, spoil,
                                                                spoiled, other):
-        # a sealed sidecar whose triple counts do not fit its payload is stale, whichever
-        # label they are wrong for
+        # a sealed sidecar whose payload is not whole triples is stale, whichever label's
+        # triple is cut short
         hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
         pool = distinct_pool(6, labels=2)
         for report in pool[:4]:
             append_history(report, hist)
-        reseal_index(Path(f"{hist}.idx"),
-                     lambda index, slices: spoil(index["labels"], slices, spoiled, other))
+        Path(f"{hist}.idx").write_bytes(edited(Path(f"{hist}.idx"),
+                                               lambda labels: spoil(labels, spoiled, other)))
         shutil.copyfile(hist, plain)
         for report, count in zip((pool[2], pool[4], pool[3], pool[5]), (1 + 4, 1, 1 + 1, 1)):
             parsed = count_loads(monkeypatch)
@@ -907,25 +965,6 @@ class TestHistory:
             assert len(parsed) == count
             monkeypatch.undo()
             assert ours == append_history_full_scan(report, plain)
-        assert hist.read_bytes() == plain.read_bytes()
-
-    @pytest.mark.parametrize("edit", [
-        lambda index, slices: index.update(count=index["count"] + 0.5),
-        lambda index, slices: index["labels"].update(L1=array("q", slices["L1"]).tolist()),
-    ], ids=["count-not-an-integer", "entry-not-an-integer"])
-    def test_sealed_sidecar_of_wrong_types_falls_back_to_a_full_scan(self, tmp_path, edit):
-        # such values would otherwise reach a slice of the payload, or the count of label
-        # L1 after the line another writer adds
-        hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
-        pool = distinct_pool(6, labels=2)
-        for report in pool[:4]:
-            append_history(report, hist)
-        reseal_index(Path(f"{hist}.idx"), edit)
-        with open(hist, "a") as fh:
-            fh.write(line(replace(pool[1], seed=50)))
-        shutil.copyfile(hist, plain)
-        for report in (pool[4], pool[5], pool[3]):
-            assert append_history(report, hist) == append_history_full_scan(report, plain)
         assert hist.read_bytes() == plain.read_bytes()
 
     def test_sidecar_grown_by_appends_equals_one_rebuilt_by_a_full_scan(self, tmp_path):
@@ -944,21 +983,26 @@ class TestHistory:
         assert hist.read_bytes() == rebuilt.read_bytes()
         assert Path(f"{hist}.idx").read_bytes() == Path(f"{rebuilt}.idx").read_bytes()
 
-    def test_steady_append_unpacks_only_its_own_label(self, tmp_path, monkeypatch):
+    def test_steady_append_copies_the_stored_triples_as_bytes(self, tmp_path, monkeypatch):
         hist = tmp_path / "history.jsonl"
         base = base_report()
         hist.write_text("".join(line(replace(base, label=f"L{j % 16}", seed=j, prs_value=j / 7))
                                 for j in range(2000)))
         assert append_history(replace(base, label="L3", seed=-1, prs_value=-1.0), hist) == HistoryAck(2001)
-        _, slices = split_sidecar(Path(f"{hist}.idx").read_bytes())
         unpacked, array_q = [], reporting.array
-        monkeypatch.setattr(reporting, "array", lambda code, *init: unpacked.extend(
-            part for part in init if isinstance(part, bytes)) or array_q(code, *init))
-        assert append_history(replace(base, label="L5", seed=-2, prs_value=-2.0), hist) == HistoryAck(2002)
-        assert unpacked == [slices["L5"]] and len(slices["L5"]) == 24 * 125
-        unpacked.clear()
-        assert append_history(replace(base, label="new", seed=-3), hist) == HistoryAck(2003)
-        assert b"".join(unpacked) == b""
+        monkeypatch.setattr(reporting, "array",
+                            lambda code, *init: unpacked.extend(init) or array_q(code, *init))
+        for report, at in ((replace(base, label="L5", seed=-2, prs_value=-2.0), 5),
+                           (replace(base, label="new", seed=-3), 16)):
+            payload = Path(f"{hist}.idx").read_bytes().split(b"\n", 2)[2]
+            end = hist.stat().st_size
+            assert append_history(report, hist) == HistoryAck(len(payload) // 24 + 1)
+            # the stored triples as they were, then the new line's
+            raw = Path(f"{hist}.idx").read_bytes()
+            triple = array_q("q", [end, at, reporting._fingerprint(report.prs_value)])
+            assert raw.split(b"\n", 2)[2] == payload + triple.tobytes()
+            assert split_sidecar(raw)[1]["labels"][at] == report.label
+        assert unpacked == []  # no stored triple was unpacked
 
     def test_steady_append_hashes_and_parses_only_what_it_must(self, tmp_path, monkeypatch):
         # 2,000 lines of 16 labels, each with its own prs_value
@@ -980,6 +1024,11 @@ class TestHistory:
 
             def hexdigest(self):
                 return self.digest.hexdigest()
+
+            def copy(self):
+                twin = Spy()
+                twin.digest = self.digest.copy()
+                return twin
 
         monkeypatch.setattr(hashlib, "sha256", Spy)
         for report, ack in ((replace(stored[5], seed=-2, prs_value=-2.0), HistoryAck(2002)),
@@ -1024,7 +1073,7 @@ class TestHistory:
         hist.write_bytes((line(pool[0]) + line(pool[1], end)).encode())
         # a duplicate writes the sidecar, which then ends where the history ends
         assert append_history(pool[1], hist) == HistoryAck(line_count=2, duplicate=True)
-        reseal_index(Path(f"{hist}.idx"), lambda index, slices: add_line_counter(index, 2))
+        reseal_index(Path(f"{hist}.idx"), lambda index, triples: add_line_counter(index, 2))
         shutil.copyfile(hist, plain)
         for path in (hist, plain):
             with open(path, "ab") as fh:
@@ -1036,7 +1085,7 @@ class TestHistory:
         assert ours == want == outcome(append_history_full_scan, pool[4], plain)
         assert hist.read_bytes() == plain.read_bytes()
         if isinstance(ours, HistoryAck):  # written again, without the counter
-            assert "lines" not in split_sidecar(Path(f"{hist}.idx").read_bytes())[0]
+            assert "lines" not in split_sidecar(Path(f"{hist}.idx").read_bytes())[1]
 
     @pytest.mark.parametrize("external, where", [
         ("\n{not json\n", "<history>:3: corrupt history line"),
@@ -1115,7 +1164,7 @@ class TestHistory:
 
     @pytest.mark.parametrize("edit", [
         lambda labels: shift_triples(labels["L0"], 2, 1),
-        lambda labels: labels.update(L0=labels["L1"], L1=labels["L0"]),
+        lambda labels: swap_offsets(labels["L0"], labels["L1"]),
         lambda labels: shift_triples(labels["L0"], 0, 1),
     ], ids=["fingerprints", "offsets-of-another-label", "offset-inside-a-line"])
     def test_body_edited_under_its_digest_falls_back_to_a_full_scan(self, tmp_path, edit):
@@ -1274,7 +1323,7 @@ class HistoryTwins:
             self.replace_history(b"".join(self.data().splitlines(keepends=True)[:number - 1]))
         after = self.sidecar()
         if after is not None and after != before:
-            self.written = after, self.data()[:split_sidecar(after)[0]["length"]]
+            self.written = after, self.data()[:split_sidecar(after)[0]]
 
     def external_report(self, i, end):
         self.write(line(self.pool[i], end))

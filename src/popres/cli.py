@@ -151,10 +151,10 @@ def _cmd_boundaries(args: argparse.Namespace) -> int:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     cfg, seed = _build_config(args)
-    if args.n_grid and args.n is not None:
+    if args.n_grid is not None and args.n is not None:
         raise ValidationError("give either --n or --n-grid, not both")
     ns = () if args.n is None else (args.n,)
-    if args.n_grid:
+    if args.n_grid is not None:
         try:
             ns = tuple(int(v) for v in args.n_grid.split(","))
         except ValueError as exc:

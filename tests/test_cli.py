@@ -431,6 +431,18 @@ class TestStudyCommand:
         assert "--n-grid" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        ([], "--n-grid takes comma-separated integers, got ''"),
+        (["--n", "5"], "either --n or --n-grid"),
+    ], ids=["alone", "with-n"])
+    def test_empty_n_grid_is_rejected(self, capsys, tmp_path, flags, message):
+        out = tmp_path / "t.csv"
+        code = main(["study", "--study", "table1", "--out", str(out), "--B", "5",
+                     "--n-grid", "", "--replications", "1000", *flags])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestParserReuse:
     """`main` builds its parser once per process; each call sees only its own flags."""

@@ -276,6 +276,31 @@ def count_loads(monkeypatch):
     return parsed
 
 
+def spy_on_sha256(monkeypatch):
+    """The number of bytes each SHA-256 object, or a copy of one, hashes from now on."""
+    hashed, sha256 = [], hashlib.sha256
+
+    class Spy:
+        def __init__(self, data=b""):
+            self.digest = sha256()
+            self.update(data)
+
+        def update(self, data):
+            hashed.append(memoryview(data).nbytes)
+            self.digest.update(data)
+
+        def hexdigest(self):
+            return self.digest.hexdigest()
+
+        def copy(self):
+            twin = Spy()
+            twin.digest = self.digest.copy()
+            return twin
+
+    monkeypatch.setattr(hashlib, "sha256", Spy)
+    return hashed
+
+
 # what a writer that does not know the sidecar may add to a history
 EXTERNAL = st.one_of(
     st.tuples(st.integers(0, 5), st.sampled_from(["\n", "\r\n", "\r", ""])),
@@ -1041,6 +1066,74 @@ class TestHistory:
             # the header, then the one line of equal prs_value, if any
             assert parsed[0] == head
             assert parsed[1:] == ([line(stored[5])] if ack.duplicate else [])
+
+    def test_steady_append_in_one_process_hashes_only_the_new_line_and_sidecar(self, tmp_path,
+                                                                               monkeypatch):
+        hist = tmp_path / "history.jsonl"
+        base = base_report()
+        stored = [replace(base, label=f"L{j % 16}", seed=j, prs_value=j / 7) for j in range(2000)]
+        hist.write_text("".join(line(report) for report in stored))
+        # in place before the first append, so the digest state it keeps is a spy too
+        hashed = spy_on_sha256(monkeypatch)
+        assert append_history(replace(stored[3], seed=-1, prs_value=-1.0), hist) == HistoryAck(2001)
+        for report, ack in ((replace(stored[5], seed=-2, prs_value=-2.0), HistoryAck(2002)),
+                            (replace(stored[6], seed=-3, prs_value=-3.0), HistoryAck(2003)),
+                            (stored[5], HistoryAck(6, duplicate=True))):
+            hashed.clear()
+            assert append_history(report, hist) == ack
+            if ack.duplicate:
+                assert sum(hashed) == 0
+            else:
+                assert sum(hashed) <= len(line(report)) + Path(f"{hist}.idx").stat().st_size
+
+    def test_appends_alternating_between_two_histories_agree_with_a_full_scan(self, tmp_path,
+                                                                              monkeypatch):
+        pool = distinct_pool(8, labels=2)
+        pool.append(replace(pool[2], prs_value=0.9))  # equal to A's line of pool[2] once edited
+        # (history, pool index, acked as a duplicate or the line it rejects) appends, and
+        # edits by another writer: a same-length edit of A's line of pool[2], a flipped bit
+        # in the fingerprint of B's last line and a corrupt line added to B, each between
+        # two appends of that history with no other sidecar written in between
+        steps = [("A", 0, False), ("B", 1, False), ("A", 2, False), ("A", 0, True),
+                 ("B", 3, False), ("B", 1, True), ("B", 5, False), ("A", 4, False),
+                 ("A", 6, False), ("A", "edit", None), ("A", 8, True), ("B", 7, False),
+                 ("B", "spoil", None), ("B", 7, True), ("B", "junk", None),
+                 ("B", 3, "<history>:5: corrupt history line"), ("B", "cut", None),
+                 ("B", 3, True), ("A", 6, True), ("A", 8, True), ("A", 2, False),
+                 ("A", 0, True), ("B", 5, True)]
+        edits = {"edit": lambda data: data.replace(b'"prs_value": 0.2,', b'"prs_value": 0.9,'),
+                 "junk": lambda data: data + b"{not json\n",
+                 "cut": lambda data: data.removesuffix(b"{not json\n")}
+
+        def run(tmp, append):
+            tmp.mkdir()
+            seen = []
+            for name, step, expected in steps:
+                hist, plain = tmp / f"{name}.jsonl", tmp / f"{name}-plain.jsonl"
+                idx = Path(f"{hist}.idx")
+                if step == "spoil":
+                    raw = bytearray(idx.read_bytes())
+                    raw[-1] ^= 1
+                    idx.write_bytes(raw)
+                elif step in edits:
+                    for path in (hist, plain):
+                        path.write_bytes(edits[step](path.read_bytes()))
+                else:
+                    ours = outcome(append, pool[step], hist)
+                    assert ours == outcome(append_history_full_scan, pool[step], plain), (name, step)
+                    assert (ours if isinstance(ours, str) else ours.duplicate) == expected
+                    assert hist.read_bytes() == plain.read_bytes()
+                    seen.append((ours, idx.read_bytes()))
+            return seen
+
+        monkeypatch.setattr(reporting, "_last_seal", None)
+        kept = run(tmp_path / "kept", append_history)
+
+        def cleared(report, path):
+            monkeypatch.setattr(reporting, "_last_seal", None)
+            return append_history(report, path)
+
+        assert run(tmp_path / "cleared", cleared) == kept
 
     @pytest.mark.parametrize("external", ["\n{not json\n", "\n", "\nx"], ids=["corrupt", "lf", "text"])
     def test_sidecar_ending_inside_a_crlf_agrees_with_a_full_scan(self, tmp_path, external):

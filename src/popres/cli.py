@@ -34,8 +34,12 @@ EXIT_OVERLAP = 4
 _FIELDS = {f.name.lower(): f.name for f in fields(ResemblanceConfig)}
 
 
-def load_config_file(path: str | Path) -> dict:
-    """Flat key=value configuration file; '#' starts a comment."""
+def load_config_file(path: str | Path, takes_seed: bool = True) -> dict:
+    """Flat key=value configuration file; '#' starts a comment.
+
+    A ``seed`` key is refused unless ``takes_seed``: a command without a seed
+    would ignore it.
+    """
     values: dict[str, float] = {}
     for i, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -47,6 +51,10 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip().lower()
         if key not in _FIELDS and key != "seed":
             raise ValidationError(f"{path}:{i}: unknown configuration key {key!r}")
+        if key == "seed" and not takes_seed:
+            raise ValidationError(
+                f"{path}:{i}: configuration key 'seed' does not apply here; only monitor and study take a seed"
+            )
         try:
             values[key] = float(value.strip())
         except ValueError as exc:
@@ -57,7 +65,8 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def _build_config(args: argparse.Namespace) -> tuple[ResemblanceConfig, int]:
-    values = load_config_file(args.config) if args.config else {}
+    # a command takes a seed from its file if it has a --seed flag
+    values = load_config_file(args.config, takes_seed=hasattr(args, "seed")) if args.config else {}
     settings = {_FIELDS.get(key, key): v for key, v in values.items()}
     # CLI flags override file values
     for name in (*_FIELDS.values(), "seed"):

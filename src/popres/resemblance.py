@@ -12,8 +12,9 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import threading
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -206,14 +207,93 @@ def _window_halfwidth(var: float) -> int:
     return int(24.0 + math.sqrt(576.0 + 144.0 * var)) + 1
 
 
+def _window_span(mu: float) -> tuple[int, int]:
+    """First and last lattice point of the Poisson(mu) window."""
+    m, w = int(mu), _window_halfwidth(mu)
+    return max(m - w, 0), m + w
+
+
 def _poisson_window(mu: float) -> tuple[int, np.ndarray]:
     """Poisson(mu) pmf on lo, lo + 1, ... around the mean, normalised over the window."""
-    m, w = int(mu), _window_halfwidth(mu)
-    lo = max(m - w, 0)
+    lo, hi = _window_span(mu)
     # log pmf(k) - log pmf(k - 1) = log(mu / k): no two large terms cancel
-    log_pmf = np.concatenate(([0.0], np.cumsum(np.log(mu / np.arange(lo + 1, m + w + 1)))))
+    log_pmf = np.concatenate(([0.0], np.cumsum(np.log(mu / np.arange(lo + 1, hi + 1)))))
     pmf = np.exp(log_pmf - log_pmf.max())
     return lo, pmf / pmf.sum()
+
+
+def _ks_steps(n: int, q: np.ndarray) -> Iterator[tuple]:
+    """Per category j < B, what the KS band recursion needs of (n, q) alone:
+    (x_lo, pmf) of count j's window, the band centre n F_j and its state
+    cut, and (r_lo, finish) of the window of the counts after j."""
+    cdf = np.cumsum(q)
+    rest = np.cumsum(q[::-1])[::-1][1:]  # q_{j+1} + ... + q_B; 1 - F_j can round below 0
+    for j in range(q.size - 1):
+        # equal neighbouring means share a window: a uniform reference builds one, not B - 1
+        if j == 0 or q[j] != q[j - 1]:
+            x_lo, pmf = _poisson_window(n * q[j])
+        centre, cut = n * cdf[j], _window_halfwidth(n * cdf[j] * rest[j])
+        r_lo, finish = _poisson_window(n * rest[j])
+        yield x_lo, pmf, centre, cut, r_lo, finish
+
+
+def _schedule_nbytes(n: int, q: np.ndarray) -> int:
+    """Bytes that keeping ``_ks_steps(n, q)`` would hold, without building it."""
+    rest = np.cumsum(q[::-1])[::-1][1:]
+    means = [n * q[j] for j in range(q.size - 1) if j == 0 or q[j] != q[j - 1]]
+    means += [n * rest[j] for j in range(q.size - 1)]
+    floats = sum(hi - lo + 1 for lo, hi in map(_window_span, means))
+    # the Python objects around the floats: per step a tuple, ints, a float and
+    # array headers; per schedule its cache key and entry (tracemalloc, rounded up)
+    return 8 * floats + 768 * (q.size - 1) + 4096
+
+
+_SCHEDULE_CAP = 1 << 20  # bytes; a larger schedule is built step by step on every call
+_SCHEDULE_BOUND = 4 << 20  # bytes that all kept schedules hold together
+
+
+class _Schedules:
+    """KS window schedules of recent (n, reference) pairs, least recently used first.
+
+    A schedule above ``_SCHEDULE_CAP`` bytes is never kept; the oldest are
+    dropped so that the kept ones hold at most ``_SCHEDULE_BOUND`` bytes.
+    """
+
+    def __init__(self) -> None:
+        self._kept: dict[tuple, tuple[tuple, int]] = {}
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, n: int, q: np.ndarray) -> Iterable[tuple]:
+        # the window rule is part of the key: a schedule is reused only under the rule that built it
+        key = (n, q.tobytes(), _window_halfwidth)
+        with self._lock:
+            kept = self._kept.pop(key, None)
+            if kept is not None:
+                self._kept[key] = kept  # now the most recently used
+                return kept[0]
+        size = _schedule_nbytes(n, q)
+        if size > _SCHEDULE_CAP:
+            return _ks_steps(n, q)
+        steps = tuple(_ks_steps(n, q))
+        for step in steps:
+            step[1].flags.writeable = step[5].flags.writeable = False
+        with self._lock:
+            if key not in self._kept:  # another thread may have kept it meanwhile
+                self._kept[key] = (steps, size)
+                self.nbytes += size
+            while self.nbytes > _SCHEDULE_BOUND:
+                _, dropped = self._kept.pop(next(iter(self._kept)))
+                self.nbytes -= dropped
+        return steps
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._kept.clear()
+            self.nbytes = 0
+
+
+_ks_schedule = _Schedules()
 
 
 def ks_p_value(counts: CategoryCounts, p0: ReferenceDistribution) -> float:
@@ -228,6 +308,15 @@ def ks_p_value(counts: CategoryCounts, p0: ReferenceDistribution) -> float:
     ``_window_halfwidth``: band states beyond one count as escaped, and the
     at most 4 (B - 1) exp(-72) the pmf cuts drop is added back, so the result
     errs only upward, by at most 14 (B - 1) exp(-72), and is never 0.
+
+    The windows, band centres and cuts depend only on (n, reference), so
+    their schedule is built once per process and kept, read-only, if it
+    holds at most 1 MiB: for a uniform reference up to n = 7e5 at B = 10,
+    1.7e5 at B = 20 and 1.6e4 at B = 60.  Kept schedules hold at most 4 MiB
+    together; the least recently used go first.  A repeated call then runs
+    only the band recursion.  A larger schedule is built step by step on
+    every call, as the recursion reaches each category, so a call still
+    stays under ~100 MB.
     """
     n = counts.n
     if n > KS_MAX_N:
@@ -242,23 +331,16 @@ def ks_p_value(counts: CategoryCounts, p0: ReferenceDistribution) -> float:
     # any reference; below the allowance it already certifies the answer
     if 2.0 * math.exp(-2.0 * reach * reach / n) <= dropped:
         return dropped
-    cdf = np.cumsum(q)
-    rest = np.cumsum(q[::-1])[::-1][1:]  # q_{j+1} + ... + q_B; 1 - F_j can round below 0
     lo, states, escaped, stayed = 0, np.ones(1), 0.0, 0.0
-    for j in range(q.size - 1):
-        # equal neighbouring means share a window: a uniform reference builds one, not B - 1
-        if j == 0 or q[j] != q[j - 1]:
-            x_lo, pmf = _poisson_window(n * q[j])
+    for x_lo, pmf, centre, cut, r_lo, finish in _ks_schedule(n, q):
         mass = np.convolve(states, pmf)
         first = lo + x_lo  # the state of mass[0]
         # the band |s - n F_j| < reach, cut by the state window, as indices [a, b) of mass
-        centre, cut = n * cdf[j], _window_halfwidth(n * cdf[j] * rest[j])
         low = max(math.floor(centre - reach) + 1, math.ceil(centre - cut)) - first
         high = min(math.ceil(centre + reach), math.floor(centre + cut) + 1) - first
         a = min(max(low, 0), mass.size)
         b = min(max(high, a), mass.size)
         # mass[i] ends at n if the rest bring n - first - i, finish[top - i] in their window
-        r_lo, finish = _poisson_window(n * rest[j])
         top = n - first - r_lo
         i0 = max(top - finish.size + 1, 0)
         i1 = max(min(top + 1, mass.size), i0)

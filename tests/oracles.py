@@ -15,10 +15,17 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaln
 
-from popres.divergences import CategoryCounts, ReferenceDistribution, as_probs, uniform_reference
+from popres.divergences import (
+    CategoryCounts,
+    ReferenceDistribution,
+    as_probs,
+    ks_statistic,
+    proportions,
+    uniform_reference,
+)
 from popres.errors import ValidationError
 from popres.reporting import HistoryAck, MonitoringReport
-from popres.resemblance import LEWIS_ACTION
+from popres.resemblance import KS_MAX_N, LEWIS_ACTION
 from popres.sampling import CHUNK_ROWS, _chunk_key
 from popres.scenarios import perturbed_pv, solve_p_for_target_j
 from popres.simulation import MCEstimate, StabilityRatios
@@ -79,6 +86,73 @@ def ks_p_value_enumerated(counts: CategoryCounts, p0: ReferenceDistribution) -> 
     d_star = np.abs(np.cumsum(every, axis=1) / n - cdf).max(axis=1)
     log_pmf = gammaln(n + 1) - gammaln(every + 1).sum(axis=1) + (every * np.log(q)).sum(axis=1)
     return float(np.exp(log_pmf[d_star >= observed - 1e-12]).sum())
+
+
+def _window_halfwidth(var: float) -> int:
+    """Lattice half-width, about 12 standard deviations, that a binomial count
+    of variance <= var leaves with probability <= 2 exp(-72) < 1.1e-31:
+    Bernstein's 2 exp(-t^2 / (2 (var + t/3))) at t = 24 + sqrt(576 + 144 var)."""
+    return int(24.0 + math.sqrt(576.0 + 144.0 * var)) + 1
+
+
+def _poisson_window(mu: float) -> tuple[int, np.ndarray]:
+    """Poisson(mu) pmf on lo, lo + 1, ... around the mean, normalised over the window."""
+    m, w = int(mu), _window_halfwidth(mu)
+    lo = max(m - w, 0)
+    # log pmf(k) - log pmf(k - 1) = log(mu / k): no two large terms cancel
+    log_pmf = np.concatenate(([0.0], np.cumsum(np.log(mu / np.arange(lo + 1, m + w + 1)))))
+    pmf = np.exp(log_pmf - log_pmf.max())
+    return lo, pmf / pmf.sum()
+
+
+def ks_p_value_uncached(counts: CategoryCounts, p0: ReferenceDistribution) -> float:
+    """``resemblance.ks_p_value`` as it was before its window schedule was kept:
+    every call builds each window as the loop reaches it.  The loop, the
+    windows and the order of every sum are unchanged, so its p-value has the
+    same bits as the kept-schedule one."""
+    n = counts.n
+    if n > KS_MAX_N:
+        raise ValidationError(f"the exact KS p-value takes at most {KS_MAX_N:,} counts, got n = {n:,}")
+    q = as_probs(p0)
+    # D* >= D - 1e-12 counts as a tie: the tolerance absorbs floating roundoff
+    reach = n * (ks_statistic(proportions(counts), q) - 1e-12)
+    if reach <= 0:
+        return 1.0
+    dropped = 4 * (q.size - 1) * math.exp(-72)
+    # Massart's DKW bound P(D* >= reach / n) <= 2 exp(-2 reach^2 / n) holds for
+    # any reference; below the allowance it already certifies the answer
+    if 2.0 * math.exp(-2.0 * reach * reach / n) <= dropped:
+        return dropped
+    cdf = np.cumsum(q)
+    rest = np.cumsum(q[::-1])[::-1][1:]  # q_{j+1} + ... + q_B; 1 - F_j can round below 0
+    lo, states, escaped, stayed = 0, np.ones(1), 0.0, 0.0
+    for j in range(q.size - 1):
+        # equal neighbouring means share a window: a uniform reference builds one, not B - 1
+        if j == 0 or q[j] != q[j - 1]:
+            x_lo, pmf = _poisson_window(n * q[j])
+        mass = np.convolve(states, pmf)
+        first = lo + x_lo  # the state of mass[0]
+        # the band |s - n F_j| < reach, cut by the state window, as indices [a, b) of mass
+        centre, cut = n * cdf[j], _window_halfwidth(n * cdf[j] * rest[j])
+        low = max(math.floor(centre - reach) + 1, math.ceil(centre - cut)) - first
+        high = min(math.ceil(centre + reach), math.floor(centre + cut) + 1) - first
+        a = min(max(low, 0), mass.size)
+        b = min(max(high, a), mass.size)
+        # mass[i] ends at n if the rest bring n - first - i, finish[top - i] in their window
+        r_lo, finish = _poisson_window(n * rest[j])
+        top = n - first - r_lo
+        i0 = max(top - finish.size + 1, 0)
+        i1 = max(min(top + 1, mass.size), i0)
+        weighted = np.zeros(mass.size)
+        weighted[i0:i1] = mass[i0:i1] * finish[top - i1 + 1:top - i0 + 1][::-1]
+        # both sides in one sum, so that p keeps its bits across releases and a
+        # snapshot sent again after an upgrade still equals its stored report
+        escaped += np.concatenate((weighted[:a], weighted[b:])).sum()
+        stayed = weighted[a:b].sum()
+        if a == b:
+            break
+        lo, states = first + a, mass[a:b]
+    return min(1.0, escaped / (escaped + stayed) + dropped)
 
 
 def append_history_full_scan(report: MonitoringReport, history_path) -> HistoryAck:

@@ -317,10 +317,20 @@ class TestBoundariesCommand:
         assert exc.value.code == EXIT_VALIDATION
         assert "--seed" in capsys.readouterr().err
 
-    def test_config_file_seed_is_accepted(self, capsys, tmp_path, reference_file):
-        # one configuration file is shared by every command
+    def test_config_file_seed_is_refused(self, capsys, tmp_path, reference_file):
+        # boundaries uses no seed, so a file's seed key would be silently ignored
         cfg = tmp_path / "cfg.ini"
-        cfg.write_text("seed = 5\nc = 0.7\n")
+        cfg.write_text("c = 0.7\n# a comment\nSeed = 5\n")
+        code = main(["boundaries", "--reference", str(reference_file), "--n", "50",
+                     "--config", str(cfg), "--format", "json"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{cfg}:3: configuration key 'seed' does not apply here" in captured.err
+
+    def test_config_file_without_seed_is_accepted(self, capsys, tmp_path, reference_file):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("c = 0.7\n")
         code = main(["boundaries", "--reference", str(reference_file), "--n", "50",
                      "--config", str(cfg), "--format", "json"])
         assert code == EXIT_OK
@@ -420,6 +430,16 @@ class TestStudyCommand:
         assert code == EXIT_OK
         assert specs == [StudySpec(study="table1", B=5, ns=(50, 100), **expected)]
         assert type(specs[0].target_j) is float
+
+    def test_config_file_seed_reaches_study_spec(self, capsys, monkeypatch, tmp_path):
+        specs = []
+        monkeypatch.setattr(cli, "run_study", lambda spec, out: specs.append(spec) or out)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("seed = 9\n")
+        code = main(["study", "--study", "table1", "--out", str(tmp_path / "t.csv"),
+                     "--n", "50", "--B", "5", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert specs[0].seed == 9
 
     def test_n_grid_rejects_empty_entry(self, capsys, tmp_path):
         out = tmp_path / "t.csv"

@@ -1,4 +1,7 @@
 import re
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from popres.resemblance import (
 )
 from popres.sampling import multinomial_matrix
 
-from oracles import enumerate_extreme_points, ks_p_value_enumerated, ks_rows
+from oracles import enumerate_extreme_points, ks_p_value_enumerated, ks_p_value_uncached, ks_rows
 
 UNIFORM5 = uniform_reference(5)
 # published critical values for the worked configurations
@@ -463,6 +466,145 @@ class TestKsPValue:
         with pytest.raises(ValidationError, match="at most 1,000,000,000 counts"):
             ks_p_value(counts, uniform_reference(2))
 
+
+def kept_window_bytes():
+    """Bytes of the distinct window arrays in the kept KS schedules."""
+    arrays = {id(a): a for steps, _ in resemblance._ks_schedule._kept.values()
+              for step in steps for a in (step[1], step[5])}
+    return sum(a.nbytes for a in arrays.values())
+
+
+KS_KINDS = ("uniform", "dirichlet", "repeated")
+
+
+def drawn_reference(kind, B, seed):
+    """Uniform, Dirichlet(1, ..., 1) drawn from ``seed``, or 0.1, 0.1, 0.3, 0.3, 0.2 repeated."""
+    if kind == "uniform":
+        return uniform_reference(B)
+    if kind == "dirichlet":
+        return ReferenceDistribution(np.random.default_rng(seed).dirichlet(np.ones(B)))
+    weights = np.resize([1, 1, 3, 3, 2], B)
+    return ReferenceDistribution(weights / weights.sum())
+
+
+class TestKsSchedule:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        B=st.integers(2, 29),
+        n=st.one_of(st.integers(1, 300), st.integers(300, 50_000)),
+        # most references share (n, B), so a schedule kept for one must not serve another
+        shapes=st.lists(st.tuples(st.sampled_from(KS_KINDS), st.integers(0, 2**32 - 1), st.booleans()),
+                        min_size=1, max_size=4),
+        calls=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0, 0, 1, 3, 6]),
+                                 st.integers(0, 2**32 - 1), st.booleans()),
+                       min_size=1, max_size=8),
+    )
+    def test_bits_equal_the_loop_that_builds_every_window_per_call(self, B, n, shapes, calls):
+        # a history acks a resubmitted snapshot by comparing reports, so p must keep its bits
+        references = [(2 * n if other else n, drawn_reference(kind, B + other, seed))
+                      for kind, seed, other in shapes]
+        for pick, tilt, seed, clear in calls:
+            if clear:
+                resemblance._ks_schedule.cache_clear()
+            n, q = references[pick % len(references)]
+            # tilt 0 draws from the reference; a tilt of t moves the draw by about t standard errors
+            population = np.maximum(q.probs * (1 + tilt * np.linspace(-1, 1, q.probs.size) / np.sqrt(n)), 0)
+            rng = np.random.default_rng(seed)
+            counts = CategoryCounts(rng.multinomial(n, population / population.sum()))
+            assert float.hex(ks_p_value(counts, q)) == float.hex(ks_p_value_uncached(counts, q))
+
+    def test_repeated_call_builds_no_window(self, monkeypatch):
+        counts, q = CategoryCounts(np.array(ROW_2000_10_T3)), uniform_reference(10)
+        p = ks_p_value(counts, q)
+
+        def no_window(mu):
+            raise AssertionError("a window was built")
+
+        monkeypatch.setattr(resemblance, "_poisson_window", no_window)
+        assert float.hex(ks_p_value(counts, q)) == float.hex(p)
+        row = np.array(ROW_2000_10_T3)
+        row[[0, -1]] += (30, -30)
+        assert ks_p_value(CategoryCounts(row), q) == ks_p_value_uncached(CategoryCounts(row), q)
+
+    def test_schedule_is_rebuilt_under_another_window_rule(self, monkeypatch):
+        counts, q = CategoryCounts(np.array(ROW_2000_10_T3)), uniform_reference(10)
+        ks_p_value(counts, q)
+        widths = []
+        rule = resemblance._window_halfwidth
+        monkeypatch.setattr(resemblance, "_window_halfwidth", lambda var: widths.append(var) or rule(var))
+        ks_p_value(counts, q)
+        assert widths
+
+    def test_kept_windows_are_read_only(self):
+        ks_p_value(CategoryCounts(np.array(ROW_2000_10_T3)), uniform_reference(10))
+        for steps, _ in resemblance._ks_schedule._kept.values():
+            for step in steps:
+                for window in (step[1], step[5]):
+                    with pytest.raises(ValueError, match="read-only"):
+                        window[0] = 1.0
+
+    def test_schedule_above_the_cap_is_not_kept(self):
+        resemblance._ks_schedule.cache_clear()
+        n, q = 1_000_000, uniform_reference(60)
+        assert resemblance._schedule_nbytes(n, q.probs) > resemblance._SCHEDULE_CAP
+        counts = ks_snapshot(n, q.probs, 0)
+        assert float.hex(ks_p_value(counts, q)) == float.hex(ks_p_value_uncached(counts, q))
+        assert resemblance._ks_schedule._kept == {}
+        assert resemblance._ks_schedule.nbytes == 0
+
+    def test_kept_schedules_stay_under_the_bound(self):
+        cache = resemblance._ks_schedule
+        cache.cache_clear()
+        shapes = [(n, ks_reference(kind, 20).probs)
+                  for n in (40_000, 60_000, 80_000) for kind in ("uniform", "skewed", "repeated")]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for n, q in shapes:
+                cache(n, q)
+                cache(*shapes[0])  # the first shape stays the most recently used
+                held = tracemalloc.get_traced_memory()[0] - base
+                assert kept_window_bytes() <= cache.nbytes <= resemblance._SCHEDULE_BOUND
+                # the charge covers the Python objects around the windows too
+                assert held <= cache.nbytes
+                assert cache.nbytes == sum(size for _, size in cache._kept.values())
+                assert cache.nbytes == sum(resemblance._schedule_nbytes(key[0], np.frombuffer(key[1]))
+                                           for key in cache._kept)
+        finally:
+            tracemalloc.stop()
+        kept = [(key[0], key[1]) for key in cache._kept]
+        assert (shapes[0][0], shapes[0][1].tobytes()) == kept[-1]
+        assert len(kept) < len(shapes)  # the bound dropped the least recently used
+        assert (shapes[-1][0], shapes[-1][1].tobytes()) in kept
+
+
+    def test_threads_sharing_the_cache_keep_its_byte_count(self):
+        cache = resemblance._ks_schedule
+        cache.cache_clear()
+        # seven shapes of 0.7-0.8 MiB each: together they overflow the bound, so threads evict
+        shapes = [(n, ks_reference("skewed", 20)) for n in range(50_000, 57_000, 1_000)]
+        expected = {n: ks_p_value_uncached(ks_snapshot(n, q.probs, 0), q) for n, q in shapes}
+        failures = []
+
+        def worker(offset):
+            for i in range(3 * len(shapes)):
+                n, q = shapes[(i + offset) % len(shapes)]
+                if ks_p_value(ks_snapshot(n, q.probs, 0), q) != expected[n]:
+                    failures.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert cache.nbytes == sum(size for _, size in cache._kept.values()) <= resemblance._SCHEDULE_BOUND
 
 class TestConfigValidation:
     def test_rejects_bad_m(self):

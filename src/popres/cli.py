@@ -19,6 +19,7 @@ from .reporting import (
     load_reference,
     load_snapshot,
     monitor,
+    read_text,
     render_csv,
     render_text,
 )
@@ -35,13 +36,14 @@ _FIELDS = {f.name.lower(): f.name for f in fields(ResemblanceConfig)}
 
 
 def load_config_file(path: str | Path, takes_seed: bool = True) -> dict:
-    """Flat key=value configuration file; '#' starts a comment.
+    """Flat key=value configuration file of UTF-8 text; '#' starts a comment.
 
-    A ``seed`` key is refused unless ``takes_seed``: a command without a seed
-    would ignore it.
+    Keys are case-insensitive and each may appear once.  A ``seed`` key is
+    refused unless ``takes_seed``: a command without a seed would ignore it.
     """
     values: dict[str, float] = {}
-    for i, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    lines: dict[str, int] = {}  # key -> the line that set it
+    for i, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -55,6 +57,9 @@ def load_config_file(path: str | Path, takes_seed: bool = True) -> dict:
             raise ValidationError(
                 f"{path}:{i}: configuration key 'seed' does not apply here; only monitor and study take a seed"
             )
+        if key in lines:
+            raise ValidationError(f"{path}:{i}: configuration key {key!r} repeats line {lines[key]}")
+        lines[key] = i
         try:
             values[key] = float(value.strip())
         except ValueError as exc:

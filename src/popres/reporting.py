@@ -32,7 +32,7 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -48,6 +48,7 @@ from .divergences import (
 )
 from .errors import ValidationError
 from .resemblance import (
+    LeastRecentlyUsed,
     P_GREEN,
     P_RED,
     ResemblanceConfig,
@@ -98,15 +99,44 @@ _REPORT_FIELDS = frozenset(f.name for f in fields(MonitoringReport))
 _REQUIRED_FIELDS = frozenset(f.name for f in fields(MonitoringReport) if f.default is MISSING)
 
 
-def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+class _Contents(os.PathLike):
+    """A file's path with the bytes already read from it, which ``read_text`` decodes;
+    a parser that opens the path itself still can."""
+
+    def __init__(self, path: Path, data: bytes) -> None:
+        self.path, self.data = path, data
+
+    def __fspath__(self) -> str:
+        return os.fspath(self.path)
+
+    def __str__(self) -> str:
+        return str(self.path)
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """The file's text, which must be UTF-8; an error names the file and the line."""
+    if isinstance(path, _Contents):
+        data = path.data
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; lines end as csv's universal newlines end them
+        line = len(io.StringIO(data[:exc.start].decode() + "x", newline="").readlines())
+        raise ValidationError(f"{path}:{line}: not UTF-8 text "
+                              f"(byte 0x{data[exc.start]:02x}: {exc.reason})") from exc
+
+
+def _read_rows(path: os.PathLike) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Lower-cased header fields and the non-blank rows under them, each with
     the number of the line it ends on."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file")
-        return [f.strip().lower() for f in header], [(reader.line_num, row) for row in reader if row]
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValidationError(f"{path}: empty file")
+    return [f.strip().lower() for f in header], [(reader.line_num, row) for row in reader if row]
 
 
 def _ordered_values(
@@ -139,9 +169,34 @@ def _ordered_values(
     return [seen[c] for c in range(1, B + 1)]
 
 
+# a kept reference is charged its file's bytes, its probabilities' bytes and 1 KiB for
+# the objects around them (tracemalloc: under 0.5 KiB with the probabilities at B = 5-20); 1 MiB for all
+_REFERENCE_ENTRY = 1 << 10
+_kept_references = LeastRecentlyUsed(1 << 20)
+
+
 def load_reference(path: str | Path) -> ReferenceDistribution:
-    """Reference from a CSV of explicit probabilities or of reference counts."""
+    """Reference from a CSV of explicit probabilities or of reference counts.
+
+    The file is read on every call, but only bytes not seen before are parsed
+    and validated: a process keeps the references of recent file contents,
+    whatever their path, charged as above to at most 1 MiB, least recently
+    used dropped first.  The probabilities are read-only.  A file that fails
+    to load keeps nothing, so it fails again, under its own path, on every call.
+    """
     path = Path(path)
+    data = path.read_bytes()
+    # the parsers are part of the key: a reference is reused only under the parsers that built it
+    key = (data, _read_rows, _ordered_values)
+    reference = _kept_references.get(key)
+    if reference is None:
+        # parsed from the bytes it is kept under, even if the file has changed since
+        reference = _parse_reference(_Contents(path, data))
+        _kept_references.keep(key, reference, len(data) + reference.probs.nbytes + _REFERENCE_ENTRY)
+    return reference
+
+
+def _parse_reference(path: _Contents) -> ReferenceDistribution:
     fields, rows = _read_rows(path)
     if "prob" in fields:
         probs = np.asarray(_ordered_values(path, fields, rows, "prob"))
@@ -157,7 +212,8 @@ def load_reference(path: str | Path) -> ReferenceDistribution:
     else:
         raise ValidationError(f"{path}: expected a 'prob' or 'count' column, got {fields}")
     try:
-        return ReferenceDistribution(probs)
+        # over immutable bytes: no caller can make the array writeable and alter a kept reference
+        return ReferenceDistribution(np.frombuffer(np.asarray(probs, dtype=float).tobytes()))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -226,7 +282,7 @@ def monitor(
         ks_value=ks_value,
         ks_p_value=p_ks,
         ks_region=classify_p_value(p_ks).value,
-        config=asdict(cfg),
+        config={f.name: getattr(cfg, f.name) for f in fields(cfg)},  # its values are immutable
         seed=seed,
         timestamp=snapshot.timestamp,
     )

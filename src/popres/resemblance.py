@@ -13,8 +13,9 @@ import enum
 import math
 import numbers
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -35,6 +36,47 @@ LEWIS_ACTION = 0.25
 P_RED = 0.01  # p-value levels of the KS rule; YN thresholds are chi-square quantiles at them
 P_GREEN = 0.10
 KS_MAX_N = 10**9  # ks_p_value's windows grow as sqrt(n); here a call stays under ~100 MB
+
+
+class LeastRecentlyUsed:
+    """Values of recent keys, each charged a size in bytes, least recently used first.
+
+    An entry charged more than ``bound`` is never kept; the oldest are dropped
+    so that the kept ones are charged at most ``bound`` together.  Safe to
+    share between threads.
+    """
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        # oldest first; an OrderedDict moves a key to the end and drops the first in O(1)
+        self._kept: OrderedDict[Hashable, tuple[object, int]] = OrderedDict()
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable):
+        """The value kept under ``key``, now the most recently used, or None."""
+        with self._lock:
+            kept = self._kept.get(key)
+            if kept is None:
+                return None
+            self._kept.move_to_end(key)
+            return kept[0]
+
+    def keep(self, key: Hashable, value: object, size: int) -> None:
+        with self._lock:
+            entry = (value, size)
+            # another thread may have kept the key meanwhile
+            if size > self.bound or self._kept.setdefault(key, entry) is not entry:
+                return
+            self.nbytes += size
+            while self.nbytes > self.bound:
+                _, (_, dropped) = self._kept.popitem(last=False)
+                self.nbytes -= dropped
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._kept.clear()
+            self.nbytes = 0
 
 
 class Region(enum.Enum):
@@ -127,18 +169,42 @@ def is_delta_resemblant(p: VectorLike, p0: VectorLike, delta: float) -> bool:
     return bool(np.max(np.abs(q - x)) <= delta * (1.0 + 1e-12) + 1e-15)
 
 
+# each boundaries memo charges an entry 1 KiB, plus its reference's bytes, and holds at most
+# 1 MiB: so at most 1,024 entries (tracemalloc: a B = 10 entry takes about 0.4 KiB, a yn pair 0.1 KiB)
+_MEMO_ENTRY = 1 << 10
+_MEMO_BOUND = 1 << 20
+_kept_boundaries = LeastRecentlyUsed(_MEMO_BOUND)
+_kept_yn = LeastRecentlyUsed(_MEMO_BOUND)
+
+
 def decision_boundaries(
     p0: ReferenceDistribution, n: int, cfg: ResemblanceConfig
 ) -> DecisionBoundaries:
-    """Compute (delta, lambda_sup, tau1, tau2) for the given configuration."""
+    """Compute (delta, lambda_sup, tau1, tau2) for the given configuration.
+
+    They depend only on n, the reference's probabilities and cfg, so a process
+    keeps them, keyed by those and by the ``chndtrix`` and ``chndtr`` in
+    ``special_functions`` (a replaced one takes effect).  The least recently
+    used go first, so that at most 1,024 are kept, 1 MiB with their
+    references.  A call that raises keeps nothing and raises again when repeated.
+    """
     q = as_probs(p0)
-    delta = cfg.delta_override if cfg.delta_override is not None else recommended_delta(p0, n, cfg.c)
+    key = (type(n), n, q.shape, q.tobytes(), cfg, special_functions.chndtrix, special_functions.chndtr)
+    bounds = _kept_boundaries.get(key)
+    if bounds is None:
+        bounds = _derive_boundaries(q, n, cfg)
+        _kept_boundaries.keep(key, bounds, _MEMO_ENTRY + q.nbytes)
+    return bounds
+
+
+def _derive_boundaries(q: np.ndarray, n: int, cfg: ResemblanceConfig) -> DecisionBoundaries:
+    delta = cfg.delta_override if cfg.delta_override is not None else recommended_delta(q, n, cfg.c)
     if cfg.M * delta > float(np.min(q)) + 1e-15:
         raise ConstraintError(
             f"M*delta = {cfg.M * delta:.6g} exceeds min reference probability "
             f"{float(np.min(q)):.6g}; reduce c, M or delta_override"
         )
-    lam = lambda_sup(p0, n, delta)
+    lam = lambda_sup(q, n, delta)
     B = q.size
     tau1 = special_functions.ncx2_quantile(cfg.alpha2, B - 1, cfg.M**2 * lam) / n
     tau2 = special_functions.ncx2_quantile(1.0 - cfg.alpha1, B - 1, lam) / n
@@ -174,8 +240,20 @@ def yn_boundaries(
     """Sample-size dependent PSI thresholds 2/n * central chi-square quantile.
 
     Returns (tau_red, tau_green): PSI above tau_red is fully discrepant,
-    below tau_green acceptable, in between needs monitoring.
+    below tau_green acceptable, in between needs monitoring.  Kept per
+    process like ``decision_boundaries``: keyed by the arguments, their types
+    and the ``chndtrix`` and ``chndtr`` in use, at most 1,024 pairs.
     """
+    key = (type(n), n, type(B), B, type(alpha_upper), alpha_upper, type(alpha_lower), alpha_lower,
+           special_functions.chndtrix, special_functions.chndtr)
+    taus = _kept_yn.get(key)
+    if taus is None:
+        taus = _derive_yn(n, B, alpha_upper, alpha_lower)
+        _kept_yn.keep(key, taus, _MEMO_ENTRY)
+    return taus
+
+
+def _derive_yn(n: int, B: int, alpha_upper: float, alpha_lower: float) -> tuple[float, float]:
     if n < 1:
         raise ValidationError(f"sample size must be positive, got {n}")
     if B < 2:
@@ -252,48 +330,30 @@ _SCHEDULE_CAP = 1 << 20  # bytes; a larger schedule is built step by step on eve
 _SCHEDULE_BOUND = 4 << 20  # bytes that all kept schedules hold together
 
 
-class _Schedules:
-    """KS window schedules of recent (n, reference) pairs, least recently used first.
+class _Schedules(LeastRecentlyUsed):
+    """KS window schedules of recent (n, reference) pairs.
 
-    A schedule above ``_SCHEDULE_CAP`` bytes is never kept; the oldest are
-    dropped so that the kept ones hold at most ``_SCHEDULE_BOUND`` bytes.
+    A schedule above ``_SCHEDULE_CAP`` bytes is never kept; the kept ones
+    hold at most ``_SCHEDULE_BOUND`` bytes together.
     """
-
-    def __init__(self) -> None:
-        self._kept: dict[tuple, tuple[tuple, int]] = {}
-        self.nbytes = 0
-        self._lock = threading.Lock()
 
     def __call__(self, n: int, q: np.ndarray) -> Iterable[tuple]:
         # the window rule is part of the key: a schedule is reused only under the rule that built it
         key = (n, q.tobytes(), _window_halfwidth)
-        with self._lock:
-            kept = self._kept.pop(key, None)
-            if kept is not None:
-                self._kept[key] = kept  # now the most recently used
-                return kept[0]
+        steps = self.get(key)
+        if steps is not None:
+            return steps
         size = _schedule_nbytes(n, q)
         if size > _SCHEDULE_CAP:
             return _ks_steps(n, q)
         steps = tuple(_ks_steps(n, q))
         for step in steps:
             step[1].flags.writeable = step[5].flags.writeable = False
-        with self._lock:
-            if key not in self._kept:  # another thread may have kept it meanwhile
-                self._kept[key] = (steps, size)
-                self.nbytes += size
-            while self.nbytes > _SCHEDULE_BOUND:
-                _, dropped = self._kept.pop(next(iter(self._kept)))
-                self.nbytes -= dropped
+        self.keep(key, steps, size)
         return steps
 
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._kept.clear()
-            self.nbytes = 0
 
-
-_ks_schedule = _Schedules()
+_ks_schedule = _Schedules(_SCHEDULE_BOUND)
 
 
 def ks_p_value(counts: CategoryCounts, p0: ReferenceDistribution) -> float:

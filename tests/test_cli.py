@@ -63,6 +63,47 @@ class TestConfigFile:
 
 
 
+    @pytest.mark.parametrize("text, key, line, first", [
+        ("c = 0.7\nc = 0.9\n", "c", 2, 1),
+        ("M = 2\nm = 3\n", "m", 2, 1),
+        ("alpha1 = 0.05\n# again\nALPHA1 = 0.05\n", "alpha1", 3, 1),
+        ("seed = 1\nc = 0.7\nSeed = 2\n", "seed", 3, 1),
+    ], ids=["same-spelling", "other-case", "same-value", "seed"])
+    def test_repeated_key_is_refused(self, capsys, tmp_path, reference_file, snapshot_file, text, key, line,
+                                     first):
+        f = tmp_path / "cfg.ini"
+        f.write_text(text)
+        message = f"{f}:{line}: configuration key {key!r} repeats line {first}"
+        with pytest.raises(ValidationError) as info:
+            load_config_file(f)
+        assert str(info.value) == message
+        command = ["monitor", "--snapshot", str(snapshot_file)] if key == "seed" else ["boundaries", "--n", "50"]
+        assert main([*command, "--reference", str(reference_file), "--config", str(f)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("entry", ["snapshot", "reference", "config"])
+def test_non_utf8_file_is_named_with_its_line(capsys, tmp_path, reference_file, snapshot_file, entry):
+    bad = tmp_path / "bad.csv"
+    # a CR, a CRLF and an LF each end one line
+    if entry == "config":
+        bad.write_bytes(b"c = 0.7\r\nM = \xff2\n")
+        line = 2
+    else:
+        bad.write_bytes(b"category,count\n1,5\r2,\xff6\n")
+        line = 3
+    files = {"snapshot": snapshot_file, "reference": reference_file, entry: bad}
+    argv = ["monitor", "--snapshot", str(files["snapshot"]), "--reference", str(files["reference"])]
+    if entry == "config":
+        argv += ["--config", str(bad)]
+    for _ in range(2):  # a failed load keeps nothing, so it fails alike again
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}:{line}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+
+
 class TestMonitorCommand:
     def test_text_output(self, capsys, reference_file, snapshot_file):
         code = main([
@@ -335,6 +376,15 @@ class TestBoundariesCommand:
                      "--config", str(cfg), "--format", "json"])
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["tau1"] == pytest.approx(0.07441, abs=5e-5)
+
+    def test_replaced_quantile_takes_effect_after_a_kept_call(self, capsys, monkeypatch, reference_file):
+        argv = ["boundaries", "--reference", str(reference_file), "--n", "50", "--format", "json"]
+        assert main(argv) == main(argv) == EXIT_OK
+        first, second = capsys.readouterr().out.split("}\n")[:2]
+        assert first == second
+        monkeypatch.setattr(special_functions, "chndtrix", lambda *args: math.nan)
+        assert main(argv) == EXIT_NUMERICAL
+        assert "forward check" in capsys.readouterr().err
 
     def test_failed_quantile_exits_numerical(self, capsys, monkeypatch, reference_file):
         monkeypatch.setattr(special_functions, "chndtrix", lambda *args: math.nan)

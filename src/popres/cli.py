@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from dataclasses import fields
@@ -36,14 +37,17 @@ _FIELDS = {f.name.lower(): f.name for f in fields(ResemblanceConfig)}
 
 
 def load_config_file(path: str | Path, takes_seed: bool = True) -> dict:
-    """Flat key=value configuration file of UTF-8 text; '#' starts a comment.
+    """Flat key=value configuration file of UTF-8 text; '#' starts a comment, and
+    lines end only at CR, LF or CRLF.
 
     Keys are case-insensitive and each may appear once.  A ``seed`` key is
     refused unless ``takes_seed``: a command without a seed would ignore it.
     """
     values: dict[str, float] = {}
     lines: dict[str, int] = {}  # key -> the line that set it
-    for i, raw in enumerate(read_text(path).splitlines(), start=1):
+    text = read_text(path, Path(path).read_bytes())
+    for i, raw in enumerate(io.StringIO(text, newline=""), start=1):
+        raw = raw.rstrip("\r\n")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -204,15 +208,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.run(args)
-    except BoundaryOverlapError as exc:
+    except (BoundaryOverlapError, ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERLAP
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValidationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return (EXIT_OVERLAP if isinstance(exc, BoundaryOverlapError)
+                else EXIT_NUMERICAL if isinstance(exc, ConvergenceError) else EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

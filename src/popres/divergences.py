@@ -9,7 +9,7 @@ logarithms throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -20,6 +20,14 @@ _SUM_TOL = 1e-12
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 VectorLike = Union["ReferenceDistribution", Sequence[float], np.ndarray]
+
+
+def _equal_vectors(a, b):
+    """``==`` of a class that holds one vector: the same shape and values.  A dataclass's
+    would ask numpy for one truth value of a whole array; ``hash`` still raises ``TypeError``."""
+    if type(b) is not type(a):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
 @dataclass(frozen=True)
@@ -53,6 +61,8 @@ class CategoryCounts:
             raise ValidationError(f"total count {total} exceeds the int64 range")
         object.__setattr__(self, "counts", arr.astype(np.int64))
 
+    __eq__ = _equal_vectors
+
     @property
     def n(self) -> int:
         return int(self.counts.sum())
@@ -64,7 +74,8 @@ class CategoryCounts:
 
 @dataclass(frozen=True)
 class ReferenceDistribution:
-    """Fixed reference probability vector; every entry strictly positive."""
+    """Fixed reference probability vector; every entry strictly positive.  It is held
+    read-only over bytes of its own, so no array can change it once validated."""
 
     probs: np.ndarray
 
@@ -81,7 +92,9 @@ class ReferenceDistribution:
             raise ValidationError(
                 f"reference probabilities sum to {total!r}, not 1 (renormalization is refused)"
             )
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", np.frombuffer(arr.tobytes()))
+
+    __eq__ = _equal_vectors
 
     @property
     def B(self) -> int:

@@ -99,40 +99,26 @@ _REPORT_FIELDS = frozenset(f.name for f in fields(MonitoringReport))
 _REQUIRED_FIELDS = frozenset(f.name for f in fields(MonitoringReport) if f.default is MISSING)
 
 
-class _Contents(os.PathLike):
-    """A file's path with the bytes already read from it, which ``read_text`` decodes;
-    a parser that opens the path itself still can."""
-
-    def __init__(self, path: Path, data: bytes) -> None:
-        self.path, self.data = path, data
-
-    def __fspath__(self) -> str:
-        return os.fspath(self.path)
-
-    def __str__(self) -> str:
-        return str(self.path)
+def _line_after(text: str) -> int:
+    """The number of the line on which a character after ``text`` stands: lines end
+    only at CR, LF or CRLF, as csv's universal newlines end them."""
+    return len(io.StringIO(text + "x", newline="").readlines())
 
 
-def read_text(path: str | os.PathLike) -> str:
-    """The file's text, which must be UTF-8; an error names the file and the line."""
-    if isinstance(path, _Contents):
-        data = path.data
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
+def read_text(path: str | os.PathLike, data: bytes) -> str:
+    """``data``, read from ``path``, as UTF-8 text whatever the locale; an error names
+    the file and the line of the first byte that is not UTF-8."""
     try:
         return data.decode()
     except UnicodeDecodeError as exc:
-        # the bytes before the first bad one decode; lines end as csv's universal newlines end them
-        line = len(io.StringIO(data[:exc.start].decode() + "x", newline="").readlines())
-        raise ValidationError(f"{path}:{line}: not UTF-8 text "
+        raise ValidationError(f"{path}:{_line_after(data[:exc.start].decode())}: not UTF-8 text "
                               f"(byte 0x{data[exc.start]:02x}: {exc.reason})") from exc
 
 
-def _read_rows(path: os.PathLike) -> tuple[list[str], list[tuple[int, list[str]]]]:
+def _read_rows(path: Path, text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Lower-cased header fields and the non-blank rows under them, each with
     the number of the line it ends on."""
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header is None:
         raise ValidationError(f"{path}: empty file")
@@ -181,8 +167,8 @@ def load_reference(path: str | Path) -> ReferenceDistribution:
     The file is read on every call, but only bytes not seen before are parsed
     and validated: a process keeps the references of recent file contents,
     whatever their path, charged as above to at most 1 MiB, least recently
-    used dropped first.  The probabilities are read-only.  A file that fails
-    to load keeps nothing, so it fails again, under its own path, on every call.
+    used dropped first.  A file that fails to load keeps nothing, so it fails
+    again, under its own path, on every call.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -191,13 +177,13 @@ def load_reference(path: str | Path) -> ReferenceDistribution:
     reference = _kept_references.get(key)
     if reference is None:
         # parsed from the bytes it is kept under, even if the file has changed since
-        reference = _parse_reference(_Contents(path, data))
+        reference = _parse_reference(path, read_text(path, data))
         _kept_references.keep(key, reference, len(data) + reference.probs.nbytes + _REFERENCE_ENTRY)
     return reference
 
 
-def _parse_reference(path: _Contents) -> ReferenceDistribution:
-    fields, rows = _read_rows(path)
+def _parse_reference(path: Path, text: str) -> ReferenceDistribution:
+    fields, rows = _read_rows(path, text)
     if "prob" in fields:
         probs = np.asarray(_ordered_values(path, fields, rows, "prob"))
     elif "count" in fields:
@@ -212,8 +198,7 @@ def _parse_reference(path: _Contents) -> ReferenceDistribution:
     else:
         raise ValidationError(f"{path}: expected a 'prob' or 'count' column, got {fields}")
     try:
-        # over immutable bytes: no caller can make the array writeable and alter a kept reference
-        return ReferenceDistribution(np.frombuffer(np.asarray(probs, dtype=float).tobytes()))
+        return ReferenceDistribution(probs)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -221,15 +206,18 @@ def _parse_reference(path: _Contents) -> ReferenceDistribution:
 def load_snapshot(path: str | Path) -> Snapshot:
     """Snapshot from CSV (category,count) or JSON ({label, counts[], timestamp?})."""
     path = Path(path)
+    text = read_text(path, path.read_bytes())
     if path.suffix.lower() == ".json":
         try:
-            payload = json.loads(path.read_text())
-        except ValueError as exc:  # also bytes that are not UTF-8, an int of too many digits
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}:{_line_after(text[:exc.pos])}: invalid JSON ({exc.msg})") from exc
+        except ValueError as exc:  # an int of too many digits
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(payload, dict) or "counts" not in payload:
             raise ValidationError(f"{path}: expected an object with a 'counts' array")
     else:
-        payload = {"counts": _ordered_values(path, *_read_rows(path), "count")}
+        payload = {"counts": _ordered_values(path, *_read_rows(path, text), "count")}
     try:
         counts = CategoryCounts(np.asarray(payload["counts"]))
     except ValidationError as exc:
@@ -378,10 +366,6 @@ def _fingerprint(value) -> int:
     return hash(value) if type(value) in (int, float) else _ANY
 
 
-def _may_equal(fingerprint: int, key: int) -> bool:
-    return fingerprint == key or _ANY in (fingerprint, key)
-
-
 def _read_index(path: Path, data: bytes, label: str, key: int) -> tuple:
     """The sidecar's ``(length, labels, payload)``, with ``labels`` mapping each label to
     its position, the SHA-256 of the first ``length`` bytes and ``(ordinal, fields)`` of
@@ -449,7 +433,7 @@ def append_history(report: MonitoringReport, history_path: str | Path) -> Histor
                     count += 1
                     name, fp = str(entry["label"]), _fingerprint(entry["prs_value"])
                     added.extend((offset, labels.setdefault(name, len(labels)), fp))
-                    if name == label and _may_equal(fp, key):
+                    if name == label and (fp == key or _ANY in (fp, key)):
                         same.append((count, entry))
             # prs_value first: it is cheap, and a NaN equals nothing, not even the one NaN
             # object that json parses every NaN to

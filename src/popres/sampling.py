@@ -29,11 +29,6 @@ def _chunk_key(seed: int, stream: int, chunk: int) -> list[int]:
     return [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(((stream & 0xFFFFFFFF) << 32) | (chunk & 0xFFFFFFFF))]
 
 
-def _sample_chunk(n: int, p: np.ndarray, rows: int, seed: int, stream: int, chunk: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=_chunk_key(seed, stream, chunk)))
-    return gen.multinomial(n, p, size=rows)
-
-
 def _check_inputs(n, p) -> tuple[int, np.ndarray]:
     """``n`` and ``p`` as numpy's multinomial takes them; each message names its argument.
 
@@ -75,6 +70,8 @@ def multinomial_matrix(
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
+    if not 0 <= seed < 1 << 64:  # a key holds 64 bits of it: -1 would draw what 2**64 - 1 draws
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
     n, p = _check_inputs(n, p)
     K = int(replications)
     if K < 0:
@@ -84,7 +81,8 @@ def multinomial_matrix(
         return np.empty((0, p.size), dtype=np.int64)
 
     def draw(c: int) -> np.ndarray:
-        counts = _sample_chunk(n, p, min(CHUNK_ROWS, K - c * CHUNK_ROWS), seed, stream, c)
+        gen = np.random.Generator(np.random.Philox(key=_chunk_key(seed, stream, c)))
+        counts = gen.multinomial(n, p, size=min(CHUNK_ROWS, K - c * CHUNK_ROWS))
         return counts if score is None else score(counts)
 
     if workers == 1 or n_chunks == 1:

@@ -255,6 +255,11 @@ class StudySpec:
             )
         _check_study_args(self.ns, self.B, self.replications, self.workers,
                           self.grid_points, self.target_j, self.threshold)
+        if not 0 <= self.seed < 1 << 64:  # the sampler keys its streams by 64 bits of it
+            raise ValidationError(f"seed must lie in [0, 2**64) (--seed), got {self.seed}")
+        # as floats, so that 0 and 0.0 write the same artifact
+        object.__setattr__(self, "target_j", float(self.target_j))
+        object.__setattr__(self, "threshold", float(self.threshold))
 
 
 def _table1(spec: StudySpec) -> tuple[dict, list[str], list[list]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import fcntl
+import io
 import json
 import math
 import os
@@ -223,19 +224,18 @@ def history_lines_finditer(path, data: bytes, start: int = 0, line: int = 0):
         yield number, match.start(), entry
 
 
-def read_rows_dictreader(path: Path) -> tuple[list[str], list[tuple[int, dict]]]:
+def read_rows_dictreader(path: Path, text: str) -> tuple[list[str], list[tuple[int, dict]]]:
     """``reporting._read_rows`` as it was through ``csv.DictReader``: each row a
     dict, with the number of the line it ends on.
 
     DictReader keys a row by the raw header names, so it is exact only for a
     header whose raw names differ (``count`` and ``Count`` do).
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{path}: empty file")
-        fields = [f.strip().lower() for f in reader.fieldnames]
-        return fields, [(reader.line_num, dict(zip(fields, row.values()))) for row in reader]
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        raise ValidationError(f"{path}: empty file")
+    fields = [f.strip().lower() for f in reader.fieldnames]
+    return fields, [(reader.line_num, dict(zip(fields, row.values()))) for row in reader]
 
 
 def ordered_values_dictreader(

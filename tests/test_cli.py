@@ -104,6 +104,52 @@ def test_non_utf8_file_is_named_with_its_line(capsys, tmp_path, reference_file, 
         assert captured.err == f"error: {bad}:{line}: not UTF-8 text (byte 0xff: invalid start byte)\n"
 
 
+# One reader for every input file: (file name, loader, text with {sep} inside line 1 and a
+# bad line 3, the error after the file:line prefix)
+READERS = {
+    "reference": ("ref.csv", load_reference, "category,prob{sep}\n1,0.5\n1,0.5\n",
+                  "duplicate category 1"),
+    "snapshot-csv": ("s.csv", load_snapshot, "category,{sep}count\r\n1,5\r\n1,6\r\n",
+                     "duplicate category 1"),
+    "snapshot-json": ("s.json", load_snapshot, '{{"label": "a{sep}b",\r"counts":\n [1, 2, x]}}',
+                      "invalid JSON (Expecting value)"),
+    "config": ("cfg.ini", load_config_file, "c = 0.7 {sep}\nM = 2\nc = 0.9\n",
+               "configuration key 'c' repeats line 1"),
+}
+
+
+@pytest.mark.parametrize("sep", ["\xff", "\f", "\x85", "\u2028"], ids=["0xff", "ff", "nel", "ls"])
+@pytest.mark.parametrize("entry", READERS)
+def test_every_input_numbers_lines_by_cr_lf_and_crlf_alone(tmp_path, entry, sep):
+    name, load, text, message = READERS[entry]
+    f = tmp_path / name
+    line = 3
+    if sep == "\xff":  # a byte that is not UTF-8, on line 3
+        lines = text.format(sep="").encode().splitlines(keepends=True)
+        f.write_bytes(b"".join(lines[:2]) + b"\xff" + b"".join(lines[2:]))
+        message = "not UTF-8 text (byte 0xff: invalid start byte)"
+    else:  # a character that str.splitlines breaks at, inside line 1
+        f.write_bytes(text.format(sep=sep).encode())
+        if entry == "snapshot-json" and sep == "\f":  # JSON takes no raw form feed
+            line, message = 1, "invalid JSON (Invalid control character at)"
+    with pytest.raises(ValidationError) as info:
+        load(f)
+    assert str(info.value) == f"{f}:{line}: {message}"
+
+
+def test_json_snapshot_is_utf8_under_an_ascii_locale(tmp_path, reference_file):
+    snapshot = tmp_path / "s.json"
+    snapshot.write_bytes('{"label": "Zürich", "counts": [6, 9, 10, 11, 14]}'.encode())
+    argv = ["monitor", "--snapshot", str(snapshot), "--reference", str(reference_file), "--format", "json"]
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    probe = [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"]
+    assert subprocess.run(probe, env=env, capture_output=True, text=True).stdout.strip() != "UTF-8"
+    out = subprocess.run([sys.executable, "-m", "popres.cli", *argv], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (EXIT_OK, "")
+    assert json.loads(out.stdout)["label"] == "Zürich"
+
+
 class TestMonitorCommand:
     def test_text_output(self, capsys, reference_file, snapshot_file):
         code = main([
@@ -453,7 +499,7 @@ class TestStudyCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--workers", "0"), ("--workers", "-3"), ("--target-j", "-0.5"),
-        ("--threshold", "nan"), ("--threshold", "-1"),
+        ("--threshold", "nan"), ("--threshold", "-1"), ("--seed", "-1"), ("--seed", str(2**64)),
     ])
     def test_rejects_bad_workers_and_target_j(self, capsys, tmp_path, flag, value):
         out = tmp_path / "t.csv"

@@ -55,6 +55,29 @@ class TestTypes:
                 CategoryCounts(np.array(counts))
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_reference_keeps_a_read_only_copy_of_its_probabilities(self):
+        p = np.full(5, 0.2)
+        ref = ReferenceDistribution(p)
+        p[0] = -1.0  # was seen through the reference, after validation
+        assert ref.probs.tolist() == [0.2] * 5
+        with pytest.raises(ValueError, match="read-only"):
+            ref.probs[0] = 0.5
+        with pytest.raises(ValueError):
+            ref.probs.flags.writeable = True
+
+    @pytest.mark.parametrize("make, values, others", [
+        (ReferenceDistribution, [0.25, 0.75], ([0.75, 0.25], [0.25, 0.25, 0.5])),
+        (CategoryCounts, [2, 3], ([3, 2], [2, 3, 0])),
+    ], ids=["reference", "counts"])
+    def test_equality_compares_shape_and_values(self, make, values, others):
+        a = make(np.array(values))
+        assert a == make(list(values)) and not a != make(list(values))
+        for other in others:
+            assert a != make(np.array(other)) and not a == make(np.array(other))
+        assert a != list(values)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+
     def test_reference_rejects_zero_entry(self):
         with pytest.raises(ValidationError):
             ReferenceDistribution(np.array([0.0, 0.5, 0.5]))

@@ -10,7 +10,7 @@ import pytest
 from popres import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-TEXT = README.read_text()
+TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
 # continuation lines joined and shell variables ($B, ${B}, $j) set to 5
 COMMANDS = [

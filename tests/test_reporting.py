@@ -390,6 +390,16 @@ def load_with_dictreader(load, path):
         return load_outcome(load, path)
 
 
+def test_snapshot_equality_compares_label_counts_and_timestamp():
+    a = Snapshot("t1", CategoryCounts(np.array([2, 3])), "2024-01-01")
+    assert a == Snapshot("t1", CategoryCounts([2, 3]), "2024-01-01")
+    for other in (replace(a, label="t2"), replace(a, timestamp=None),
+                  replace(a, counts=CategoryCounts([3, 2])), replace(a, counts=CategoryCounts([2, 3, 0]))):
+        assert a != other
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
 class TestLoaders:
     def test_reference_from_probs(self, tmp_path):
         f = tmp_path / "ref.csv"
@@ -491,14 +501,14 @@ class TestLoaders:
         with pytest.raises(ValidationError):
             load_snapshot(f)
 
-    @pytest.mark.parametrize("raw", [
-        b'{"label": "\xff", "counts": [1, 2, 3]}',
-        b'{"label": 1' + b"0" * 5000 + b', "counts": [1, 2, 3]}',
+    @pytest.mark.parametrize("raw, message", [
+        (b'{"label": "\xff", "counts": [1, 2, 3]}', r"s\.json:1: not UTF-8 text \(byte 0xff"),
+        (b'{"label": 1' + b"0" * 5000 + b', "counts": [1, 2, 3]}', r"s\.json: invalid JSON"),
     ], ids=["not-utf8", "int-of-5001-digits"])
-    def test_snapshot_json_that_python_cannot_read(self, tmp_path, raw):
+    def test_snapshot_json_that_python_cannot_read(self, tmp_path, raw, message):
         f = tmp_path / "s.json"
         f.write_bytes(raw)
-        with pytest.raises(ValidationError, match=r"s\.json: invalid JSON"):
+        with pytest.raises(ValidationError, match=message):
             load_snapshot(f)
 
     @pytest.mark.parametrize("payload, label", [
@@ -601,7 +611,8 @@ class TestReferenceCache:
         f.write_text(reference_text([1, 1, 2]))
         load_reference(f)
         read, read_rows = [], reporting._read_rows
-        monkeypatch.setattr(reporting, "_read_rows", lambda path: read.append(path) or read_rows(path))
+        monkeypatch.setattr(reporting, "_read_rows",
+                            lambda path, text: read.append(path) or read_rows(path, text))
         assert load_reference(f).probs.tolist() == [0.25, 0.25, 0.5]
         assert list(map(str, read)) == [str(f)]
 
@@ -621,9 +632,9 @@ class TestReferenceCache:
         f.write_text(first)
         parse = reporting._parse_reference
 
-        def parse_after_a_rewrite(path):
+        def parse_after_a_rewrite(path, text):
             f.write_text(second)
-            return parse(path)
+            return parse(path, text)
 
         monkeypatch.setattr(reporting, "_parse_reference", parse_after_a_rewrite)
         kept = load_reference(f)

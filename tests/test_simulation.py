@@ -242,6 +242,24 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match=f"got {workers}"):
             multinomial_matrix(50, np.full(5, 0.2), 1000, seed=1, workers=workers)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seeds_outside_64_bits_are_rejected(self, seed):
+        # the sampler keys by the seed's low 64 bits: -1 drew the rows of 2**64 - 1
+        with pytest.raises(ValidationError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            multinomial_matrix(50, np.full(5, 0.2), 10, seed=seed)
+        with pytest.raises(ValidationError, match=r"\(--seed\)"):
+            StudySpec(study="table1", B=5, ns=(50,), seed=seed)
+        assert multinomial_matrix(50, np.full(5, 0.2), 10, seed=2**64 - 1).shape == (10, 5)
+
+    @pytest.mark.parametrize("name, whole", [("target_j", 0), ("threshold", 1)])
+    def test_whole_number_settings_write_the_bytes_of_their_floats(self, tmp_path, name, whole):
+        paths = []
+        for value in (whole, float(whole)):
+            spec = StudySpec(study="table1", B=5, ns=(50,), replications=2000, seed=3, **{name: value})
+            assert type(getattr(spec, name)) is float
+            paths.append(run_study(spec, tmp_path / f"{value!r}.csv"))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_stability_rejects_bad_sizes(self):
         with pytest.raises(ValidationError, match="sample size"):
             stability_ratios(0, 5, 100, 0)

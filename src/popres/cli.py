@@ -43,7 +43,7 @@ def load_config_file(path: str | Path, takes_seed: bool = True) -> dict:
     Keys are case-insensitive and each may appear once.  A ``seed`` key is
     refused unless ``takes_seed``: a command without a seed would ignore it.
     """
-    values: dict[str, float] = {}
+    values: dict[str, float | int] = {}
     lines: dict[str, int] = {}  # key -> the line that set it
     text = read_text(path, Path(path).read_bytes())
     for i, raw in enumerate(io.StringIO(text, newline=""), start=1):
@@ -65,11 +65,12 @@ def load_config_file(path: str | Path, takes_seed: bool = True) -> dict:
             raise ValidationError(f"{path}:{i}: configuration key {key!r} repeats line {lines[key]}")
         lines[key] = i
         try:
-            values[key] = float(value.strip())
+            # a seed is parsed as --seed is, so that it keeps every digit
+            values[key] = int(value) if key == "seed" else float(value)
         except ValueError as exc:
+            if key == "seed":
+                raise ValidationError(f"{path}:{i}: seed must be an integer, got {value.strip()!r}") from exc
             raise ValidationError(f"{path}:{i}: non-numeric value {value!r}") from exc
-        if key == "seed" and not values[key].is_integer():
-            raise ValidationError(f"{path}:{i}: seed must be an integer, got {value.strip()!r}")
     return values
 
 
@@ -81,7 +82,7 @@ def _build_config(args: argparse.Namespace) -> tuple[ResemblanceConfig, int]:
     for name in (*_FIELDS.values(), "seed"):
         if getattr(args, name, None) is not None:
             settings[name] = getattr(args, name)
-    seed = int(settings.pop("seed", 0))
+    seed = settings.pop("seed", 0)
     return ResemblanceConfig(**settings), seed
 
 
@@ -136,38 +137,38 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _cmd_monitor(args: argparse.Namespace) -> int:
+def _cmd_monitor(args: argparse.Namespace) -> bytes:
     cfg, seed = _build_config(args)
     snapshot = load_snapshot(args.snapshot)
     reference = load_reference(args.reference)
     report = monitor(snapshot, reference, cfg, seed=seed)
+    if args.format == "json":
+        text = json.dumps(vars(report), sort_keys=True, indent=2) + "\n"
+    elif args.format == "csv":
+        text = render_csv(report)
+    else:
+        text = render_text(report) + "\n"
+    # encoded before the history changes: after it, only writing the output can fail
+    out = _encode(text)
     if args.history:
         ack = append_history(report, args.history)
         if ack.duplicate:
             print(f"note: duplicate report for {report.label!r}; history unchanged", file=sys.stderr)
-    if args.format == "json":
-        print(json.dumps(vars(report), sort_keys=True, indent=2))
-    elif args.format == "csv":
-        sys.stdout.write(render_csv(report))
-    else:
-        print(render_text(report))
-    return EXIT_OK
+    return out
 
 
-def _cmd_boundaries(args: argparse.Namespace) -> int:
+def _cmd_boundaries(args: argparse.Namespace) -> bytes:
     cfg, _ = _build_config(args)
     reference = load_reference(args.reference)
     bounds = decision_boundaries(reference, args.n, cfg)
     if args.format == "json":
-        print(json.dumps(vars(bounds), sort_keys=True, indent=2))
-    else:
-        print(f"(n={bounds.n}, B={bounds.B})  delta={bounds.delta:.6f}  "
-              f"lambda_sup={bounds.lambda_sup:.4f}  tau1={bounds.tau1:.5f}  "
-              f"tau2={bounds.tau2:.5f}")
-    return EXIT_OK
+        return _encode(json.dumps(vars(bounds), sort_keys=True, indent=2) + "\n")
+    return _encode(f"(n={bounds.n}, B={bounds.B})  delta={bounds.delta:.6f}  "
+                   f"lambda_sup={bounds.lambda_sup:.4f}  tau1={bounds.tau1:.5f}  "
+                   f"tau2={bounds.tau2:.5f}\n")
 
 
-def _cmd_study(args: argparse.Namespace) -> int:
+def _cmd_study(args: argparse.Namespace) -> bytes:
     cfg, seed = _build_config(args)
     if args.n_grid is not None and args.n is not None:
         raise ValidationError("give either --n or --n-grid, not both")
@@ -182,8 +183,23 @@ def _cmd_study(args: argparse.Namespace) -> int:
     spec = StudySpec(study=args.study, B=args.B, ns=ns, cfg=cfg, seed=seed,
                      **{name: getattr(args, name) for name in _STUDY_SETTINGS})
     out = run_study(spec, args.out)
-    print(f"wrote {out}")
-    return EXIT_OK
+    return _encode(f"wrote {out}\n")
+
+
+def _encode(text: str) -> bytes:
+    """UTF-8, whatever the locale; a file name's undecodable bytes are given back as they were."""
+    return text.encode(errors="surrogateescape")
+
+
+def _write_out(data: bytes) -> None:
+    """``data`` to standard output, as bytes below a text stream that has them, such as
+    the console's, else as text (``io.StringIO``)."""
+    if hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # whatever was printed before goes first
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()  # now, as print to a console would
+    else:
+        sys.stdout.write(data.decode(errors="surrogateescape"))
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
@@ -207,7 +223,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.run(args)
+        _write_out(args.run(args))
+        return EXIT_OK
     except (BoundaryOverlapError, ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_OVERLAP if isinstance(exc, BoundaryOverlapError)

@@ -22,6 +22,14 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 VectorLike = Union["ReferenceDistribution", Sequence[float], np.ndarray]
 
 
+def _check_sample_size(n: int) -> None:
+    """Refuse a sample size that no vector of int64 counts can have."""
+    if n < 1:
+        raise ValidationError(f"sample size must be positive, got {n}")
+    if n > _INT64_MAX:
+        raise ValidationError(f"sample size {n} exceeds the int64 range")
+
+
 def _equal_vectors(a, b):
     """``==`` of a class that holds one vector: the same shape and values.  A dataclass's
     would ask numpy for one truth value of a whole array; ``hash`` still raises ``TypeError``."""

@@ -48,7 +48,6 @@ from .divergences import (
 )
 from .errors import ValidationError
 from .resemblance import (
-    LeastRecentlyUsed,
     P_GREEN,
     P_RED,
     ResemblanceConfig,
@@ -155,31 +154,10 @@ def _ordered_values(
     return [seen[c] for c in range(1, B + 1)]
 
 
-# a kept reference is charged its file's bytes, its probabilities' bytes and 1 KiB for
-# the objects around them (tracemalloc: under 0.5 KiB with the probabilities at B = 5-20); 1 MiB for all
-_REFERENCE_ENTRY = 1 << 10
-_kept_references = LeastRecentlyUsed(1 << 20)
-
-
 def load_reference(path: str | Path) -> ReferenceDistribution:
-    """Reference from a CSV of explicit probabilities or of reference counts.
-
-    The file is read on every call, but only bytes not seen before are parsed
-    and validated: a process keeps the references of recent file contents,
-    whatever their path, charged as above to at most 1 MiB, least recently
-    used dropped first.  A file that fails to load keeps nothing, so it fails
-    again, under its own path, on every call.
-    """
+    """Reference from a CSV of explicit probabilities or of reference counts."""
     path = Path(path)
-    data = path.read_bytes()
-    # the parsers are part of the key: a reference is reused only under the parsers that built it
-    key = (data, _read_rows, _ordered_values)
-    reference = _kept_references.get(key)
-    if reference is None:
-        # parsed from the bytes it is kept under, even if the file has changed since
-        reference = _parse_reference(path, read_text(path, data))
-        _kept_references.keep(key, reference, len(data) + reference.probs.nbytes + _REFERENCE_ENTRY)
-    return reference
+    return _parse_reference(path, read_text(path, path.read_bytes()))
 
 
 def _parse_reference(path: Path, text: str) -> ReferenceDistribution:

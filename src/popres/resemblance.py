@@ -15,7 +15,7 @@ import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .divergences import (
     CategoryCounts,
     ReferenceDistribution,
     VectorLike,
+    _check_sample_size,
     _paired,
     as_probs,
     ks_statistic,
@@ -36,47 +37,6 @@ LEWIS_ACTION = 0.25
 P_RED = 0.01  # p-value levels of the KS rule; YN thresholds are chi-square quantiles at them
 P_GREEN = 0.10
 KS_MAX_N = 10**9  # ks_p_value's windows grow as sqrt(n); here a call stays under ~100 MB
-
-
-class LeastRecentlyUsed:
-    """Values of recent keys, each charged a size in bytes, least recently used first.
-
-    An entry charged more than ``bound`` is never kept; the oldest are dropped
-    so that the kept ones are charged at most ``bound`` together.  Safe to
-    share between threads.
-    """
-
-    def __init__(self, bound: int) -> None:
-        self.bound = bound
-        # oldest first; an OrderedDict moves a key to the end and drops the first in O(1)
-        self._kept: OrderedDict[Hashable, tuple[object, int]] = OrderedDict()
-        self.nbytes = 0
-        self._lock = threading.Lock()
-
-    def get(self, key: Hashable):
-        """The value kept under ``key``, now the most recently used, or None."""
-        with self._lock:
-            kept = self._kept.get(key)
-            if kept is None:
-                return None
-            self._kept.move_to_end(key)
-            return kept[0]
-
-    def keep(self, key: Hashable, value: object, size: int) -> None:
-        with self._lock:
-            entry = (value, size)
-            # another thread may have kept the key meanwhile
-            if size > self.bound or self._kept.setdefault(key, entry) is not entry:
-                return
-            self.nbytes += size
-            while self.nbytes > self.bound:
-                _, (_, dropped) = self._kept.popitem(last=False)
-                self.nbytes -= dropped
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._kept.clear()
-            self.nbytes = 0
 
 
 class Region(enum.Enum):
@@ -133,8 +93,7 @@ class DecisionBoundaries:
 
 def recommended_delta(p0: ReferenceDistribution, n: int, c: float) -> float:
     """Tolerance scaled to the smallest per-category proportion standard error."""
-    if n < 1:
-        raise ValidationError(f"sample size must be positive, got {n}")
+    _check_sample_size(n)
     q = as_probs(p0)
     return float(c * np.min(np.sqrt(q * (1.0 - q) / n)))
 
@@ -146,8 +105,7 @@ def lambda_sup(p0: ReferenceDistribution, n: int, delta: float) -> float:
     every coordinate moves by +-delta; for odd B one coordinate (a maximal
     one) stays put.
     """
-    if n < 1:
-        raise ValidationError(f"sample size must be positive, got {n}")
+    _check_sample_size(n)
     q = as_probs(p0)
     if delta <= 0:
         raise ValidationError(f"delta must be positive, got {delta}")
@@ -169,35 +127,11 @@ def is_delta_resemblant(p: VectorLike, p0: VectorLike, delta: float) -> bool:
     return bool(np.max(np.abs(q - x)) <= delta * (1.0 + 1e-12) + 1e-15)
 
 
-# each boundaries memo charges an entry 1 KiB, plus its reference's bytes, and holds at most
-# 1 MiB: so at most 1,024 entries (tracemalloc: a B = 10 entry takes about 0.4 KiB, a yn pair 0.1 KiB)
-_MEMO_ENTRY = 1 << 10
-_MEMO_BOUND = 1 << 20
-_kept_boundaries = LeastRecentlyUsed(_MEMO_BOUND)
-_kept_yn = LeastRecentlyUsed(_MEMO_BOUND)
-
-
 def decision_boundaries(
     p0: ReferenceDistribution, n: int, cfg: ResemblanceConfig
 ) -> DecisionBoundaries:
-    """Compute (delta, lambda_sup, tau1, tau2) for the given configuration.
-
-    They depend only on n, the reference's probabilities and cfg, so a process
-    keeps them, keyed by those and by the ``chndtrix`` and ``chndtr`` in
-    ``special_functions`` (a replaced one takes effect).  The least recently
-    used go first, so that at most 1,024 are kept, 1 MiB with their
-    references.  A call that raises keeps nothing and raises again when repeated.
-    """
+    """Compute (delta, lambda_sup, tau1, tau2) for the given configuration."""
     q = as_probs(p0)
-    key = (type(n), n, q.shape, q.tobytes(), cfg, special_functions.chndtrix, special_functions.chndtr)
-    bounds = _kept_boundaries.get(key)
-    if bounds is None:
-        bounds = _derive_boundaries(q, n, cfg)
-        _kept_boundaries.keep(key, bounds, _MEMO_ENTRY + q.nbytes)
-    return bounds
-
-
-def _derive_boundaries(q: np.ndarray, n: int, cfg: ResemblanceConfig) -> DecisionBoundaries:
     delta = cfg.delta_override if cfg.delta_override is not None else recommended_delta(q, n, cfg.c)
     if cfg.M * delta > float(np.min(q)) + 1e-15:
         raise ConstraintError(
@@ -240,22 +174,9 @@ def yn_boundaries(
     """Sample-size dependent PSI thresholds 2/n * central chi-square quantile.
 
     Returns (tau_red, tau_green): PSI above tau_red is fully discrepant,
-    below tau_green acceptable, in between needs monitoring.  Kept per
-    process like ``decision_boundaries``: keyed by the arguments, their types
-    and the ``chndtrix`` and ``chndtr`` in use, at most 1,024 pairs.
+    below tau_green acceptable, in between needs monitoring.
     """
-    key = (type(n), n, type(B), B, type(alpha_upper), alpha_upper, type(alpha_lower), alpha_lower,
-           special_functions.chndtrix, special_functions.chndtr)
-    taus = _kept_yn.get(key)
-    if taus is None:
-        taus = _derive_yn(n, B, alpha_upper, alpha_lower)
-        _kept_yn.keep(key, taus, _MEMO_ENTRY)
-    return taus
-
-
-def _derive_yn(n: int, B: int, alpha_upper: float, alpha_lower: float) -> tuple[float, float]:
-    if n < 1:
-        raise ValidationError(f"sample size must be positive, got {n}")
+    _check_sample_size(n)
     if B < 2:
         raise ValidationError(f"need B >= 2 categories, got {B}")
     for name, a in (("alpha_upper", alpha_upper), ("alpha_lower", alpha_lower)):
@@ -330,30 +251,50 @@ _SCHEDULE_CAP = 1 << 20  # bytes; a larger schedule is built step by step on eve
 _SCHEDULE_BOUND = 4 << 20  # bytes that all kept schedules hold together
 
 
-class _Schedules(LeastRecentlyUsed):
+class _Schedules:
     """KS window schedules of recent (n, reference) pairs.
 
-    A schedule above ``_SCHEDULE_CAP`` bytes is never kept; the kept ones
-    hold at most ``_SCHEDULE_BOUND`` bytes together.
+    A schedule above ``_SCHEDULE_CAP`` bytes is never kept; the least recently
+    used go first, so that the kept ones hold at most ``_SCHEDULE_BOUND`` bytes
+    together.  Safe to share between threads.
     """
+
+    def __init__(self) -> None:
+        # key -> (steps, bytes), oldest first; an OrderedDict moves a key to the end and drops the first in O(1)
+        self._kept: OrderedDict[tuple, tuple[tuple, int]] = OrderedDict()
+        self.nbytes = 0
+        self._lock = threading.Lock()
 
     def __call__(self, n: int, q: np.ndarray) -> Iterable[tuple]:
         # the window rule is part of the key: a schedule is reused only under the rule that built it
         key = (n, q.tobytes(), _window_halfwidth)
-        steps = self.get(key)
-        if steps is not None:
-            return steps
+        with self._lock:
+            kept = self._kept.get(key)
+            if kept is not None:
+                self._kept.move_to_end(key)
+                return kept[0]
         size = _schedule_nbytes(n, q)
         if size > _SCHEDULE_CAP:
             return _ks_steps(n, q)
         steps = tuple(_ks_steps(n, q))
         for step in steps:
             step[1].flags.writeable = step[5].flags.writeable = False
-        self.keep(key, steps, size)
+        with self._lock:
+            # another thread may have kept the key meanwhile
+            if self._kept.setdefault(key, (steps, size))[0] is steps:
+                self.nbytes += size
+                while self.nbytes > _SCHEDULE_BOUND:
+                    _, (_, dropped) = self._kept.popitem(last=False)
+                    self.nbytes -= dropped
         return steps
 
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._kept.clear()
+            self.nbytes = 0
 
-_ks_schedule = _Schedules(_SCHEDULE_BOUND)
+
+_ks_schedule = _Schedules()
 
 
 def ks_p_value(counts: CategoryCounts, p0: ReferenceDistribution) -> float:

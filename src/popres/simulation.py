@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sampling
-from .divergences import _prs_terms, _psi_terms, uniform_reference
+from .divergences import _check_sample_size, _prs_terms, _psi_terms, uniform_reference
 from .errors import ValidationError
 from .resemblance import (
     LEWIS_ACTION,
@@ -41,8 +41,7 @@ def _check_study_args(
 ) -> None:
     """Reject study arguments no study can run; each message names its flag."""
     for n in ns:
-        if n < 1:
-            raise ValidationError(f"sample size must be positive, got {n}")
+        _check_sample_size(n)
     if B < 2:
         raise ValidationError(f"need B >= 2 categories, got {B}")
     if replications < 1:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -137,17 +138,60 @@ def test_every_input_numbers_lines_by_cr_lf_and_crlf_alone(tmp_path, entry, sep)
     assert str(info.value) == f"{f}:{line}: {message}"
 
 
-def test_json_snapshot_is_utf8_under_an_ascii_locale(tmp_path, reference_file):
-    snapshot = tmp_path / "s.json"
-    snapshot.write_bytes('{"label": "Zürich", "counts": [6, 9, 10, 11, 14]}'.encode())
-    argv = ["monitor", "--snapshot", str(snapshot), "--reference", str(reference_file), "--format", "json"]
+def ascii_locale_env():
+    """The environment of a process whose default encoding is ASCII: the C locale, UTF-8 mode off."""
     env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
            "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     probe = [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"]
     assert subprocess.run(probe, env=env, capture_output=True, text=True).stdout.strip() != "UTF-8"
-    out = subprocess.run([sys.executable, "-m", "popres.cli", *argv], env=env, capture_output=True, text=True)
+    return env
+
+
+def test_json_snapshot_is_utf8_under_an_ascii_locale(tmp_path, reference_file):
+    snapshot = tmp_path / "s.json"
+    snapshot.write_bytes('{"label": "Zürich", "counts": [6, 9, 10, 11, 14]}'.encode())
+    argv = ["monitor", "--snapshot", str(snapshot), "--reference", str(reference_file), "--format", "json"]
+    out = subprocess.run([sys.executable, "-m", "popres.cli", *argv], env=ascii_locale_env(),
+                         capture_output=True, text=True)
     assert (out.returncode, out.stderr) == (EXIT_OK, "")
     assert json.loads(out.stdout)["label"] == "Zürich"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_output_is_utf8_under_an_ascii_locale(tmp_path, reference_file, fmt):
+    # the history is appended before the output is written: an output error would
+    # leave the report stored behind a failing exit code
+    snapshot, hist = tmp_path / "s.json", tmp_path / "h.jsonl"
+    snapshot.write_bytes('{"label": "Zürich", "counts": [6, 9, 10, 11, 14]}'.encode())
+    argv = [sys.executable, "-m", "popres.cli", "monitor", "--snapshot", str(snapshot),
+            "--reference", str(reference_file), "--format", fmt, "--history", str(hist)]
+    env = ascii_locale_env()
+    first = subprocess.run(argv, env=env, capture_output=True)
+    assert (first.returncode, first.stderr) == (EXIT_OK, b"")
+    stored = hist.read_bytes()
+    assert len(stored.splitlines()) == 1
+    again = subprocess.run(argv, env=env, capture_output=True)
+    assert again.returncode == EXIT_OK and b"duplicate report" in again.stderr
+    assert again.stdout == first.stdout and hist.read_bytes() == stored
+    # the bytes of the same call under a UTF-8 locale
+    hist.unlink()
+    utf8 = subprocess.run(argv, env={**env, "PYTHONUTF8": "1"}, capture_output=True)
+    assert (utf8.returncode, utf8.stdout) == (EXIT_OK, first.stdout)
+    if fmt == "json":  # ASCII with escapes, as before
+        assert first.stdout.isascii() and json.loads(first.stdout)["label"] == "Zürich"
+    else:
+        assert "Zürich".encode() in first.stdout
+
+
+def test_output_to_a_text_stream_without_bytes(tmp_path, reference_file):
+    # a program that captures main's output in an io.StringIO gets the text itself
+    snapshot = tmp_path / "s.json"
+    snapshot.write_bytes('{"label": "Zürich", "counts": [6, 9, 10, 11, 14]}'.encode())
+    argv = ["monitor", "--snapshot", str(snapshot), "--reference", str(reference_file)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    assert out.getvalue().startswith("snapshot Zürich  (n=50, B=5)\n")
 
 
 class TestMonitorCommand:
@@ -209,7 +253,8 @@ class TestMonitorCommand:
         assert payload["config"]["delta_override"] == 0.001
         assert payload["delta"] == 0.001
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "1.7"])
+    # 3.0 is refused as --seed 3.0 is
+    @pytest.mark.parametrize("value", ["inf", "nan", "1.7", "3.0"])
     def test_config_file_non_integer_seed_exits_validation(
         self, capsys, tmp_path, reference_file, snapshot_file, value
     ):
@@ -221,6 +266,39 @@ class TestMonitorCommand:
         ])
         assert code == EXIT_VALIDATION
         assert "cfg.ini:1: seed must be an integer" in capsys.readouterr().err
+
+    def test_config_file_seed_keeps_every_digit(self, capsys, tmp_path, reference_file, snapshot_file):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"seed = {2**53 + 1}\n")  # a float would round it to 2**53
+        code = main(["monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file),
+                     "--config", str(cfg), "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["seed"] == 9007199254740993
+
+    @pytest.mark.parametrize("case", ["other-grid", "overlap", "quantile-fails", "unencodable-label",
+                                      "corrupt-history"])
+    def test_failing_call_leaves_the_history_unchanged(self, capsys, monkeypatch, tmp_path, reference_file,
+                                                       snapshot_file, case):
+        hist, idx = tmp_path / "h.jsonl", tmp_path / "h.jsonl.idx"
+        argv = ["monitor", "--reference", str(reference_file), "--history", str(hist)]
+        assert main([*argv, "--snapshot", str(snapshot_file)]) == EXIT_OK
+        snapshot = tmp_path / "s.json"
+        snapshot.write_text('{"label": "s", "counts": [4, 10, 11, 11, 14]}')
+        if case == "other-grid":
+            snapshot.write_text('{"label": "s", "counts": [4, 10, 11, 11]}')
+        elif case == "overlap":
+            argv += ["--M", "1.000000001", "--alpha1", "0.5", "--alpha2", "0.5"]
+        elif case == "quantile-fails":
+            monkeypatch.setattr(special_functions, "chndtrix", lambda *args: math.nan)
+        elif case == "unencodable-label":  # a lone surrogate: JSON holds it, UTF-8 does not
+            snapshot.write_text('{"label": "s\\ud800", "counts": [4, 10, 11, 11, 14]}')
+        else:
+            with open(hist, "a") as fh:
+                fh.write("{not json\n")
+        before = hist.read_bytes(), idx.read_bytes()
+        assert main([*argv, "--snapshot", str(snapshot)]) != EXIT_OK
+        assert (hist.read_bytes(), idx.read_bytes()) == before
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("read_back", [False, True], ids=["fresh", "read-back"])
     def test_encodings_equal_the_asdict_encodings(self, capsys, monkeypatch, tmp_path, reference_file,
@@ -398,6 +476,17 @@ class TestBoundariesCommand:
         assert code == EXIT_VALIDATION
         assert f"sample size must be positive, got {n}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [str(2**63), str(10**400)], ids=["2**63", "10**400"])
+    def test_n_above_int64_exits_validation(self, capsys, tmp_path, reference_file, n):
+        code = main(["boundaries", "--reference", str(reference_file), "--n", n])
+        assert code == EXIT_VALIDATION
+        assert f"sample size {n} exceeds the int64 range" in capsys.readouterr().err
+        out = tmp_path / "sweep.csv"
+        code = main(["study", "--study", "sweep", "--out", str(out), "--n", n, "--B", "5"])
+        assert code == EXIT_VALIDATION
+        assert f"sample size {n} exceeds the int64 range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_is_refused(self, capsys, reference_file):
         with pytest.raises(SystemExit) as exc:
             main(["boundaries", "--reference", str(reference_file), "--n", "50", "--seed", "5"])
@@ -531,11 +620,13 @@ class TestStudyCommand:
         specs = []
         monkeypatch.setattr(cli, "run_study", lambda spec, out: specs.append(spec) or out)
         cfg = tmp_path / "cfg.ini"
-        cfg.write_text("seed = 9\n")
-        code = main(["study", "--study", "table1", "--out", str(tmp_path / "t.csv"),
-                     "--n", "50", "--B", "5", "--config", str(cfg)])
-        assert code == EXIT_OK
-        assert specs[0].seed == 9
+        # the largest is taken as --seed takes it; as a float it would round to 2**64 and be refused
+        for seed in (9, 2**64 - 1):
+            cfg.write_text(f"seed = {seed}\n")
+            code = main(["study", "--study", "table1", "--out", str(tmp_path / "t.csv"),
+                         "--n", "50", "--B", "5", "--config", str(cfg)])
+            assert code == EXIT_OK
+            assert specs[-1].seed == seed
 
     def test_n_grid_rejects_empty_entry(self, capsys, tmp_path):
         out = tmp_path / "t.csv"

@@ -36,7 +36,14 @@ from popres.resemblance import (
 )
 from popres.sampling import multinomial_matrix
 
-from oracles import enumerate_extreme_points, ks_p_value_enumerated, ks_p_value_uncached, ks_rows
+from oracles import (
+    boundaries_step_by_step,
+    enumerate_extreme_points,
+    ks_p_value_enumerated,
+    ks_p_value_uncached,
+    ks_rows,
+    yn_step_by_step,
+)
 
 UNIFORM5 = uniform_reference(5)
 # published critical values for the worked configurations
@@ -606,7 +613,8 @@ class TestKsSchedule:
         assert failures == []
         assert cache.nbytes == sum(size for _, size in cache._kept.values()) <= resemblance._SCHEDULE_BOUND
 
-# references for the boundaries memo: two share B = 5, and one has a category too small for most cfgs
+
+# references for the boundaries tests: two share B = 5, and one has a category too small for most cfgs
 MEMO_REFERENCES = (uniform_reference(5), ReferenceDistribution(np.array([0.1, 0.1, 0.3, 0.3, 0.2])),
                    uniform_reference(10), ReferenceDistribution(np.array([0.002, 0.499, 0.499])))
 
@@ -630,71 +638,49 @@ class TestBoundariesMemo:
             st.sampled_from([0.05, 0.05, 0.4]),
             st.sampled_from([None, None, 0.01]),
         ), min_size=1, max_size=3),
-        # each call: a reference, a case, n as an int or a numpy int, a YN lower level, and
-        # whether the memos are cleared first
+        # each call: a reference, a case, n as an int or a numpy int, and a YN lower level
         calls=st.lists(st.tuples(st.integers(0, len(MEMO_REFERENCES) - 1), st.integers(0, 2), st.booleans(),
-                                 st.sampled_from([0.1, 0.2, 0.01]), st.booleans()), min_size=1, max_size=20),
+                                 st.sampled_from([0.1, 0.2, 0.01])), min_size=1, max_size=20),
     )
     def test_kept_results_equal_those_derived_per_call(self, cases, calls):
-        for pick, case, numpy_n, lower, clear in calls:
-            if clear:
-                resemblance._kept_boundaries.cache_clear()
-                resemblance._kept_yn.cache_clear()
+        # each call derives anew: what a caller keeps equals the step-by-step derivation,
+        # for n as an int or a numpy int, repeated or not
+        for pick, case, numpy_n, lower in calls:
             n, c, M, alpha, delta = cases[case % len(cases)]
             n = np.int64(n) if numpy_n else n
             q = MEMO_REFERENCES[pick]
             cfg = ResemblanceConfig(c=c, M=M, alpha1=alpha, alpha2=2 * alpha, delta_override=delta)
-            assert outcome(decision_boundaries, q, n, cfg) == outcome(
-                resemblance._derive_boundaries, q.probs, n, cfg)
+            assert outcome(decision_boundaries, q, n, cfg) == outcome(boundaries_step_by_step, q.probs, n, cfg)
             levels = (n, q.B, alpha / 5, lower)
-            assert outcome(yn_boundaries, *levels) == outcome(resemblance._derive_yn, *levels)
-
-    def test_repeated_call_inverts_no_quantile(self, monkeypatch):
-        cfg = ResemblanceConfig(c=0.6)
-        bounds = decision_boundaries(UNIFORM5, 70, cfg), yn_boundaries(70, 5, 0.01, 0.1)
-
-        def no_quantile(*args):
-            raise AssertionError("a quantile was inverted")
-
-        monkeypatch.setattr(resemblance.special_functions, "ncx2_quantile", no_quantile)
-        assert (decision_boundaries(UNIFORM5, 70, cfg), yn_boundaries(70, 5, 0.01, 0.1)) == bounds
-        with pytest.raises(AssertionError, match="a quantile was inverted"):
-            decision_boundaries(UNIFORM5, 71, cfg)
-
-    def test_kept_entries_stay_under_the_bound(self):
-        memo = resemblance._kept_boundaries
-        memo.cache_clear()
-        cfg, wide = ResemblanceConfig(), uniform_reference(1_000)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            for n in range(10_000, 10_300):
-                decision_boundaries(UNIFORM5, n, cfg)
-            # the charge covers the Python objects around each entry
-            assert tracemalloc.get_traced_memory()[0] - base <= memo.nbytes
-        finally:
-            tracemalloc.stop()
-        for n in range(10_300, 11_300):
-            decision_boundaries(UNIFORM5, n, cfg)
-            assert memo.nbytes == sum(size for _, size in memo._kept.values()) <= resemblance._MEMO_BOUND
-        # 1 KiB an entry plus 40 bytes of reference
-        kept = resemblance._MEMO_BOUND // (resemblance._MEMO_ENTRY + 40)
-        assert [key[1] for key in memo._kept] == list(range(11_300 - kept, 11_300))  # the oldest went first
-        assert kept <= 1_024
-        for n in range(30_000, 30_200):
-            decision_boundaries(wide, n, ResemblanceConfig(c=0.1))
-            assert memo.nbytes <= resemblance._MEMO_BOUND
-        assert len(memo._kept) == resemblance._MEMO_BOUND // (resemblance._MEMO_ENTRY + 8_000)
+            assert outcome(yn_boundaries, *levels) == outcome(yn_step_by_step, *levels)
 
     def test_raising_call_keeps_nothing(self):
-        resemblance._kept_boundaries.cache_clear()
-        resemblance._kept_yn.cache_clear()
         for _ in range(2):
             with pytest.raises(ConstraintError):
                 decision_boundaries(UNIFORM5, 50, ResemblanceConfig(M=100.0))
             with pytest.raises(ValidationError):
                 yn_boundaries(50, 5, 0.1, 0.1)
-        assert resemblance._kept_boundaries._kept == resemblance._kept_yn._kept == {}
+
+
+@pytest.mark.parametrize("n", [2**63, np.uint64(2**63), 10**400], ids=["2**63", "uint64", "10**400"])
+@pytest.mark.parametrize("call", [
+    lambda n: recommended_delta(UNIFORM5, n, 0.7),
+    lambda n: lambda_sup(UNIFORM5, n, 0.01),
+    lambda n: decision_boundaries(UNIFORM5, n, ResemblanceConfig()),
+    lambda n: decision_boundaries(UNIFORM5, n, ResemblanceConfig(delta_override=0.01)),
+    lambda n: yn_boundaries(n, 5, 0.01, 0.10),
+], ids=["recommended_delta", "lambda_sup", "decision_boundaries", "delta_override", "yn_boundaries"])
+def test_sample_size_above_int64_is_refused(call, n):
+    # no vector of int64 counts sums to n; 10**400 overflowed a float
+    with pytest.raises(ValidationError, match=rf"sample size {n} exceeds the int64 range"):
+        call(n)
+
+
+def test_largest_int64_sample_size_is_taken():
+    n = 2**63 - 1
+    assert recommended_delta(UNIFORM5, n, 0.7) > 0
+    assert decision_boundaries(UNIFORM5, n, ResemblanceConfig()).n == n
+    assert yn_boundaries(n, 5, 0.01, 0.10)[0] > 0
 
 
 class TestConfigValidation:

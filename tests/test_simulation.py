@@ -260,6 +260,12 @@ class TestSpecValidation:
             paths.append(run_study(spec, tmp_path / f"{value!r}.csv"))
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("study, ns", [("table1", (50, 2**63)), ("sweep", (10**400,))],
+                             ids=["2**63", "10**400"])
+    def test_spec_rejects_sample_size_above_int64(self, study, ns):
+        with pytest.raises(ValidationError, match=rf"sample size {ns[-1]} exceeds the int64 range"):
+            StudySpec(study=study, B=5, ns=ns)
+
     def test_stability_rejects_bad_sizes(self):
         with pytest.raises(ValidationError, match="sample size"):
             stability_ratios(0, 5, 100, 0)

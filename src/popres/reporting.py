@@ -22,6 +22,7 @@ still starts with the bytes it sealed; for that the process holds one copy of th
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import fcntl
@@ -105,8 +106,10 @@ def _line_after(text: str) -> int:
 
 
 def read_text(path: str | os.PathLike, data: bytes) -> str:
-    """``data``, read from ``path``, as UTF-8 text whatever the locale; an error names
-    the file and the line of the first byte that is not UTF-8."""
+    """``data``, read from ``path``, as UTF-8 text whatever the locale, less one leading
+    byte order mark; an error names the file and the line of the first byte that is not UTF-8."""
+    # not utf-8-sig: its exc.start counts from after the mark, so data[exc.start] is another byte
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode()
     except UnicodeDecodeError as exc:
@@ -157,11 +160,7 @@ def _ordered_values(
 def load_reference(path: str | Path) -> ReferenceDistribution:
     """Reference from a CSV of explicit probabilities or of reference counts."""
     path = Path(path)
-    return _parse_reference(path, read_text(path, path.read_bytes()))
-
-
-def _parse_reference(path: Path, text: str) -> ReferenceDistribution:
-    fields, rows = _read_rows(path, text)
+    fields, rows = _read_rows(path, read_text(path, path.read_bytes()))
     if "prob" in fields:
         probs = np.asarray(_ordered_values(path, fields, rows, "prob"))
     elif "count" in fields:
@@ -219,6 +218,8 @@ def monitor(
     seed: int = 0,
 ) -> MonitoringReport:
     """Every statistic and classification for one snapshot; ``seed`` is only recorded."""
+    if not 0 <= seed < 1 << 64:  # the seeds a study takes
+        raise ValidationError(f"seed must lie in [0, 2**64) (--seed), got {seed}")
     counts = snapshot.counts
     if counts.B != reference.B:
         raise ValidationError(

@@ -10,12 +10,11 @@ discrete KS statistic under the multinomial null.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -248,53 +247,20 @@ def _schedule_nbytes(n: int, q: np.ndarray) -> int:
 
 
 _SCHEDULE_CAP = 1 << 20  # bytes; a larger schedule is built step by step on every call
-_SCHEDULE_BOUND = 4 << 20  # bytes that all kept schedules hold together
 
 
-class _Schedules:
-    """KS window schedules of recent (n, reference) pairs.
-
-    A schedule above ``_SCHEDULE_CAP`` bytes is never kept; the least recently
-    used go first, so that the kept ones hold at most ``_SCHEDULE_BOUND`` bytes
-    together.  Safe to share between threads.
-    """
-
-    def __init__(self) -> None:
-        # key -> (steps, bytes), oldest first; an OrderedDict moves a key to the end and drops the first in O(1)
-        self._kept: OrderedDict[tuple, tuple[tuple, int]] = OrderedDict()
-        self.nbytes = 0
-        self._lock = threading.Lock()
-
-    def __call__(self, n: int, q: np.ndarray) -> Iterable[tuple]:
-        # the window rule is part of the key: a schedule is reused only under the rule that built it
-        key = (n, q.tobytes(), _window_halfwidth)
-        with self._lock:
-            kept = self._kept.get(key)
-            if kept is not None:
-                self._kept.move_to_end(key)
-                return kept[0]
-        size = _schedule_nbytes(n, q)
-        if size > _SCHEDULE_CAP:
-            return _ks_steps(n, q)
-        steps = tuple(_ks_steps(n, q))
-        for step in steps:
-            step[1].flags.writeable = step[5].flags.writeable = False
-        with self._lock:
-            # another thread may have kept the key meanwhile
-            if self._kept.setdefault(key, (steps, size))[0] is steps:
-                self.nbytes += size
-                while self.nbytes > _SCHEDULE_BOUND:
-                    _, (_, dropped) = self._kept.popitem(last=False)
-                    self.nbytes -= dropped
-        return steps
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._kept.clear()
-            self.nbytes = 0
-
-
-_ks_schedule = _Schedules()
+@functools.lru_cache(maxsize=4)
+def _kept_schedule(n: int, probs: bytes, rule) -> Optional[tuple]:
+    """``_ks_steps`` of (n, reference), read-only, or None if it would hold more than
+    ``_SCHEDULE_CAP`` bytes.  ``rule`` is ``_window_halfwidth``: a schedule is reused
+    only under the window rule that built it."""
+    q = np.frombuffer(probs)
+    if _schedule_nbytes(n, q) > _SCHEDULE_CAP:
+        return None
+    steps = tuple(_ks_steps(n, q))
+    for step in steps:
+        step[1].flags.writeable = step[5].flags.writeable = False
+    return steps
 
 
 def ks_p_value(counts: CategoryCounts, p0: ReferenceDistribution) -> float:
@@ -313,11 +279,12 @@ def ks_p_value(counts: CategoryCounts, p0: ReferenceDistribution) -> float:
     The windows, band centres and cuts depend only on (n, reference), so
     their schedule is built once per process and kept, read-only, if it
     holds at most 1 MiB: for a uniform reference up to n = 7e5 at B = 10,
-    1.7e5 at B = 20 and 1.6e4 at B = 60.  Kept schedules hold at most 4 MiB
-    together; the least recently used go first.  A repeated call then runs
-    only the band recursion.  A larger schedule is built step by step on
-    every call, as the recursion reaches each category, so a call still
-    stays under ~100 MB.
+    1.7e5 at B = 20 and 1.6e4 at B = 60.  A ``functools.lru_cache`` keeps
+    the four most recently used (n, reference) pairs, so at most 4 MiB; a
+    pair over the cap takes a slot with its verdict alone.  A repeated call
+    then runs only the band recursion.  A larger schedule is built step by
+    step on every call, as the recursion reaches each category, so a call
+    still stays under ~100 MB.
     """
     n = counts.n
     if n > KS_MAX_N:
@@ -333,7 +300,8 @@ def ks_p_value(counts: CategoryCounts, p0: ReferenceDistribution) -> float:
     if 2.0 * math.exp(-2.0 * reach * reach / n) <= dropped:
         return dropped
     lo, states, escaped, stayed = 0, np.ones(1), 0.0, 0.0
-    for x_lo, pmf, centre, cut, r_lo, finish in _ks_schedule(n, q):
+    steps = _kept_schedule(n, q.tobytes(), _window_halfwidth) or _ks_steps(n, q)
+    for x_lo, pmf, centre, cut, r_lo, finish in steps:
         mass = np.convolve(states, pmf)
         first = lo + x_lo  # the state of mass[0]
         # the band |s - n F_j| < reach, cut by the state window, as indices [a, b) of mass

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import contextlib
 import csv
 import io
@@ -138,6 +139,41 @@ def test_every_input_numbers_lines_by_cr_lf_and_crlf_alone(tmp_path, entry, sep)
     assert str(info.value) == f"{f}:{line}: {message}"
 
 
+@pytest.mark.parametrize("bad_byte", [False, True], ids=["utf8", "0xff"])
+@pytest.mark.parametrize("entry", READERS)
+def test_every_input_may_start_with_a_byte_order_mark(tmp_path, entry, bad_byte):
+    # Excel's "CSV UTF-8" starts a file with one; errors still name line 3 and the byte
+    name, load, text, message = READERS[entry]
+    f = tmp_path / name
+    lines = text.format(sep="").encode().splitlines(keepends=True)
+    if bad_byte:
+        lines[2:2] = [b"\xff"]
+        message = "not UTF-8 text (byte 0xff: invalid start byte)"
+    f.write_bytes(codecs.BOM_UTF8 + b"".join(lines))
+    with pytest.raises(ValidationError) as info:
+        load(f)
+    assert str(info.value) == f"{f}:3: {message}"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_monitor_reads_files_with_a_byte_order_mark(capsys, tmp_path, reference_file, snapshot_file, fmt):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("c = 0.7\nseed = 3\n")
+    snapshot = snapshot_file
+    if fmt == "json":
+        snapshot = tmp_path / "t1.json"
+        snapshot.write_text('{"label": "t1", "counts": [6, 9, 10, 11, 14]}')
+    argv = ["monitor", "--snapshot", str(snapshot), "--reference", str(reference_file),
+            "--config", str(cfg), "--format", "json"]
+    assert main(argv) == EXIT_OK
+    plain = capsys.readouterr().out
+    for f in (snapshot, reference_file, cfg):
+        f.write_bytes(codecs.BOM_UTF8 + f.read_bytes())
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == plain
+    assert json.loads(plain)["label"] == "t1" and json.loads(plain)["seed"] == 3
+
+
 def ascii_locale_env():
     """The environment of a process whose default encoding is ASCII: the C locale, UTF-8 mode off."""
     env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
@@ -274,6 +310,29 @@ class TestMonitorCommand:
                      "--config", str(cfg), "--format", "json"])
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["seed"] == 9007199254740993
+
+    # monitor takes the seeds study takes, from the flag or a config file alike
+    @pytest.mark.parametrize("command", ["monitor", "study"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**70])
+    def test_seed_outside_64_bits_exits_validation(self, capsys, tmp_path, reference_file, snapshot_file,
+                                                   command, source, seed):
+        hist, out, cfg = tmp_path / "h.jsonl", tmp_path / "t.csv", tmp_path / "cfg.ini"
+        if command == "monitor":
+            argv = ["monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file),
+                    "--history", str(hist)]
+        else:
+            argv = ["study", "--study", "table1", "--out", str(out), "--n", "50", "--B", "5"]
+        if source == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            cfg.write_text(f"seed = {seed}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must lie in [0, 2**64) (--seed), got {seed}\n"
+        assert not hist.exists() and not out.exists()
 
     @pytest.mark.parametrize("case", ["other-grid", "overlap", "quantile-fails", "unencodable-label",
                                       "corrupt-history"])
@@ -589,6 +648,7 @@ class TestStudyCommand:
     @pytest.mark.parametrize("flag,value", [
         ("--workers", "0"), ("--workers", "-3"), ("--target-j", "-0.5"),
         ("--threshold", "nan"), ("--threshold", "-1"), ("--seed", "-1"), ("--seed", str(2**64)),
+        ("--seed", str(2**70)),
     ])
     def test_rejects_bad_workers_and_target_j(self, capsys, tmp_path, flag, value):
         out = tmp_path / "t.csv"

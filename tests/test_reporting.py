@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import shutil
 import sys
 import tempfile
@@ -622,13 +623,13 @@ class TestReferenceCache:
         f = tmp_path / "ref.csv"
         first, second = reference_text([1, 1, 2, 7]), reference_text([1, 1, 3, 6])
         f.write_text(first)
-        parse = reporting._parse_reference
+        read = reporting.read_text
 
-        def parse_after_a_rewrite(path, text):
+        def read_then_rewrite(path, data):
             f.write_text(second)
-            return parse(path, text)
+            return read(path, data)
 
-        monkeypatch.setattr(reporting, "_parse_reference", parse_after_a_rewrite)
+        monkeypatch.setattr(reporting, "read_text", read_then_rewrite)
         kept = load_reference(f)
         assert kept.probs.tolist() == [1 / 11, 1 / 11, 2 / 11, 7 / 11]
         monkeypatch.undo()
@@ -674,6 +675,14 @@ class TestMonitor:
         a, b = (monitor(snap("t4", counts), uniform_reference(5), CFG, seed=s) for s in (1, 2))
         assert (a.seed, b.seed) == (1, 2)
         assert replace(a, seed=0) == replace(b, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        # a history should hold only seeds a study can take
+        counts = TIMELINE_50_5["t1"][0]
+        with pytest.raises(ValidationError, match=re.escape(f"seed must lie in [0, 2**64) (--seed), got {seed}")):
+            monitor(snap("t1", counts), uniform_reference(5), CFG, seed=seed)
+        assert monitor(snap("t1", counts), uniform_reference(5), CFG, seed=2**64 - 1).seed == 2**64 - 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):

@@ -474,11 +474,9 @@ class TestKsPValue:
             ks_p_value(counts, uniform_reference(2))
 
 
-def kept_window_bytes():
-    """Bytes of the distinct window arrays in the kept KS schedules."""
-    arrays = {id(a): a for steps, _ in resemblance._ks_schedule._kept.values()
-              for step in steps for a in (step[1], step[5])}
-    return sum(a.nbytes for a in arrays.values())
+def kept_schedule(n, q):
+    """The KS schedule ``ks_p_value`` looks up for (n, ``q``), under the window rule in place."""
+    return resemblance._kept_schedule(n, q.tobytes(), resemblance._window_halfwidth)
 
 
 KS_KINDS = ("uniform", "dirichlet", "repeated")
@@ -512,7 +510,7 @@ class TestKsSchedule:
                       for kind, seed, other in shapes]
         for pick, tilt, seed, clear in calls:
             if clear:
-                resemblance._ks_schedule.cache_clear()
+                resemblance._kept_schedule.cache_clear()
             n, q = references[pick % len(references)]
             # tilt 0 draws from the reference; a tilt of t moves the draw by about t standard errors
             population = np.maximum(q.probs * (1 + tilt * np.linspace(-1, 1, q.probs.size) / np.sqrt(n)), 0)
@@ -542,25 +540,46 @@ class TestKsSchedule:
         ks_p_value(counts, q)
         assert widths
 
+    def test_four_slots_cover_the_monitor_feed_shapes(self, monkeypatch):
+        # the paper's four table shapes, which a monitoring feed cycles through in any order
+        resemblance._kept_schedule.cache_clear()
+        cases = [(ks_snapshot(n, uniform_reference(B).probs, 0), uniform_reference(B))
+                 for n, B in ((50, 5), (500, 10), (2000, 10), (10_000, 20))]
+        expected = [ks_p_value_uncached(counts, q) for counts, q in cases]
+        rng = np.random.default_rng(4)
+
+        def no_window(mu):
+            raise AssertionError("a window was built")
+
+        for round in range(4):
+            if round == 1:
+                monkeypatch.setattr(resemblance, "_poisson_window", no_window)
+            for i in rng.permutation(len(cases)):
+                assert float.hex(ks_p_value(*cases[i])) == float.hex(expected[i])
+
     def test_kept_windows_are_read_only(self):
-        ks_p_value(CategoryCounts(np.array(ROW_2000_10_T3)), uniform_reference(10))
-        for steps, _ in resemblance._ks_schedule._kept.values():
-            for step in steps:
-                for window in (step[1], step[5]):
-                    with pytest.raises(ValueError, match="read-only"):
-                        window[0] = 1.0
+        counts, q = CategoryCounts(np.array(ROW_2000_10_T3)), uniform_reference(10)
+        ks_p_value(counts, q)
+        steps = kept_schedule(counts.n, q.probs)
+        assert steps
+        for step in steps:
+            for window in (step[1], step[5]):
+                with pytest.raises(ValueError, match="read-only"):
+                    window[0] = 1.0
 
     def test_schedule_above_the_cap_is_not_kept(self):
-        resemblance._ks_schedule.cache_clear()
+        resemblance._kept_schedule.cache_clear()
         n, q = 1_000_000, uniform_reference(60)
         assert resemblance._schedule_nbytes(n, q.probs) > resemblance._SCHEDULE_CAP
         counts = ks_snapshot(n, q.probs, 0)
         assert float.hex(ks_p_value(counts, q)) == float.hex(ks_p_value_uncached(counts, q))
-        assert resemblance._ks_schedule._kept == {}
-        assert resemblance._ks_schedule.nbytes == 0
+        assert kept_schedule(n, q.probs) is None
+        # the verdict alone takes a slot, and the second lookup hits it
+        info = resemblance._kept_schedule.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_kept_schedules_stay_under_the_bound(self):
-        cache = resemblance._ks_schedule
+        cache = resemblance._kept_schedule
         cache.cache_clear()
         shapes = [(n, ks_reference(kind, 20).probs)
                   for n in (40_000, 60_000, 80_000) for kind in ("uniform", "skewed", "repeated")]
@@ -568,27 +587,28 @@ class TestKsSchedule:
         try:
             base = tracemalloc.get_traced_memory()[0]
             for n, q in shapes:
-                cache(n, q)
-                cache(*shapes[0])  # the first shape stays the most recently used
+                over_cap = resemblance._schedule_nbytes(n, q) > resemblance._SCHEDULE_CAP
+                assert (kept_schedule(n, q) is None) == over_cap
+                hits = cache.cache_info().hits
+                kept_schedule(*shapes[0])  # the first shape stays the most recently used
+                assert cache.cache_info().hits == hits + 1
                 held = tracemalloc.get_traced_memory()[0] - base
-                assert kept_window_bytes() <= cache.nbytes <= resemblance._SCHEDULE_BOUND
-                # the charge covers the Python objects around the windows too
-                assert held <= cache.nbytes
-                assert cache.nbytes == sum(size for _, size in cache._kept.values())
-                assert cache.nbytes == sum(resemblance._schedule_nbytes(key[0], np.frombuffer(key[1]))
-                                           for key in cache._kept)
+                assert cache.cache_info().currsize <= 4
+                # four slots of at most 1 MiB each, the Python objects around the windows included
+                assert held <= 4 * resemblance._SCHEDULE_CAP
         finally:
             tracemalloc.stop()
-        kept = [(key[0], key[1]) for key in cache._kept]
-        assert (shapes[0][0], shapes[0][1].tobytes()) == kept[-1]
-        assert len(kept) < len(shapes)  # the bound dropped the least recently used
-        assert (shapes[-1][0], shapes[-1][1].tobytes()) in kept
-
+        misses = cache.cache_info().misses
+        kept_schedule(*shapes[-1])
+        kept_schedule(*shapes[0])
+        assert cache.cache_info().misses == misses
+        kept_schedule(*shapes[1])  # the least recently used went first
+        assert cache.cache_info().misses == misses + 1
 
     def test_threads_sharing_the_cache_keep_its_byte_count(self):
-        cache = resemblance._ks_schedule
+        cache = resemblance._kept_schedule
         cache.cache_clear()
-        # seven shapes of 0.7-0.8 MiB each: together they overflow the bound, so threads evict
+        # seven shapes of 0.7-0.8 MiB each: more than the four slots, so threads evict
         shapes = [(n, ks_reference("skewed", 20)) for n in range(50_000, 57_000, 1_000)]
         expected = {n: ks_p_value_uncached(ks_snapshot(n, q.probs, 0), q) for n, q in shapes}
         failures = []
@@ -611,7 +631,7 @@ class TestKsSchedule:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
-        assert cache.nbytes == sum(size for _, size in cache._kept.values()) <= resemblance._SCHEDULE_BOUND
+        assert cache.cache_info().currsize <= 4
 
 
 # references for the boundaries tests: two share B = 5, and one has a category too small for most cfgs

@@ -9,6 +9,7 @@ logarithms throughout.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
@@ -28,6 +29,15 @@ def _check_sample_size(n: int) -> None:
         raise ValidationError(f"sample size must be positive, got {n}")
     if n > _INT64_MAX:
         raise ValidationError(f"sample size {n} exceeds the int64 range")
+
+
+def _check_seed(seed, option: str = "") -> int:
+    """``seed`` as an int, refused unless an integer (not a bool) in [0, 2**64); ``option``
+    follows the range in the message.  The sampler keys its streams by 64 bits of the seed:
+    -1 would draw what 2**64 - 1 draws."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 1 << 64:
+        raise ValidationError(f"seed must lie in [0, 2**64){option}, got {seed}")
+    return int(seed)
 
 
 def _equal_vectors(a, b):

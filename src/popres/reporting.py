@@ -42,6 +42,7 @@ import numpy as np
 from .divergences import (
     CategoryCounts,
     ReferenceDistribution,
+    _check_seed,
     ks_statistic,
     proportions,
     psi,
@@ -218,8 +219,7 @@ def monitor(
     seed: int = 0,
 ) -> MonitoringReport:
     """Every statistic and classification for one snapshot; ``seed`` is only recorded."""
-    if not 0 <= seed < 1 << 64:  # the seeds a study takes
-        raise ValidationError(f"seed must lie in [0, 2**64) (--seed), got {seed}")
+    seed = _check_seed(seed, " (--seed)")  # the seeds a study takes
     counts = snapshot.counts
     if counts.B != reference.B:
         raise ValidationError(

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .divergences import _INT64_MAX
+from .divergences import _INT64_MAX, _check_seed
 from .errors import ValidationError
 
 CHUNK_ROWS = 1 << 15
@@ -70,8 +70,7 @@ def multinomial_matrix(
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
-    if not 0 <= seed < 1 << 64:  # a key holds 64 bits of it: -1 would draw what 2**64 - 1 draws
-        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
+    seed = _check_seed(seed)
     n, p = _check_inputs(n, p)
     K = int(replications)
     if K < 0:

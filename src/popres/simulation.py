@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sampling
-from .divergences import _check_sample_size, _prs_terms, _psi_terms, uniform_reference
+from .divergences import _check_sample_size, _check_seed, _prs_terms, _psi_terms, uniform_reference
 from .errors import ValidationError
 from .resemblance import (
     LEWIS_ACTION,
@@ -254,8 +254,7 @@ class StudySpec:
             )
         _check_study_args(self.ns, self.B, self.replications, self.workers,
                           self.grid_points, self.target_j, self.threshold)
-        if not 0 <= self.seed < 1 << 64:  # the sampler keys its streams by 64 bits of it
-            raise ValidationError(f"seed must lie in [0, 2**64) (--seed), got {self.seed}")
+        object.__setattr__(self, "seed", _check_seed(self.seed, " (--seed)"))
         # as floats, so that 0 and 0.0 write the same artifact
         object.__setattr__(self, "target_j", float(self.target_j))
         object.__setattr__(self, "threshold", float(self.threshold))

@@ -469,9 +469,11 @@ class TestMonitorCommand:
 
 
 def test_cli_import_loads_neither_scipy_signal_nor_stats():
-    # each module adds a large share of the command's start-up time
-    code = ("import sys, popres.cli; print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize')"
-            " if m in sys.modules))")
+    # each module adds a large share of the command's start-up time; scipy.special's package
+    # __init__ loads the last four, and special_functions takes its two ufuncs without it
+    modules = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.special", "numpy.f2py", "numpy.testing",
+               "numpy.ma", "scipy.special._support_alternative_backends")
+    code = f"import sys, popres.cli; print(sorted(m for m in {modules!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")})
     assert out.stdout.strip() == "[]"

@@ -684,6 +684,20 @@ class TestMonitor:
             monitor(snap("t1", counts), uniform_reference(5), CFG, seed=seed)
         assert monitor(snap("t1", counts), uniform_reference(5), CFG, seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("seed", [3.5, 3.0, True, np.float64(2.0)], ids=repr)
+    def test_seed_that_is_not_an_integer_is_refused(self, seed):
+        # 3.5 was recorded as given, and True as True
+        counts = TIMELINE_50_5["t1"][0]
+        with pytest.raises(ValidationError, match=re.escape(f"seed must lie in [0, 2**64) (--seed), got {seed}")):
+            monitor(snap("t1", counts), uniform_reference(5), CFG, seed=seed)
+
+    def test_numpy_integer_seed_is_recorded_as_an_int(self):
+        counts = TIMELINE_50_5["t1"][0]
+        report = monitor(snap("t1", counts), uniform_reference(5), CFG, seed=np.uint64(5))
+        assert type(report.seed) is int
+        assert report == monitor(snap("t1", counts), uniform_reference(5), CFG, seed=5)
+        assert json.loads(json.dumps(vars(report)))["seed"] == 5
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             monitor(snap("x", (10, 10, 10)), uniform_reference(5), CFG)

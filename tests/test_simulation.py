@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -250,6 +251,25 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match=r"\(--seed\)"):
             StudySpec(study="table1", B=5, ns=(50,), seed=seed)
         assert multinomial_matrix(50, np.full(5, 0.2), 10, seed=2**64 - 1).shape == (10, 5)
+
+    # a float reached the sampler's key as a raw TypeError, and True ran as seed 1
+    @pytest.mark.parametrize("seed", [3.5, 3.0, True, np.float64(2.0)], ids=repr)
+    def test_seeds_that_are_not_integers_are_rejected(self, tmp_path, seed):
+        with pytest.raises(ValidationError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            multinomial_matrix(50, np.full(5, 0.2), 10, seed=seed)
+        with pytest.raises(ValidationError, match=re.escape(f"seed must lie in [0, 2**64) (--seed), got {seed}")):
+            StudySpec(study="table1", B=5, ns=(50,), seed=seed)
+        with pytest.raises(ValidationError, match=r"\(--seed\)"):
+            run_study(StudySpec(study="table1", B=5, ns=(50,), seed=seed, replications=1000), tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_numpy_integer_seeds_are_taken_as_ints(self, tmp_path):
+        p = np.full(5, 0.2)
+        assert np.array_equal(multinomial_matrix(50, p, 10, seed=np.uint64(5)), multinomial_matrix(50, p, 10, seed=5))
+        spec = StudySpec(study="table1", B=5, ns=(50,), seed=np.uint64(5), replications=1000)
+        assert type(spec.seed) is int and spec.seed == 5
+        got = run_study(spec, tmp_path / "u.csv").read_bytes()
+        assert got == run_study(replace(spec, seed=5), tmp_path / "i.csv").read_bytes()
 
     @pytest.mark.parametrize("name, whole", [("target_j", 0), ("threshold", 1)])
     def test_whole_number_settings_write_the_bytes_of_their_floats(self, tmp_path, name, whole):

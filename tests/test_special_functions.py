@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,3 +238,86 @@ class TestForwardCheck:
         monkeypatch.setattr(special_functions, "chndtrix", patched)
         with pytest.raises(ConvergenceError, match="forward check"):
             quantile()
+
+
+def fresh(code: str) -> dict:
+    """The JSON a fresh interpreter prints after running ``code`` with popres on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    return json.loads(out.stdout)
+
+
+# the attributes scipy.special lacks after the stub load; the modules stay importable
+UNBOUND = {"_special_ufuncs", "_ufuncs_cxx", "_gufuncs", "_ellip_harm_2"}
+
+
+class TestLoader:
+    """chndtr and chndtrix are taken from scipy.special._ufuncs without the package __init__."""
+
+    def test_a_later_scipy_special_is_the_real_package_with_the_same_ufuncs(self):
+        got = fresh("""
+import json, math, sys
+import popres
+from popres import special_functions as sf
+stub_left = "scipy.special" in sys.modules or "special" in vars(sys.modules["scipy"])
+import scipy.special, scipy.stats
+grid = [(p, df, ncp) for p in (0.05, 0.5, 0.95) for df in (1, 4, 19) for ncp in (0.5, 3.2, 1700.0)]
+print(json.dumps({
+    "stub_left": stub_left,
+    "same": [sf.chndtr is scipy.special.chndtr, sf.chndtrix is scipy.special.chndtrix],
+    "ppf": all(math.isclose(sf.ncx2_quantile(p, df, ncp), scipy.stats.ncx2.ppf(p, df, ncp), rel_tol=1e-12)
+               for p, df, ncp in grid),
+    "cdf": all(math.isclose(sf.ncx2_cdf(x, df, ncp), scipy.stats.ncx2.cdf(x, df, ncp), rel_tol=1e-12)
+               for x in (0.5, 9.5, 1800.0) for _, df, ncp in grid),
+    "all": sorted(scipy.special.__all__),
+    "dir": dir(scipy.special),
+}))
+""")
+        clean = fresh("import json, scipy.special, scipy.stats; print(json.dumps({"
+                      "'all': sorted(scipy.special.__all__), 'dir': dir(scipy.special)}))")
+        assert not got["stub_left"]
+        assert got["same"] == [True, True]
+        assert got["ppf"] and got["cdf"]
+        assert got["all"] == clean["all"]
+        assert set(clean["dir"]) - set(got["dir"]) <= UNBOUND
+        assert set(got["dir"]) <= set(clean["dir"])
+
+    def test_an_imported_scipy_special_is_used_as_it_is(self):
+        got = fresh("""
+import json, sys, types
+import scipy.special
+real = sys.modules["scipy.special"]
+made = []
+class Recording(types.ModuleType):
+    def __init__(self, name, *args):
+        made.append(name)
+        super().__init__(name, *args)
+types.ModuleType = Recording
+from popres import special_functions as sf
+print(json.dumps({"made": made, "kept": sys.modules["scipy.special"] is real,
+                  "same": [sf.chndtr is real.chndtr, sf.chndtrix is real.chndtrix]}))
+""")
+        assert got == {"made": [], "kept": True, "same": [True, True]}
+
+    def test_an_import_error_through_the_stub_falls_back_to_the_plain_import(self):
+        got = fresh("""
+import json, sys
+refused = []
+class Refuse:
+    # the stub has no __file__; the real package has one while its __init__ runs
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not hasattr(sys.modules.get("scipy.special"), "__file__"):
+            refused.append(name)
+            raise ImportError("no _ufuncs here")
+        return None
+sys.meta_path.insert(0, Refuse())
+from popres import special_functions as sf
+package = sys.modules["scipy.special"]
+print(json.dumps({"refused": refused, "real": package.__file__.endswith("__init__.py"),
+                  "same": [sf.chndtr is package.chndtr, sf.chndtrix is package.chndtrix],
+                  "ppf": sf.ncx2_quantile(0.95, 4.0, 3.2)}))
+""")
+        assert got["refused"] == ["scipy.special._ufuncs"]
+        assert got["real"] and got["same"] == [True, True]
+        assert got["ppf"] == ncx2_quantile(0.95, 4.0, 3.2)

@@ -15,8 +15,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import BoundaryOverlapError, ConvergenceError, ValidationError
+from .history import append_history
 from .reporting import (
-    append_history,
     load_reference,
     load_snapshot,
     monitor,

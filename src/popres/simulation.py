@@ -309,8 +309,9 @@ STUDIES = tuple(_RUNNERS)
 def run_study(spec: StudySpec, output_path: str | Path) -> Path:
     """Run the study ``spec`` names and write its CSV artifact: one
     ``# key=value`` line per setting, then a header and one row per result."""
-    meta, header, rows = _RUNNERS[spec.study](spec)
     path = Path(output_path)
+    path.parent.mkdir(parents=True, exist_ok=True)  # before any replication is drawn
+    meta, header, rows = _RUNNERS[spec.study](spec)
     with open(path, "w", newline="") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}={v}\n")

@@ -26,7 +26,8 @@ from popres.divergences import (
 )
 from popres import special_functions
 from popres.errors import BoundaryOverlapError, ConstraintError, ValidationError
-from popres.reporting import HistoryAck, MonitoringReport
+from popres.history import HistoryAck
+from popres.reporting import MonitoringReport
 from popres.resemblance import (
     KS_MAX_N,
     LEWIS_ACTION,
@@ -245,7 +246,7 @@ _LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")  # ended as universal ne
 
 
 def history_lines_finditer(path, data: bytes, start: int = 0, line: int = 0):
-    """``reporting._history`` as it was through a regular expression: (line number, byte
+    """``history._history`` as it was through a regular expression: (line number, byte
     offset, fields or None if blank) of each line from byte ``start``, the start of line
     ``line + 1``; a line that is not a report is corrupt."""
     known = {f.name for f in fields(MonitoringReport)}

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from popres import cli, special_functions
+from popres import cli, sampling, special_functions
 from popres.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -24,7 +24,8 @@ from popres.cli import (
     main,
 )
 from popres.errors import ValidationError
-from popres.reporting import append_history, load_reference, load_snapshot, monitor, read_history
+from popres.history import append_history, read_history
+from popres.reporting import load_reference, load_snapshot, monitor
 from popres.resemblance import ResemblanceConfig
 from popres.simulation import StudySpec
 
@@ -62,6 +63,13 @@ class TestConfigFile:
         f.write_text("c = high\n")
         with pytest.raises(ValidationError):
             load_config_file(f)
+
+    def test_line_without_equals_sign_exits_validation(self, capsys, tmp_path, reference_file):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("# monitoring config\nc 0.7  # no sign\n")
+        code = main(["boundaries", "--reference", str(reference_file), "--n", "50", "--config", str(cfg)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {cfg}:2: expected key=value, got 'c 0.7  # no sign'\n")
 
 
 
@@ -429,6 +437,18 @@ class TestMonitorCommand:
             assert code == EXIT_VALIDATION
             assert "counts must be numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", ["[6, 9, 10, 11, 14]", '{"label": "t1"}', '"counts"'],
+                             ids=["bare-array", "no-counts", "string"])
+    def test_json_snapshot_without_counts_object_exits_validation(self, capsys, reference_file,
+                                                                  tmp_path, payload):
+        snap, hist = tmp_path / "t1.json", tmp_path / "history.jsonl"
+        snap.write_text(payload)
+        code = main(["monitor", "--snapshot", str(snap), "--reference", str(reference_file),
+                     "--history", str(hist)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {snap}: expected an object with a 'counts' array\n")
+        assert not hist.exists()
+
     @pytest.mark.parametrize("timestamp", [{"a": [1, 2]}, [], 20240101, True],
                              ids=["object", "list", "int", "bool"])
     def test_snapshot_timestamp_of_another_type_exits_validation(self, capsys, reference_file,
@@ -547,6 +567,17 @@ class TestBoundariesCommand:
         assert code == EXIT_VALIDATION
         assert f"sample size {n} exceeds the int64 range" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--c=0", "c must be positive, got 0.0"),
+        ("--c=-0.5", "c must be positive, got -0.5"),
+        ("--delta=0", "delta_override must be positive when set"),
+        ("--delta=-0.01", "delta_override must be positive when set"),
+    ])
+    def test_non_positive_c_or_delta_exits_validation(self, capsys, reference_file, flag, message):
+        code = main(["boundaries", "--reference", str(reference_file), "--n", "50", flag])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_seed_flag_is_refused(self, capsys, reference_file):
         with pytest.raises(SystemExit) as exc:
@@ -711,6 +742,43 @@ class TestStudyCommand:
         assert code == EXIT_VALIDATION
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+STUDY_ARGS = {
+    "table1": ["--study", "table1", "--B", "5", "--n-grid", "50,60"],
+    "stability": ["--study", "stability", "--B", "5", "--n", "50"],
+    "sweep": ["--study", "sweep", "--B", "5", "--n", "50", "--grid-points", "3"],
+}
+
+
+class TestStudyOut:
+    """``--out`` into directories that do not exist yet."""
+
+    @pytest.mark.parametrize("study", STUDY_ARGS)
+    def test_new_directories_hold_the_same_artifact(self, capsys, tmp_path, study):
+        argv = ["study", *STUDY_ARGS[study], "--replications", "2000", "--seed", "3"]
+        flat, nested = tmp_path / "a.csv", tmp_path / "new" / "deeper" / "a.csv"
+        assert main([*argv, "--out", str(flat)]) == EXIT_OK
+        assert main([*argv, "--out", str(nested)]) == EXIT_OK
+        assert nested.read_bytes() == flat.read_bytes()
+
+    @pytest.mark.parametrize("study", STUDY_ARGS)
+    @pytest.mark.parametrize("under", ["a.csv", "sub/a.csv"], ids=["in-file", "below-file"])
+    def test_directory_that_cannot_be_made_exits_before_sampling(self, capsys, monkeypatch, tmp_path,
+                                                                 study, under):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(sampling, "multinomial_matrix", refuse)
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("")
+        code = main(["study", *STUDY_ARGS[study], "--replications", "2000",
+                     "--out", str(blocker / under)])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: [Errno ")
+        assert str(blocker) in captured.err
+        assert blocker.read_text() == ""
 
 
 class TestParserReuse:

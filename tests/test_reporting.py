@@ -19,19 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popres import reporting
+from popres import history, reporting
 from popres.divergences import CategoryCounts, uniform_reference
 from popres.errors import ValidationError
+from popres.history import HistoryAck, append_history, read_history
 from popres.reporting import (
-    HistoryAck,
     MonitoringReport,
     Snapshot,
-    append_history,
     format_p_value,
     load_reference,
     load_snapshot,
     monitor,
-    read_history,
     render_csv,
     render_text,
 )
@@ -152,6 +150,11 @@ def swap_offsets(mine, theirs):
     """Swap the offsets of the triples of two labels, pair by pair."""
     for a, b in zip(mine, theirs):
         a[0], b[0] = b[0], a[0]
+
+
+def label_triples(index, triples, name):
+    """The stored (offset, position, fingerprint) triples of the label ``name``."""
+    return [triple for triple in triples if triple[1] == index["labels"].index(name)]
 
 
 def offsets_as_text(triples):
@@ -857,7 +860,7 @@ class TestHistory:
         length, index, triples = split_sidecar(raw)
         assert raw == sidecar(hist.read_bytes()[:length], index, triples)
         # so the next append reads from it instead of scanning again
-        (length, *_), _, _ = reporting._read_index(hist, hist.read_bytes(), "L0", reporting._ANY)
+        (length, *_), _, _ = history._read_index(hist, hist.read_bytes(), "L0", history._ANY)
         assert length == hist.stat().st_size
         assert append_history(pool[0], hist) == HistoryAck(line_count=1, duplicate=True)
         assert read_history(hist) == [pool[0], pool[2]]
@@ -873,9 +876,18 @@ class TestHistory:
         lambda idx: edit_index(idx, lambda labels: offsets_as_text(labels["L0"])),
         lambda idx: overwrite_in_place(idx, 0.5),
         lambda idx: overwrite_in_place(idx, 1.0),
+        # sealed again, so that only the checks after the digest can refuse them
+        lambda idx: reseal_index(idx, lambda index, triples: swap_offsets(
+            label_triples(index, triples, "L0"), label_triples(index, triples, "L1"))),
+        lambda idx: reseal_index(idx, lambda index, triples: shift_triples(
+            label_triples(index, triples, "L0"), 0, 1)),
+        lambda idx: reseal_index(idx, lambda index, triples: index.update(schema="another layout")),
+        lambda idx: reseal_index(idx, lambda index, triples: index["labels"].append("L0")),
     ], ids=["deleted", "garbage", "cut", "not-an-object", "offset-inside-a-line",
             "offsets-of-another-label", "offset-beyond-the-end", "offset-not-a-number",
-            "torn-over-a-longer-one", "not-truncated-after-a-longer-one"])
+            "torn-over-a-longer-one", "not-truncated-after-a-longer-one",
+            "resealed-offsets-of-another-label", "resealed-offset-inside-a-line",
+            "resealed-foreign-schema", "resealed-repeated-label"])
     def test_spoiled_sidecar_falls_back_to_a_full_scan(self, tmp_path, spoil):
         hist, plain = tmp_path / "history.jsonl", tmp_path / "plain.jsonl"
         pool = report_pool(6, labels=2)
@@ -883,6 +895,9 @@ class TestHistory:
             append_history(report, hist)
         spoil(Path(f"{hist}.idx"))
         shutil.copyfile(hist, plain)
+        key = history._fingerprint(pool[2].prs_value)
+        (length, *_), _, same = history._read_index(hist, hist.read_bytes(), "L0", key)
+        assert (length, same) == (0, [])  # the sidecar vouches for no byte
         for report in (pool[2], pool[4], pool[3], pool[5], pool[4]):
             assert append_history(report, hist) == append_history_full_scan(report, plain)
         assert hist.read_bytes() == plain.read_bytes()
@@ -1038,7 +1053,7 @@ class TestHistory:
             monkeypatch.undo()
             assert ours == append_history_full_scan(report, plain)
             _, index, _ = split_sidecar(Path(f"{hist}.idx").read_bytes())
-            assert index["schema"] == reporting._INDEX_SCHEMA
+            assert index["schema"] == history._INDEX_SCHEMA
         assert hist.read_bytes() == plain.read_bytes()
 
     def test_sidecar_of_the_per_label_format_is_stale_once(self, tmp_path, monkeypatch):
@@ -1059,7 +1074,7 @@ class TestHistory:
             monkeypatch.undo()
             assert ours == append_history_full_scan(report, plain)
             _, index, _ = split_sidecar(Path(f"{hist}.idx").read_bytes())
-            assert index["schema"] == reporting._INDEX_SCHEMA
+            assert index["schema"] == history._INDEX_SCHEMA
         assert hist.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("spoiled, other", [("L0", "L1"), ("L1", "L0")],
@@ -1108,8 +1123,8 @@ class TestHistory:
         hist.write_text("".join(line(replace(base, label=f"L{j % 16}", seed=j, prs_value=j / 7))
                                 for j in range(2000)))
         assert append_history(replace(base, label="L3", seed=-1, prs_value=-1.0), hist) == HistoryAck(2001)
-        unpacked, array_q = [], reporting.array
-        monkeypatch.setattr(reporting, "array",
+        unpacked, array_q = [], history.array
+        monkeypatch.setattr(history, "array",
                             lambda code, *init: unpacked.extend(init) or array_q(code, *init))
         for report, at in ((replace(base, label="L5", seed=-2, prs_value=-2.0), 5),
                            (replace(base, label="new", seed=-3), 16)):
@@ -1118,7 +1133,7 @@ class TestHistory:
             assert append_history(report, hist) == HistoryAck(len(payload) // 24 + 1)
             # the stored triples as they were, then the new line's
             raw = Path(f"{hist}.idx").read_bytes()
-            triple = array_q("q", [end, at, reporting._fingerprint(report.prs_value)])
+            triple = array_q("q", [end, at, history._fingerprint(report.prs_value)])
             assert raw.split(b"\n", 2)[2] == payload + triple.tobytes()
             assert split_sidecar(raw)[1]["labels"][at] == report.label
         assert unpacked == []  # no stored triple was unpacked
@@ -1220,11 +1235,11 @@ class TestHistory:
                     seen.append((ours, idx.read_bytes()))
             return seen
 
-        monkeypatch.setattr(reporting, "_last_seal", None)
+        monkeypatch.setattr(history, "_last_seal", None)
         kept = run(tmp_path / "kept", append_history)
 
         def cleared(report, path):
-            monkeypatch.setattr(reporting, "_last_seal", None)
+            monkeypatch.setattr(history, "_last_seal", None)
             return append_history(report, path)
 
         assert run(tmp_path / "cleared", cleared) == kept
@@ -1330,10 +1345,10 @@ class TestHistory:
             return [(offset, entry) for _, offset, entry in items], error
 
         numbered = walk(history_lines_finditer)
-        assert walk(reporting._history) == unnumbered(numbered)
+        assert walk(history._history) == unnumbered(numbered)
         if numbered[0]:  # from the start of a later line, numbered from the bytes before it
             number, offset, _ = numbered[0][pick % len(numbered[0])]
-            assert walk(reporting._history, offset) == unnumbered(
+            assert walk(history._history, offset) == unnumbered(
                 walk(history_lines_finditer, offset, number - 1))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "history.jsonl")
@@ -1549,7 +1564,7 @@ class HistoryTwins:
         assert not Path(f"{self.hist}.idx.tmp").exists()  # the sidecar is written in place
         if self.written and self.sidecar() == self.written[0] and data.startswith(self.written[1]):
             for label in ("L0", "L1"):  # a fingerprint that may equal any: every line is read
-                (length, *_), _, _ = reporting._read_index(self.hist, data, label, reporting._ANY)
+                (length, *_), _, _ = history._read_index(self.hist, data, label, history._ANY)
                 assert length == len(self.written[1]), f"the sidecar was not used for {label}"
 
 

@@ -10,6 +10,7 @@ import argparse
 import functools
 import io
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -153,7 +154,7 @@ def _cmd_monitor(args: argparse.Namespace) -> bytes:
     if args.history:
         ack = append_history(report, args.history)
         if ack.duplicate:
-            print(f"note: duplicate report for {report.label!r}; history unchanged", file=sys.stderr)
+            _write(sys.stderr, _encode(f"note: duplicate report for {report.label!r}; history unchanged\n"))
     return out
 
 
@@ -191,15 +192,25 @@ def _encode(text: str) -> bytes:
     return text.encode(errors="surrogateescape")
 
 
-def _write_out(data: bytes) -> None:
-    """``data`` to standard output, as bytes below a text stream that has them, such as
-    the console's, else as text (``io.StringIO``)."""
-    if hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()  # whatever was printed before goes first
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()  # now, as print to a console would
+def _write(stream, data: bytes) -> None:
+    """``data`` to ``stream``, standard output or error, as bytes below a text stream that
+    has them, such as the console's, else as text (``io.StringIO``)."""
+    if hasattr(stream, "buffer"):
+        stream.flush()  # whatever was printed before goes first
+        stream.buffer.write(data)
+        stream.buffer.flush()  # now, as print to a console would
     else:
-        sys.stdout.write(data.decode(errors="surrogateescape"))
+        stream.write(data.decode(errors="surrogateescape"))
+
+
+def _message(exc: Exception) -> str:
+    """``str(exc)``, but an OSError's file names read as UTF-8, as a UTF-8 locale reads them,
+    not as the escapes of the locale's undecodable bytes."""
+    if not isinstance(exc, OSError) or exc.filename is None:
+        return str(exc)
+    names = [os.fsencode(f).decode(errors="surrogateescape") if isinstance(f, str) else f
+             for f in (exc.filename, exc.filename2)]
+    return str(OSError(exc.errno, exc.strerror, names[0], None, names[1]))
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
@@ -223,10 +234,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        _write_out(args.run(args))
+        _write(sys.stdout, args.run(args))
         return EXIT_OK
     except (BoundaryOverlapError, ConvergenceError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, _encode(f"error: {_message(exc)}\n"))
         return (EXIT_OVERLAP if isinstance(exc, BoundaryOverlapError)
                 else EXIT_NUMERICAL if isinstance(exc, ConvergenceError) else EXIT_VALIDATION)
 

@@ -181,7 +181,17 @@ def load_snapshot(path: str | Path) -> Snapshot:
     if label == "" or type(label) not in (str, int, type(None)):
         raise ValidationError(f"{path}: field 'label' must be a non-empty string or an integer, "
                               f"got {label!r}")
-    label = path.stem if label is None else str(label)
+    if label is None:
+        # the name's bytes as UTF-8, as a label in a file is read, whatever the locale
+        # decoded the name as
+        name = os.fsencode(path.stem)
+        try:
+            label = name.decode()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: the file name is not UTF-8 (byte 0x{name[exc.start]:02x}), "
+                                  "so it cannot label the snapshot") from exc
+    else:
+        label = str(label)
     timestamp = payload.get("timestamp")
     if not isinstance(timestamp, (str, type(None))):
         raise ValidationError(f"{path}: field 'timestamp' must be a string or null, "

@@ -7,6 +7,13 @@ is therefore fixed by (seed, stream, chunk, row within chunk), whatever the
 total replication count or the number of workers evaluating the chunks, so
 results are bit-identical at any parallelism degree and a longer run
 extends a shorter one.
+
+A scored chunk is drawn from its generator as consecutive blocks of
+``BLOCK_ROWS`` rows, each scored as soon as it is drawn.
+``Generator.multinomial`` draws rows one after another, so the blocks hold
+exactly the rows of one call for the whole chunk, and a worker holds one
+block of counts (``BLOCK_ROWS`` x B int64, 2 MB at B = 60) rather than its
+chunk's.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .divergences import _INT64_MAX, _check_seed
 from .errors import ValidationError
 
 CHUNK_ROWS = 1 << 15
+BLOCK_ROWS = CHUNK_ROWS >> 3
 # looser than a reference's 1e-12, so that a perturbed reference still passes
 _SUM_TOL = 1e-9
 
@@ -64,9 +72,10 @@ def multinomial_matrix(
     """K x B matrix of independent Multinomial(n, p) draws.
 
     Deterministic in (seed, stream, replications); independent of workers.
-    With ``score``, each chunk's counts are replaced, on the thread that drew
-    them, by ``score(counts)``: one value (or row of values) per row, joined
-    in chunk order.  The K x B matrix is then never held.
+    With ``score``, each block of at most ``BLOCK_ROWS`` rows is replaced, on
+    the thread that drew it, by ``score(counts)``: one value (or row of values)
+    per row, joined in row order.  Neither the K x B matrix nor a chunk's
+    counts are then held, only one block's per worker.
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
@@ -79,14 +88,17 @@ def multinomial_matrix(
     if n_chunks < 1:
         return np.empty((0, p.size), dtype=np.int64)
 
-    def draw(c: int) -> np.ndarray:
+    def draw(c: int) -> list[np.ndarray]:
         gen = np.random.Generator(np.random.Philox(key=_chunk_key(seed, stream, c)))
-        counts = gen.multinomial(n, p, size=min(CHUNK_ROWS, K - c * CHUNK_ROWS))
-        return counts if score is None else score(counts)
+        rows = min(CHUNK_ROWS, K - c * CHUNK_ROWS)
+        if score is None:
+            return [gen.multinomial(n, p, size=rows)]
+        return [score(gen.multinomial(n, p, size=min(BLOCK_ROWS, rows - lo)))
+                for lo in range(0, rows, BLOCK_ROWS)]
 
     if workers == 1 or n_chunks == 1:
         parts = [draw(c) for c in range(n_chunks)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(draw, range(n_chunks)))
-    return np.concatenate(parts)
+    return np.concatenate([block for part in parts for block in part])

@@ -9,7 +9,9 @@ parallelism degree.  :class:`StudySpec` and :func:`run_study` turn one
 from __future__ import annotations
 
 import csv
+import errno
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,15 +63,17 @@ def _check_study_args(
 
 
 def _scorer(n: int, B: int, *statistics: str):
-    """Chunk scorer for ``sampling.multinomial_matrix``: each named statistic
+    """Block scorer for ``sampling.multinomial_matrix``: each named statistic
     ("psi" or "prs") of every row of counts against the uniform reference,
     the float ``divergences.psi``/``prs`` gives on that row of ``counts / n``.
     This is the one batch path; the statistics themselves take one vector.
 
     Every statistic is a sum over categories of a term of one count, so the
-    terms are evaluated once per count in the chunk's range [lo, hi] and
+    terms are evaluated once per count in the block's range [lo, hi] and
     gathered.  The table is used only while that range is no longer than the
-    chunk has cells; otherwise the terms are evaluated on the chunk itself.
+    block has cells; otherwise the terms are evaluated on the block itself.
+    Either way a row's value depends on its own counts alone, so it is the
+    same whichever block the sampler hands it in.
     """
     q = uniform_reference(B).probs
     log_q = np.log(q)  # the vector psi takes the log of, as divergences.psi does
@@ -80,7 +84,7 @@ def _scorer(n: int, B: int, *statistics: str):
     def score(counts: np.ndarray) -> np.ndarray:
         lo, hi = int(counts.min()), int(counts.max())
         if hi - lo < counts.size:
-            counts -= lo  # the chunk's own array, now the table index
+            counts -= lo  # the block's own array, now the table index
             values = [term(np.arange(lo, hi + 1) / n)[counts].sum(axis=-1) for term in chosen]
         else:
             values = [term(counts / n).sum(axis=-1) for term in chosen]
@@ -308,14 +312,27 @@ STUDIES = tuple(_RUNNERS)
 
 def run_study(spec: StudySpec, output_path: str | Path) -> Path:
     """Run the study ``spec`` names and write its CSV artifact: one
-    ``# key=value`` line per setting, then a header and one row per result."""
+    ``# key=value`` line per setting, then a header and one row per result.
+
+    The artifact is written to a new file beside it and renamed over it, so a
+    study that fails leaves an artifact already at ``output_path`` as it was."""
     path = Path(output_path)
-    path.parent.mkdir(parents=True, exist_ok=True)  # before any replication is drawn
+    # both before any replication is drawn
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    path.parent.mkdir(parents=True, exist_ok=True)
     meta, header, rows = _RUNNERS[spec.study](spec)
-    with open(path, "w", newline="") as fh:
-        for k, v in meta.items():
-            fh.write(f"# {k}={v}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    partial = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(partial, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            for k, v in meta.items():
+                fh.write(f"# {k}={v}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return path

@@ -2,6 +2,7 @@ import argparse
 import codecs
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -236,6 +237,73 @@ def test_output_to_a_text_stream_without_bytes(tmp_path, reference_file):
     with contextlib.redirect_stdout(out):
         assert main(argv) == EXIT_OK
     assert out.getvalue().startswith("snapshot Zürich  (n=50, B=5)\n")
+
+
+def _named(tmp_path: Path, name: bytes, text: str) -> bytes:
+    """A file of ``text`` whose name has the bytes ``name``, made whatever this process's locale."""
+    path = os.path.join(os.fsencode(tmp_path), name)
+    with open(path, "wb") as fh:
+        fh.write(text.encode())
+    return path
+
+
+def _popres(env: dict, *argv) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "popres.cli", *argv], env=env, capture_output=True)
+
+
+@pytest.mark.parametrize("utf8_modes", [("0", "1"), ("1", "0")], ids=["ascii-first", "utf8-first"])
+def test_csv_label_is_the_utf8_file_name_under_any_locale(tmp_path, reference_file, utf8_modes):
+    # under an ASCII locale Python decodes a file name to lone surrogates; the label must not
+    snapshot = _named(tmp_path, "Zürich.csv".encode(), "category,count\n1,6\n2,9\n3,10\n4,11\n5,14\n")
+    hist = tmp_path / "h.jsonl"
+    argv = ["monitor", "--snapshot", snapshot, "--reference", os.fsencode(reference_file),
+            "--history", os.fsencode(hist)]
+    first, again = (_popres({**ascii_locale_env(), "PYTHONUTF8": mode}, *argv) for mode in utf8_modes)
+    assert (first.returncode, first.stderr) == (EXIT_OK, b"")
+    assert again.returncode == EXIT_OK
+    assert again.stderr == "note: duplicate report for 'Zürich'; history unchanged\n".encode()
+    assert "snapshot Zürich ".encode() in first.stdout and again.stdout == first.stdout
+    (line,) = hist.read_bytes().splitlines()
+    assert json.loads(line)["label"] == "Zürich"
+
+
+@pytest.mark.parametrize("utf8_mode", ["0", "1"])
+def test_file_name_that_is_not_utf8_is_refused_by_name(tmp_path, reference_file, utf8_mode):
+    snapshot = _named(tmp_path, b"Z\xfcrich.csv", "category,count\n1,6\n2,9\n3,10\n4,11\n5,14\n")
+    out = _popres({**ascii_locale_env(), "PYTHONUTF8": utf8_mode},
+                  "monitor", "--snapshot", snapshot, "--reference", os.fsencode(reference_file))
+    assert (out.returncode, out.stdout) == (EXIT_VALIDATION, b"")
+    assert out.stderr == (b"error: " + snapshot + b": the file name is not UTF-8 (byte 0xfc), "
+                          b"so it cannot label the snapshot\n")
+
+
+def test_error_line_is_utf8_under_an_ascii_locale(tmp_path, reference_file):
+    snapshot = _named(tmp_path, "Zürich.csv".encode(), "category,count\n1,6\n2,x\n")
+    out = _popres(ascii_locale_env(), "monitor", "--snapshot", snapshot,
+                  "--reference", os.fsencode(reference_file))
+    assert out.returncode == EXIT_VALIDATION
+    assert out.stderr.startswith(b"error: " + snapshot + b":3: unparsable row")
+    assert "Zürich.csv:3:".encode() in out.stderr
+    # an OSError names its file as UTF-8 too, not with the escapes of the locale's decoding
+    missing = os.path.join(os.fsencode(tmp_path), "Zürich-2.csv".encode())
+    for utf8_mode in ("0", "1"):
+        out = _popres({**ascii_locale_env(), "PYTHONUTF8": utf8_mode}, "monitor", "--snapshot", missing,
+                      "--reference", os.fsencode(reference_file))
+        assert out.returncode == EXIT_VALIDATION
+        assert out.stderr == b"error: [Errno 2] No such file or directory: '" + missing + b"'\n"
+
+
+def test_errors_and_notes_to_a_text_stream_without_bytes(tmp_path, reference_file, snapshot_file):
+    argv = ["monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file),
+            "--history", str(tmp_path / "h.jsonl")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        assert main(["boundaries", "--reference", str(tmp_path / "none.csv"), "--n", "50"]) == EXIT_VALIDATION
+    note, error = err.getvalue().splitlines()
+    assert note == "note: duplicate report for 't1'; history unchanged"
+    assert error.startswith("error: [Errno 2] ") and error.endswith("none.csv'")
 
 
 class TestMonitorCommand:
@@ -779,6 +847,36 @@ class TestStudyOut:
         assert captured.out == "" and captured.err.startswith("error: [Errno ")
         assert str(blocker) in captured.err
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("study", STUDY_ARGS)
+    def test_existing_directory_exits_before_sampling(self, capsys, monkeypatch, tmp_path, study):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(sampling, "multinomial_matrix", refuse)
+        out = tmp_path / "outdir"
+        out.mkdir()
+        code = main(["study", *STUDY_ARGS[study], "--replications", "2000", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out)!r}\n"
+        assert list(out.iterdir()) == []
+
+    def test_failed_write_leaves_the_artifact_as_it_was(self, capsys, monkeypatch, tmp_path):
+        def full_disk(fh, **kwargs):
+            fh.write("n,B")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        artifact = tmp_path / "a.csv"
+        argv = ["study", *STUDY_ARGS["table1"], "--replications", "2000", "--out", str(artifact)]
+        assert main(argv) == EXIT_OK
+        kept = artifact.read_bytes()
+        monkeypatch.setattr(csv, "writer", full_disk)
+        assert main([*argv, "--seed", "9"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.endswith(f"{os.strerror(errno.ENOSPC)}\n")
+        assert artifact.read_bytes() == kept
+        assert list(tmp_path.iterdir()) == [artifact]
 
 
 class TestParserReuse:

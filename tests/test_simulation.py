@@ -13,7 +13,7 @@ from popres import simulation
 from popres.divergences import prs, psi, uniform_reference
 from popres.errors import ValidationError
 from popres.resemblance import ResemblanceConfig
-from popres.sampling import CHUNK_ROWS, multinomial_matrix
+from popres.sampling import BLOCK_ROWS, CHUNK_ROWS, multinomial_matrix
 from popres.simulation import (
     MCEstimate,
     StudySpec,
@@ -100,7 +100,8 @@ class TestMultinomialSampling:
         assert np.array_equal(short, long[:40_000])
 
 
-    @pytest.mark.parametrize("K", [1, CHUNK_ROWS, CHUNK_ROWS + 5, 3 * CHUNK_ROWS - 1])
+    @pytest.mark.parametrize("K", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, CHUNK_ROWS,
+                                   CHUNK_ROWS + 5, 2 * CHUNK_ROWS + 17, 3 * CHUNK_ROWS - 1])
     def test_unscored_matrix_is_the_chunks_stacked(self, K):
         p = np.array([0.1, 0.2, 0.3, 0.4])
         want = multinomial_matrix_by_chunk(50, p, K, seed=12, stream=3)
@@ -109,14 +110,34 @@ class TestMultinomialSampling:
             assert got.dtype == np.int64 and np.array_equal(got, want)
 
     def test_scored_chunks_join_in_chunk_order(self):
-        p, K = np.full(5, 0.2), 2 * CHUNK_ROWS + 17
-        counts = multinomial_matrix(50, p, K, seed=13)
-        for workers in (1, 4):
-            got = multinomial_matrix(50, p, K, seed=13, workers=workers,
-                                     score=lambda c: c[:, [0, 2]] * 2)
-            assert np.array_equal(got, counts[:, [0, 2]] * 2)
-            first = multinomial_matrix(50, p, K, seed=13, workers=workers, score=lambda c: c[:, 0])
-            assert np.array_equal(first, counts[:, 0])
+        # a scored chunk is drawn in blocks of BLOCK_ROWS rows: the last block of
+        # each chunk is short, and the rows are those of one draw per chunk
+        p = np.full(5, 0.2)
+        for K in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, CHUNK_ROWS + 5, 2 * CHUNK_ROWS + 17):
+            counts = multinomial_matrix_by_chunk(50, p, K, seed=13)
+            blocks = [min(BLOCK_ROWS, min(lo + CHUNK_ROWS, K) - b)
+                      for lo in range(0, K, CHUNK_ROWS) for b in range(lo, min(lo + CHUNK_ROWS, K), BLOCK_ROWS)]
+            for workers in (1, 4):
+                seen = []
+                got = multinomial_matrix(50, p, K, seed=13, workers=workers,
+                                         score=lambda c: seen.append(len(c)) or c[:, [0, 2]] * 2)
+                assert np.array_equal(got, counts[:, [0, 2]] * 2)
+                assert sorted(seen) == sorted(blocks)
+                first = multinomial_matrix(50, p, K, seed=13, workers=workers, score=lambda c: c[:, 0])
+                assert np.array_equal(first, counts[:, 0])
+
+    def test_scored_call_holds_one_block_of_counts(self):
+        # one block of 4,096 x 60 counts is 2 MB; a 32,768-row chunk's counts
+        # and one float64 gather of them are 31 MB
+        scorer = _scorer(500, 60, "psi", "prs")
+        tracemalloc.start()
+        try:
+            multinomial_matrix(500, uniform_reference(60).probs, 2 * CHUNK_ROWS, seed=14, workers=1,
+                               score=scorer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_zero_replications_give_an_empty_matrix(self):
         assert multinomial_matrix(50, np.full(5, 0.2), 0, seed=1).shape == (0, 5)

@@ -8,12 +8,12 @@ total replication count or the number of workers evaluating the chunks, so
 results are bit-identical at any parallelism degree and a longer run
 extends a shorter one.
 
-A scored chunk is drawn from its generator as consecutive blocks of
-``BLOCK_ROWS`` rows, each scored as soon as it is drawn.
-``Generator.multinomial`` draws rows one after another, so the blocks hold
-exactly the rows of one call for the whole chunk, and a worker holds one
-block of counts (``BLOCK_ROWS`` x B int64, 2 MB at B = 60) rather than its
-chunk's.
+A chunk is drawn from its generator as consecutive blocks of
+``BLOCK_ROWS`` rows.  ``Generator.multinomial`` draws rows one after
+another, so the blocks hold exactly the rows of one call for the whole
+chunk.  A scored block is scored as soon as it is drawn, so a worker then
+holds one block of counts (``BLOCK_ROWS`` x B int64, 2 MB at B = 60)
+rather than its chunk's.
 """
 
 from __future__ import annotations
@@ -88,12 +88,12 @@ def multinomial_matrix(
     if n_chunks < 1:
         return np.empty((0, p.size), dtype=np.int64)
 
+    keep = score or (lambda counts: counts)
+
     def draw(c: int) -> list[np.ndarray]:
         gen = np.random.Generator(np.random.Philox(key=_chunk_key(seed, stream, c)))
         rows = min(CHUNK_ROWS, K - c * CHUNK_ROWS)
-        if score is None:
-            return [gen.multinomial(n, p, size=rows)]
-        return [score(gen.multinomial(n, p, size=min(BLOCK_ROWS, rows - lo)))
+        return [keep(gen.multinomial(n, p, size=min(BLOCK_ROWS, rows - lo)))
                 for lo in range(0, rows, BLOCK_ROWS)]
 
     if workers == 1 or n_chunks == 1:

@@ -12,6 +12,7 @@ import csv
 import errno
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -314,25 +315,54 @@ def run_study(spec: StudySpec, output_path: str | Path) -> Path:
     """Run the study ``spec`` names and write its CSV artifact: one
     ``# key=value`` line per setting, then a header and one row per result.
 
-    The artifact is written to a new file beside it and renamed over it, so a
-    study that fails leaves an artifact already at ``output_path`` as it was."""
+    A new artifact, or one that replaces a regular file with one link, is
+    written to a file made beside it before the study runs and then renamed
+    over it with the old file's mode, so a study that fails leaves an
+    existing artifact as it was.  Any other ``output_path`` (a device such as
+    ``os.devnull``, a FIFO, a symbolic link, a hard-linked file, or a file in
+    a directory that takes no new file) is opened and written in place once
+    the study has run."""
     path = Path(output_path)
-    # both before any replication is drawn
+    # all before any replication is drawn
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
-    meta, header, rows = _RUNNERS[spec.study](spec)
-    partial = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fh = open(partial, "x", encoding="utf-8", newline="")
+    partial = _partial_artifact(path)
     try:
-        with fh:
+        meta, header, rows = _RUNNERS[spec.study](spec)
+        with open(partial or path, "w", encoding="utf-8", newline="") as fh:
             for k, v in meta.items():
                 fh.write(f"# {k}={v}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
-        os.replace(partial, path)
+        if partial:
+            os.replace(partial, path)
     except BaseException:
-        partial.unlink(missing_ok=True)
+        if partial:
+            partial.unlink(missing_ok=True)
         raise
     return path
+
+
+def _partial_artifact(path: Path) -> Path | None:
+    """An empty file beside ``path`` to write its new bytes to, or None to
+    write ``path`` in place.  An existing ``path`` must be writable."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if path.exists() and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        partial = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+        try:
+            open(partial, "x").close()
+        except PermissionError:
+            if st is None:
+                raise
+        else:
+            if st is not None:
+                os.chmod(partial, stat.S_IMODE(st.st_mode))
+            return partial
+    return None

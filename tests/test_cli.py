@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import asdict
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from popres import cli, sampling, special_functions
+from popres import cli, sampling, simulation, special_functions
 from popres.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -876,6 +877,71 @@ class TestStudyOut:
         assert main([*argv, "--seed", "9"]) == EXIT_VALIDATION
         assert capsys.readouterr().err.endswith(f"{os.strerror(errno.ENOSPC)}\n")
         assert artifact.read_bytes() == kept
+        assert list(tmp_path.iterdir()) == [artifact]
+
+    def test_devnull_is_written_in_place(self, capsys):
+        before = os.stat(os.devnull)
+        argv = ["study", *STUDY_ARGS["table1"], "--replications", "2000", "--out", os.devnull]
+        assert main(argv) == EXIT_OK
+        after = os.lstat(os.devnull)
+        assert stat.S_ISCHR(after.st_mode) and after.st_rdev == before.st_rdev
+        assert after.st_ino == before.st_ino
+        devnull = Path(os.devnull)
+        assert list(devnull.parent.glob(f".{devnull.name}.*.tmp")) == []
+
+    @pytest.fixture
+    def table1_bytes(self, capsys, tmp_path):
+        """(argv without --out, the artifact those flags write)."""
+        argv = ["study", *STUDY_ARGS["table1"], "--replications", "2000"]
+        flat = tmp_path / "flat.csv"
+        assert main([*argv, "--out", str(flat)]) == EXIT_OK
+        data = flat.read_bytes()
+        flat.unlink()
+        return argv, data
+
+    def test_symlink_target_is_written(self, table1_bytes, tmp_path):
+        argv, data = table1_bytes
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main([*argv, "--out", str(link)]) == EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == data
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_hard_links_and_mode_are_kept(self, table1_bytes, tmp_path):
+        argv, data = table1_bytes
+        linked, twin, alone = tmp_path / "linked.csv", tmp_path / "twin.csv", tmp_path / "alone.csv"
+        for path in (linked, alone):
+            path.write_text("old\n")
+            path.chmod(0o640)
+        os.link(linked, twin)
+        for path in (linked, alone):
+            assert main([*argv, "--out", str(path)]) == EXIT_OK
+        assert twin.read_bytes() == linked.read_bytes() == alone.read_bytes() == data
+        assert os.path.samefile(linked, twin)
+        assert stat.S_IMODE(alone.stat().st_mode) == stat.S_IMODE(linked.stat().st_mode) == 0o640
+        assert sorted(tmp_path.iterdir()) == [alone, linked, twin]
+
+    def test_directory_that_takes_no_new_file(self, capsys, monkeypatch, table1_bytes, tmp_path):
+        argv, data = table1_bytes
+
+        def no_new_file(file, mode="r", *args, **kwargs):
+            if "x" in mode:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+            return open(file, mode, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(simulation, "open", no_new_file, raising=False)
+        artifact = tmp_path / "a.csv"
+        artifact.write_text("old\n")
+        assert main([*argv, "--out", str(artifact)]) == EXIT_OK
+        assert artifact.read_bytes() == data
+        monkeypatch.setattr(sampling, "multinomial_matrix", refuse)
+        assert main([*argv, "--out", str(tmp_path / "new.csv")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: [Errno {errno.EACCES}] ")
         assert list(tmp_path.iterdir()) == [artifact]
 
 

@@ -115,6 +115,7 @@ class TestMultinomialSampling:
         p = np.full(5, 0.2)
         for K in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, CHUNK_ROWS + 5, 2 * CHUNK_ROWS + 17):
             counts = multinomial_matrix_by_chunk(50, p, K, seed=13)
+            assert np.array_equal(multinomial_matrix(50, p, K, seed=13), counts)
             blocks = [min(BLOCK_ROWS, min(lo + CHUNK_ROWS, K) - b)
                       for lo in range(0, K, CHUNK_ROWS) for b in range(lo, min(lo + CHUNK_ROWS, K), BLOCK_ROWS)]
             for workers in (1, 4):

@@ -11,6 +11,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -46,7 +47,7 @@ def load_config_file(path: str | Path, takes_seed: bool = True) -> dict:
     """
     values: dict[str, float | int] = {}
     lines: dict[str, int] = {}  # key -> the line that set it
-    text = read_text(path, Path(path).read_bytes())
+    text = read_text(path)
     for i, raw in enumerate(io.StringIO(text, newline=""), start=1):
         raw = raw.rstrip("\r\n")
         line = raw.split("#", 1)[0].strip()
@@ -205,12 +206,21 @@ def _write(stream, data: bytes) -> None:
 
 def _message(exc: Exception) -> str:
     """``str(exc)``, but an OSError's file names read as UTF-8, as a UTF-8 locale reads them,
-    not as the escapes of the locale's undecodable bytes."""
+    and a byte that is not UTF-8 is left for ``_encode`` to give back, as it gives back
+    the name in any other error, not quoted as an escape."""
     if not isinstance(exc, OSError) or exc.filename is None:
         return str(exc)
-    names = [os.fsencode(f).decode(errors="surrogateescape") if isinstance(f, str) else f
-             for f in (exc.filename, exc.filename2)]
-    return str(OSError(exc.errno, exc.strerror, names[0], None, names[1]))
+    names = [_quoted(os.fsencode(f).decode(errors="surrogateescape")) if isinstance(f, str) else repr(f)
+             for f in (exc.filename, exc.filename2) if f is not None]
+    return f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(names)}"
+
+
+def _quoted(name: str) -> str:
+    """``repr(name)`` with the lone surrogate of each byte that is not UTF-8 left in, where
+    ``repr`` writes its escape: backslash pairs are matched first, so a name's own
+    backslash before ``udcXX`` keeps its escape."""
+    return re.sub(r"\\(\\|udc[89a-f][0-9a-f])",
+                  lambda m: m[0] if m[1] == "\\" else chr(int(m[1][1:], 16)), repr(name))
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:

@@ -83,11 +83,11 @@ def _line_after(text: str) -> int:
     return len(io.StringIO(text + "x", newline="").readlines())
 
 
-def read_text(path: str | os.PathLike, data: bytes) -> str:
-    """``data``, read from ``path``, as UTF-8 text whatever the locale, less one leading
-    byte order mark; an error names the file and the line of the first byte that is not UTF-8."""
+def read_text(path: str | os.PathLike) -> str:
+    """The file at ``path`` as UTF-8 text whatever the locale, less one leading byte order
+    mark; an error names the file and the line of the first byte that is not UTF-8."""
     # not utf-8-sig: its exc.start counts from after the mark, so data[exc.start] is another byte
-    data = data.removeprefix(codecs.BOM_UTF8)
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode()
     except UnicodeDecodeError as exc:
@@ -138,7 +138,7 @@ def _ordered_values(
 def load_reference(path: str | Path) -> ReferenceDistribution:
     """Reference from a CSV of explicit probabilities or of reference counts."""
     path = Path(path)
-    fields, rows = _read_rows(path, read_text(path, path.read_bytes()))
+    fields, rows = _read_rows(path, read_text(path))
     if "prob" in fields:
         probs = np.asarray(_ordered_values(path, fields, rows, "prob"))
     elif "count" in fields:
@@ -161,7 +161,7 @@ def load_reference(path: str | Path) -> ReferenceDistribution:
 def load_snapshot(path: str | Path) -> Snapshot:
     """Snapshot from CSV (category,count) or JSON ({label, counts[], timestamp?})."""
     path = Path(path)
-    text = read_text(path, path.read_bytes())
+    text = read_text(path)
     if path.suffix.lower() == ".json":
         try:
             payload = json.loads(text)

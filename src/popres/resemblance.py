@@ -250,10 +250,9 @@ _SCHEDULE_CAP = 1 << 20  # bytes; a larger schedule is built step by step on eve
 
 
 @functools.lru_cache(maxsize=4)
-def _kept_schedule(n: int, probs: bytes, rule) -> Optional[tuple]:
+def _kept_schedule(n: int, probs: bytes) -> Optional[tuple]:
     """``_ks_steps`` of (n, reference), read-only, or None if it would hold more than
-    ``_SCHEDULE_CAP`` bytes.  ``rule`` is ``_window_halfwidth``: a schedule is reused
-    only under the window rule that built it."""
+    ``_SCHEDULE_CAP`` bytes."""
     q = np.frombuffer(probs)
     if _schedule_nbytes(n, q) > _SCHEDULE_CAP:
         return None
@@ -300,7 +299,7 @@ def ks_p_value(counts: CategoryCounts, p0: ReferenceDistribution) -> float:
     if 2.0 * math.exp(-2.0 * reach * reach / n) <= dropped:
         return dropped
     lo, states, escaped, stayed = 0, np.ones(1), 0.0, 0.0
-    steps = _kept_schedule(n, q.tobytes(), _window_halfwidth) or _ks_steps(n, q)
+    steps = _kept_schedule(n, q.tobytes()) or _ks_steps(n, q)
     for x_lo, pmf, centre, cut, r_lo, finish in steps:
         mass = np.convolve(states, pmf)
         first = lo + x_lo  # the state of mass[0]

@@ -231,9 +231,17 @@ def _region_counts(
     return int(np.sum(prs_vals <= bounds.tau1)), int(np.sum(prs_vals > bounds.tau2))
 
 
+# the settings a study does not read, which must keep their defaults
+_UNREAD = {"table1": ("cfg", "grid_points"), "stability": ("cfg", "grid_points", "target_j", "threshold"),
+           "sweep": ("target_j", "threshold")}
+
+
 @dataclass(frozen=True)
 class StudySpec:
-    """One run of a named study over the sample sizes ``ns`` (sweep takes one)."""
+    """One run of a named study over the sample sizes ``ns`` (sweep takes one).
+
+    A setting the study does not read (``_UNREAD``) is refused unless it keeps
+    its default, so that no setting given is silently dropped."""
 
     study: str
     B: int
@@ -251,6 +259,12 @@ class StudySpec:
             raise ValidationError(
                 f"unknown study {self.study!r}; expected {', '.join(STUDIES)}"
             )
+        if not isinstance(self.cfg, ResemblanceConfig):
+            raise ValidationError(f"cfg must be a ResemblanceConfig, got {self.cfg!r}")
+        unread = self._unread_flags()
+        if unread:
+            raise ValidationError(f"the {self.study} study does not read {', '.join(unread)}; "
+                                  f"leave {'it' if len(unread) == 1 else 'them'} out")
         if not self.ns:
             raise ValidationError("study needs a sample size (--n or --n-grid)")
         if self.study == "sweep" and len(self.ns) != 1:
@@ -263,6 +277,18 @@ class StudySpec:
         # as floats, so that 0 and 0.0 write the same artifact
         object.__setattr__(self, "target_j", float(self.target_j))
         object.__setattr__(self, "threshold", float(self.threshold))
+
+    def _unread_flags(self) -> list[str]:
+        """The flag of each setting the study does not read that differs from its
+        default; each field of ``cfg`` is its own flag."""
+        flags = []
+        for name in _UNREAD[self.study]:
+            if name == "cfg":
+                flags += ["--delta" if key == "delta_override" else "--" + key
+                          for key, value in vars(ResemblanceConfig()).items() if getattr(self.cfg, key) != value]
+            elif getattr(self, name) != getattr(StudySpec, name):
+                flags.append("--" + name.replace("_", "-"))
+        return flags
 
 
 def _table1(spec: StudySpec) -> tuple[dict, list[str], list[list]]:
@@ -323,8 +349,9 @@ def run_study(spec: StudySpec, output_path: str | Path) -> Path:
     a directory that takes no new file) is opened and written in place once
     the study has run."""
     path = Path(output_path)
-    # all before any replication is drawn
-    if path.is_dir():
+    # all before any replication is drawn; a name that ends in a separator, "." or ".."
+    # names a directory, though Path drops a trailing separator and "."
+    if path.is_dir() or os.path.basename(output_path) in ("", ".", ".."):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = _partial_artifact(path)

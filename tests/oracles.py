@@ -24,18 +24,10 @@ from popres.divergences import (
     proportions,
     uniform_reference,
 )
-from popres import special_functions
-from popres.errors import BoundaryOverlapError, ConstraintError, ValidationError
+from popres.errors import ValidationError
 from popres.history import HistoryAck
 from popres.reporting import MonitoringReport
-from popres.resemblance import (
-    KS_MAX_N,
-    LEWIS_ACTION,
-    DecisionBoundaries,
-    ResemblanceConfig,
-    lambda_sup,
-    recommended_delta,
-)
+from popres.resemblance import KS_MAX_N, LEWIS_ACTION
 from popres.sampling import CHUNK_ROWS, _chunk_key
 from popres.scenarios import perturbed_pv, solve_p_for_target_j
 from popres.simulation import MCEstimate, StabilityRatios
@@ -163,43 +155,6 @@ def ks_p_value_uncached(counts: CategoryCounts, p0: ReferenceDistribution) -> fl
             break
         lo, states = first + a, mass[a:b]
     return min(1.0, escaped / (escaped + stayed) + dropped)
-
-
-def boundaries_step_by_step(q: np.ndarray, n: int, cfg: ResemblanceConfig) -> DecisionBoundaries:
-    """``resemblance.decision_boundaries`` written out from its parts, with the
-    same checks in the same order, so that results and errors are equal."""
-    delta = cfg.delta_override if cfg.delta_override is not None else recommended_delta(q, n, cfg.c)
-    if cfg.M * delta > float(np.min(q)) + 1e-15:
-        raise ConstraintError(
-            f"M*delta = {cfg.M * delta:.6g} exceeds min reference probability "
-            f"{float(np.min(q)):.6g}; reduce c, M or delta_override"
-        )
-    lam = lambda_sup(q, n, delta)
-    tau1 = special_functions.ncx2_quantile(cfg.alpha2, q.size - 1, cfg.M**2 * lam) / n
-    tau2 = special_functions.ncx2_quantile(1.0 - cfg.alpha1, q.size - 1, lam) / n
-    if tau1 >= tau2:
-        raise BoundaryOverlapError(
-            f"critical values overlap (tau1={tau1:.6g} >= tau2={tau2:.6g}); "
-            "reduce alpha1/alpha2 or increase M so the monitoring region is non-empty"
-        )
-    return DecisionBoundaries(delta=delta, lambda_sup=lam, tau1=tau1, tau2=tau2, n=n, B=q.size)
-
-
-def yn_step_by_step(n: int, B: int, alpha_upper: float, alpha_lower: float) -> tuple[float, float]:
-    """``resemblance.yn_boundaries`` written out: 2/n times central chi-square quantiles."""
-    if n < 1:
-        raise ValidationError(f"sample size must be positive, got {n}")
-    if n > np.iinfo(np.int64).max:
-        raise ValidationError(f"sample size {n} exceeds the int64 range")
-    if B < 2:
-        raise ValidationError(f"need B >= 2 categories, got {B}")
-    for name, a in (("alpha_upper", alpha_upper), ("alpha_lower", alpha_lower)):
-        if not 0.0 < a < 1.0:
-            raise ValidationError(f"{name} must lie in (0, 1), got {a}")
-    if alpha_upper >= alpha_lower:
-        raise ValidationError(f"alpha_upper={alpha_upper} must be below alpha_lower={alpha_lower}")
-    return tuple(2.0 / n * special_functions.ncx2_quantile(1.0 - a, B - 1, 0.0)
-                 for a in (alpha_upper, alpha_lower))
 
 
 def append_history_full_scan(report: MonitoringReport, history_path) -> HistoryAck:

@@ -294,6 +294,27 @@ def test_error_line_is_utf8_under_an_ascii_locale(tmp_path, reference_file):
         assert out.stderr == b"error: [Errno 2] No such file or directory: '" + missing + b"'\n"
 
 
+@pytest.mark.parametrize("locale", ["C", "default"])
+def test_os_error_gives_back_a_file_name_that_is_not_utf8(tmp_path, reference_file, locale):
+    # as a ValidationError names it: the byte 0xfc, not the escape of its lone surrogate
+    env = ascii_locale_env() if locale == "C" else {
+        **os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    missing = os.path.join(os.fsencode(tmp_path), b"Z\xfc-missing.csv")
+    out = _popres(env, "monitor", "--snapshot", missing, "--reference", os.fsencode(reference_file))
+    assert (out.returncode, out.stdout) == (EXIT_VALIDATION, b"")
+    assert out.stderr == b"error: [Errno 2] No such file or directory: '" + missing + b"'\n"
+
+
+def test_os_error_quotes_a_utf8_file_name_as_repr_does():
+    # as a UTF-8 locale's OSError quotes it, whatever this process's locale decoded the name to
+    for name in ("Zürich.csv", "a'b", "a'b\"c", "tab\there", "back\\udcfc", "\u2028"):
+        local = os.fsdecode(name.encode())
+        assert (cli._message(FileNotFoundError(errno.ENOENT, "No such file or directory", local))
+                == str(FileNotFoundError(errno.ENOENT, "No such file or directory", name)))
+        assert (cli._message(OSError(errno.EXDEV, "Invalid cross-device link", "a.csv", None, local))
+                == str(OSError(errno.EXDEV, "Invalid cross-device link", "a.csv", None, name)))
+
+
 def test_errors_and_notes_to_a_text_stream_without_bytes(tmp_path, reference_file, snapshot_file):
     argv = ["monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file),
             "--history", str(tmp_path / "h.jsonl")]
@@ -673,15 +694,6 @@ class TestBoundariesCommand:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["tau1"] == pytest.approx(0.07441, abs=5e-5)
 
-    def test_replaced_quantile_takes_effect_after_a_kept_call(self, capsys, monkeypatch, reference_file):
-        argv = ["boundaries", "--reference", str(reference_file), "--n", "50", "--format", "json"]
-        assert main(argv) == main(argv) == EXIT_OK
-        first, second = capsys.readouterr().out.split("}\n")[:2]
-        assert first == second
-        monkeypatch.setattr(special_functions, "chndtrix", lambda *args: math.nan)
-        assert main(argv) == EXIT_NUMERICAL
-        assert "forward check" in capsys.readouterr().err
-
     def test_failed_quantile_exits_numerical(self, capsys, monkeypatch, reference_file):
         monkeypatch.setattr(special_functions, "chndtrix", lambda *args: math.nan)
         code = main(["boundaries", "--reference", str(reference_file), "--n", "50"])
@@ -764,10 +776,8 @@ class TestStudyCommand:
 
     @pytest.mark.parametrize("flags, expected", [
         ([], {}),
-        (["--replications", "500", "--grid-points", "3", "--target-j", "1", "--threshold", "0.3",
-          "--workers", "2", "--seed", "9"],
-         {"replications": 500, "grid_points": 3, "target_j": 1.0, "threshold": 0.3, "workers": 2,
-          "seed": 9}),
+        (["--replications", "500", "--target-j", "1", "--threshold", "0.3", "--workers", "2", "--seed", "9"],
+         {"replications": 500, "target_j": 1.0, "threshold": 0.3, "workers": 2, "seed": 9}),
     ])
     def test_flags_build_study_spec_by_field_name(self, capsys, monkeypatch, tmp_path, flags, expected):
         specs = []
@@ -777,6 +787,46 @@ class TestStudyCommand:
         assert code == EXIT_OK
         assert specs == [StudySpec(study="table1", B=5, ns=(50, 100), **expected)]
         assert type(specs[0].target_j) is float
+
+    def test_sweep_flags_build_study_spec_by_field_name(self, capsys, monkeypatch, tmp_path):
+        specs = []
+        monkeypatch.setattr(cli, "run_study", lambda spec, out: specs.append(spec) or out)
+        code = main(["study", "--study", "sweep", "--out", str(tmp_path / "s.csv"), "--n", "50", "--B", "5",
+                     "--grid-points", "3", "--c", "0.5", "--M", "3", "--alpha1", "0.1", "--alpha2", "0.2",
+                     "--delta", "0.01", "--replications", "500", "--workers", "2", "--seed", "9"])
+        assert code == EXIT_OK
+        cfg = ResemblanceConfig(c=0.5, M=3.0, alpha1=0.1, alpha2=0.2, delta_override=0.01)
+        assert specs == [StudySpec(study="sweep", B=5, ns=(50,), cfg=cfg, grid_points=3, replications=500,
+                                   workers=2, seed=9)]
+
+    @pytest.mark.parametrize("study, flag, value", [
+        *((study, flag, value) for study in ("table1", "stability")
+          for flag, value in (("--c", "0.5"), ("--M", "3"), ("--alpha1", "0.1"), ("--alpha2", "0.2"),
+                              ("--delta", "0.01"), ("--grid-points", "3"))),
+        *((study, flag, value) for study in ("stability", "sweep")
+          for flag, value in (("--target-j", "0.1"), ("--threshold", "0.3"))),
+    ])
+    def test_setting_the_study_does_not_read_is_refused(self, capsys, monkeypatch, tmp_path, study, flag,
+                                                         value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(sampling, "multinomial_matrix", refuse)
+        out = tmp_path / "new" / "s.csv"
+        code = main(["study", *STUDY_ARGS[study], "--replications", "2000", flag, value, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: the {study} study does not read {flag}; leave it out\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_key_the_study_does_not_read_is_refused(self, capsys, tmp_path):
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "s.csv"
+        cfg.write_text("M = 2\nalpha1 = 0.1\ndelta_override = 0.01\n")  # M keeps its default
+        code = main(["study", *STUDY_ARGS["stability"], "--config", str(cfg), "--grid-points", "3",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == ("error: the stability study does not read --alpha1, --delta, "
+                                           "--grid-points; leave them out\n")
+        assert not out.exists()
 
     def test_config_file_seed_reaches_study_spec(self, capsys, monkeypatch, tmp_path):
         specs = []
@@ -863,6 +913,20 @@ class TestStudyOut:
         assert captured.out == ""
         assert captured.err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out)!r}\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("end", ["", ".", ".."], ids=["separator", "dot", "dot-dot"])
+    def test_name_ending_in_a_separator_exits_before_sampling(self, capsys, monkeypatch, tmp_path, end):
+        # Path drops a trailing separator and ".": the artifact was written as a file named newdir
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(sampling, "multinomial_matrix", refuse)
+        out = str(tmp_path / "tsl" / "newdir") + os.sep + end
+        code = main(["study", *STUDY_ARGS["table1"], "--replications", "2000", "--out", out])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+                                           f"{str(Path(out))!r}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_the_artifact_as_it_was(self, capsys, monkeypatch, tmp_path):
         def full_disk(fh, **kwargs):

@@ -39,3 +39,13 @@ def test_readme_has_popres_commands():
 def test_readme_command_parses(argv):
     # argparse exits on an unknown flag or a bad value; nothing is executed
     cli.build_parser().parse_args(argv)
+
+
+STUDIES = [argv for argv in COMMANDS if argv[0] == "study"]
+
+
+@pytest.mark.parametrize("argv", STUDIES, ids=[f"study{i}" for i in range(len(STUDIES))])
+def test_readme_study_command_builds_its_spec(argv, monkeypatch, capsys):
+    # StudySpec refuses a setting its study does not read; the study itself is not run
+    monkeypatch.setattr(cli, "run_study", lambda spec, out: out)
+    assert cli.main(argv) == cli.EXIT_OK

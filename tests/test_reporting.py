@@ -1,6 +1,8 @@
 import base64
+import builtins
 import functools
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popres import history, reporting
+from popres.cli import load_config_file
 from popres.divergences import CategoryCounts, uniform_reference
 from popres.errors import ValidationError
 from popres.history import HistoryAck, append_history, read_history
@@ -579,66 +582,34 @@ class TestLoaders:
         assert load_outcome(load_snapshot, path) == ("s", [5, 7])
         assert load_with_dictreader(load_snapshot, path) == ("s", [2, 1])
 
-
-def reference_text(weights):
-    return "category,count\n" + "".join(f"{j},{w}\n" for j, w in enumerate(weights, start=1))
-
-
-class TestReferenceCache:
-    def test_file_rewritten_in_place_is_parsed_again(self, tmp_path):
-        f = tmp_path / "ref.csv"
-        f.write_text(reference_text([1, 1, 2]))
-        assert load_reference(f).probs.tolist() == [0.25, 0.25, 0.5]
-        f.write_text(reference_text([1, 3, 4]))
-        assert load_reference(f).probs.tolist() == [0.125, 0.375, 0.5]
-
     def test_failing_file_fails_on_every_call_under_its_own_path(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        a.write_text(reference_text([2, 0, 5]))
+        a.write_text("category,count\n1,2\n2,0\n3,5\n")
         shutil.copy(a, b)
         for f in (a, b, a):
             with pytest.raises(ValidationError) as info:
                 load_reference(f)
             assert str(info.value) == f"{f}: reference counts must be strictly positive"
 
-    def test_replaced_parser_takes_effect(self, tmp_path, monkeypatch):
-        # the dictreader oracle replaces the parser: each call must go through the parser in place
-        f = tmp_path / "ref.csv"
-        f.write_text(reference_text([1, 1, 2]))
-        load_reference(f)
-        read, read_rows = [], reporting._read_rows
-        monkeypatch.setattr(reporting, "_read_rows",
-                            lambda path, text: read.append(path) or read_rows(path, text))
-        assert load_reference(f).probs.tolist() == [0.25, 0.25, 0.5]
-        assert list(map(str, read)) == [str(f)]
+    @pytest.mark.parametrize("name, text, load", [
+        ("ref.csv", "category,prob\n1,0.5\n2,0.5\n", load_reference),
+        ("s.csv", "category,count\n1,2\n2,3\n", load_snapshot),
+        ("s.json", '{"counts": [2, 3]}', load_snapshot),
+        ("cfg.ini", "c = 0.7\n", load_config_file),
+    ], ids=["reference", "csv-snapshot", "json-snapshot", "config"])
+    def test_each_loader_reads_its_file_once(self, tmp_path, monkeypatch, name, text, load):
+        path = tmp_path / name
+        path.write_text(text)
+        opened, real_open = [], io.open
 
-    def test_returned_reference_cannot_alter_the_kept_one(self, tmp_path):
-        f = tmp_path / "ref.csv"
-        f.write_text(reference_text([1, 1, 2]))
-        ref = load_reference(f)
-        with pytest.raises(ValueError, match="read-only"):
-            ref.probs[0] = 0.5
-        with pytest.raises(ValueError):
-            ref.probs.flags.writeable = True
-        assert load_reference(f).probs.tolist() == [0.25, 0.25, 0.5]
+        def counted_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
 
-    def test_file_changed_while_it_is_loaded_is_parsed_as_first_read(self, tmp_path, monkeypatch):
-        f = tmp_path / "ref.csv"
-        first, second = reference_text([1, 1, 2, 7]), reference_text([1, 1, 3, 6])
-        f.write_text(first)
-        read = reporting.read_text
-
-        def read_then_rewrite(path, data):
-            f.write_text(second)
-            return read(path, data)
-
-        monkeypatch.setattr(reporting, "read_text", read_then_rewrite)
-        kept = load_reference(f)
-        assert kept.probs.tolist() == [1 / 11, 1 / 11, 2 / 11, 7 / 11]
-        monkeypatch.undo()
-        assert load_reference(f).probs.tolist() == [1 / 11, 1 / 11, 3 / 11, 6 / 11]
-        f.write_text(first)
-        assert load_reference(f) == kept
+        monkeypatch.setattr(io, "open", counted_open)
+        monkeypatch.setattr(builtins, "open", counted_open)
+        load(path)
+        assert opened.count(str(path)) == 1
 
 
 class TestMonitor:
@@ -1649,7 +1620,7 @@ class TestRunStudy:
     @pytest.mark.parametrize("field,value", [
         ("target_j", -0.5), ("target_j", float("nan")), ("workers", 0), ("workers", -3),
         ("threshold", float("nan")), ("threshold", -1.0), ("threshold", 0.0),
-        ("threshold", float("inf")),
+        ("threshold", float("inf")), ("cfg", None),
     ])
     def test_spec_rejects_bad_settings(self, field, value):
         with pytest.raises(ValidationError, match=field):

@@ -14,10 +14,9 @@ from popres.divergences import (
     ReferenceDistribution,
     ks_statistic,
     proportions,
-    prs,
     uniform_reference,
 )
-from popres.errors import BoundaryOverlapError, ConstraintError, ConvergenceError, ValidationError
+from popres.errors import BoundaryOverlapError, ConstraintError, ValidationError
 from popres.resemblance import (
     KS_MAX_N,
     DecisionBoundaries,
@@ -37,12 +36,10 @@ from popres.resemblance import (
 from popres.sampling import multinomial_matrix
 
 from oracles import (
-    boundaries_step_by_step,
     enumerate_extreme_points,
     ks_p_value_enumerated,
     ks_p_value_uncached,
     ks_rows,
-    yn_step_by_step,
 )
 
 UNIFORM5 = uniform_reference(5)
@@ -458,10 +455,15 @@ class TestKsPValue:
         counts, q = CategoryCounts(np.array(row)), uniform_reference(B)
         p = ks_p_value(counts, q)
         # 30 standard deviations leave out less than 1e-190 of the mass, so
-        # less the added allowance this is the p-value to rounding
+        # less the added allowance this is the p-value to rounding; the kept
+        # schedules are cleared around the swap, so that neither rule's serves the other
+        resemblance._kept_schedule.cache_clear()
         monkeypatch.setattr(resemblance, "_window_halfwidth",
                             lambda var: int(30 * np.sqrt(var) + 300))
-        exact = ks_p_value(counts, q) - 4 * (B - 1) * np.exp(-72)
+        try:
+            exact = ks_p_value(counts, q) - 4 * (B - 1) * np.exp(-72)
+        finally:
+            resemblance._kept_schedule.cache_clear()
         assert exact * (1 - 1e-12) <= p <= exact * (1 + 1e-12) + 14 * (B - 1) * np.exp(-72)
 
     def test_refuses_samples_above_the_limit_before_any_window(self, monkeypatch):
@@ -475,8 +477,8 @@ class TestKsPValue:
 
 
 def kept_schedule(n, q):
-    """The KS schedule ``ks_p_value`` looks up for (n, ``q``), under the window rule in place."""
-    return resemblance._kept_schedule(n, q.tobytes(), resemblance._window_halfwidth)
+    """The KS schedule ``ks_p_value`` looks up for (n, ``q``)."""
+    return resemblance._kept_schedule(n, q.tobytes())
 
 
 KS_KINDS = ("uniform", "dirichlet", "repeated")
@@ -530,15 +532,6 @@ class TestKsSchedule:
         row = np.array(ROW_2000_10_T3)
         row[[0, -1]] += (30, -30)
         assert ks_p_value(CategoryCounts(row), q) == ks_p_value_uncached(CategoryCounts(row), q)
-
-    def test_schedule_is_rebuilt_under_another_window_rule(self, monkeypatch):
-        counts, q = CategoryCounts(np.array(ROW_2000_10_T3)), uniform_reference(10)
-        ks_p_value(counts, q)
-        widths = []
-        rule = resemblance._window_halfwidth
-        monkeypatch.setattr(resemblance, "_window_halfwidth", lambda var: widths.append(var) or rule(var))
-        ks_p_value(counts, q)
-        assert widths
 
     def test_four_slots_cover_the_monitor_feed_shapes(self, monkeypatch):
         # the paper's four table shapes, which a monitoring feed cycles through in any order
@@ -632,54 +625,6 @@ class TestKsSchedule:
         assert not any(t.is_alive() for t in threads)
         assert failures == []
         assert cache.cache_info().currsize <= 4
-
-
-# references for the boundaries tests: two share B = 5, and one has a category too small for most cfgs
-MEMO_REFERENCES = (uniform_reference(5), ReferenceDistribution(np.array([0.1, 0.1, 0.3, 0.3, 0.2])),
-                   uniform_reference(10), ReferenceDistribution(np.array([0.002, 0.499, 0.499])))
-
-
-def outcome(fn, *args):
-    """The repr of what ``fn(*args)`` returns, or the type and message of what it raises."""
-    try:
-        return repr(fn(*args))
-    except (ValidationError, BoundaryOverlapError, ConvergenceError) as exc:
-        return type(exc), str(exc)
-
-
-class TestBoundariesMemo:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        # a few settings of (n, c, M, alpha, delta_override), often alike but for one
-        cases=st.lists(st.tuples(
-            st.sampled_from([0, 50, 50, 500, 10**6]),
-            st.sampled_from([0.3, 0.7, 0.7, 3.0]),
-            st.sampled_from([1.5, 2.0, 2.0]),
-            st.sampled_from([0.05, 0.05, 0.4]),
-            st.sampled_from([None, None, 0.01]),
-        ), min_size=1, max_size=3),
-        # each call: a reference, a case, n as an int or a numpy int, and a YN lower level
-        calls=st.lists(st.tuples(st.integers(0, len(MEMO_REFERENCES) - 1), st.integers(0, 2), st.booleans(),
-                                 st.sampled_from([0.1, 0.2, 0.01])), min_size=1, max_size=20),
-    )
-    def test_kept_results_equal_those_derived_per_call(self, cases, calls):
-        # each call derives anew: what a caller keeps equals the step-by-step derivation,
-        # for n as an int or a numpy int, repeated or not
-        for pick, case, numpy_n, lower in calls:
-            n, c, M, alpha, delta = cases[case % len(cases)]
-            n = np.int64(n) if numpy_n else n
-            q = MEMO_REFERENCES[pick]
-            cfg = ResemblanceConfig(c=c, M=M, alpha1=alpha, alpha2=2 * alpha, delta_override=delta)
-            assert outcome(decision_boundaries, q, n, cfg) == outcome(boundaries_step_by_step, q.probs, n, cfg)
-            levels = (n, q.B, alpha / 5, lower)
-            assert outcome(yn_boundaries, *levels) == outcome(yn_step_by_step, *levels)
-
-    def test_raising_call_keeps_nothing(self):
-        for _ in range(2):
-            with pytest.raises(ConstraintError):
-                decision_boundaries(UNIFORM5, 50, ResemblanceConfig(M=100.0))
-            with pytest.raises(ValidationError):
-                yn_boundaries(50, 5, 0.1, 0.1)
 
 
 @pytest.mark.parametrize("n", [2**63, np.uint64(2**63), 10**400], ids=["2**63", "uint64", "10**400"])

@@ -92,7 +92,8 @@ def _build_config(args: argparse.Namespace) -> tuple[ResemblanceConfig, int]:
 _STUDY_SETTINGS = ("replications", "grid_points", "target_j", "threshold", "workers")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The whole parser and each command's parser by name."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="flat key=value configuration file")
     shared.add_argument("--c", type=float, help="tolerance scaling factor")
@@ -132,11 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
         default = getattr(StudySpec, name)
         p_st.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p_st.add_argument("--seed", type=int, help="study random seed")
-    return parser
+    return parser, sub.choices
 
 
-# built on the first main call, not at import; parse_args leaves it unchanged
-_parser = functools.cache(build_parser)
+def build_parser() -> argparse.ArgumentParser:
+    return build_parsers()[0]
+
+
+# built on the first main call, not at import; parse_args leaves them unchanged
+_parsers = functools.cache(build_parsers)
 
 
 def _cmd_monitor(args: argparse.Namespace) -> bytes:
@@ -230,8 +235,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     step would.  No command, an unknown one, or a flag the command does not know
     goes through the whole parser, so help, usage lines and errors stay its own.
     """
-    parser = _parser()
-    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parser, commands = _parsers()
     command = commands.get(argv[0]) if argv else None
     if command is not None:
         args, extras = command.parse_known_args(argv[1:])

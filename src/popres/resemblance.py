@@ -205,19 +205,17 @@ def _window_halfwidth(var: float) -> int:
     return int(24.0 + math.sqrt(576.0 + 144.0 * var)) + 1
 
 
-def _window_span(mu: float) -> tuple[int, int]:
-    """First and last lattice point of the Poisson(mu) window."""
-    m, w = int(mu), _window_halfwidth(mu)
-    return max(m - w, 0), m + w
-
-
 def _poisson_window(mu: float) -> tuple[int, np.ndarray]:
-    """Poisson(mu) pmf on lo, lo + 1, ... around the mean, normalised over the window."""
-    lo, hi = _window_span(mu)
+    """Poisson(mu) pmf on lo, lo + 1, ... around the mean, normalised over the
+    window, and read-only, so that a kept schedule can share it."""
+    m, w = int(mu), _window_halfwidth(mu)
+    lo = max(m - w, 0)
     # log pmf(k) - log pmf(k - 1) = log(mu / k): no two large terms cancel
-    log_pmf = np.concatenate(([0.0], np.cumsum(np.log(mu / np.arange(lo + 1, hi + 1)))))
+    log_pmf = np.concatenate(([0.0], np.cumsum(np.log(mu / np.arange(lo + 1, m + w + 1)))))
     pmf = np.exp(log_pmf - log_pmf.max())
-    return lo, pmf / pmf.sum()
+    pmf /= pmf.sum()
+    pmf.flags.writeable = False
+    return lo, pmf
 
 
 def _ks_steps(n: int, q: np.ndarray) -> Iterator[tuple]:
@@ -235,31 +233,23 @@ def _ks_steps(n: int, q: np.ndarray) -> Iterator[tuple]:
         yield x_lo, pmf, centre, cut, r_lo, finish
 
 
-def _schedule_nbytes(n: int, q: np.ndarray) -> int:
-    """Bytes that keeping ``_ks_steps(n, q)`` would hold, without building it."""
-    rest = np.cumsum(q[::-1])[::-1][1:]
-    means = [n * q[j] for j in range(q.size - 1) if j == 0 or q[j] != q[j - 1]]
-    means += [n * rest[j] for j in range(q.size - 1)]
-    floats = sum(hi - lo + 1 for lo, hi in map(_window_span, means))
-    # the Python objects around the floats: per step a tuple, ints, a float and
-    # array headers; per schedule its cache key and entry (tracemalloc, rounded up)
-    return 8 * floats + 768 * (q.size - 1) + 4096
-
-
 _SCHEDULE_CAP = 1 << 20  # bytes; a larger schedule is built step by step on every call
 
 
 @functools.lru_cache(maxsize=4)
 def _kept_schedule(n: int, probs: bytes) -> Optional[tuple]:
-    """``_ks_steps`` of (n, reference), read-only, or None if it would hold more than
-    ``_SCHEDULE_CAP`` bytes."""
-    q = np.frombuffer(probs)
-    if _schedule_nbytes(n, q) > _SCHEDULE_CAP:
-        return None
-    steps = tuple(_ks_steps(n, q))
-    for step in steps:
-        step[1].flags.writeable = step[5].flags.writeable = False
-    return steps
+    """``_ks_steps`` of (n, reference), or None once it holds more than
+    ``_SCHEDULE_CAP`` bytes: each distinct window's floats, and the Python
+    objects around them, per step a tuple, ints, a float and array headers,
+    per schedule its cache key and entry (tracemalloc, rounded up)."""
+    steps, nbytes = [], 4096
+    for step in _ks_steps(n, np.frombuffer(probs)):
+        shared = steps and step[1] is steps[-1][1]
+        nbytes += 768 + step[5].nbytes + (0 if shared else step[1].nbytes)
+        if nbytes > _SCHEDULE_CAP:
+            return None
+        steps.append(step)
+    return tuple(steps)
 
 
 def ks_p_value(counts: CategoryCounts, p0: ReferenceDistribution) -> float:

@@ -18,6 +18,7 @@ rather than its chunk's.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
@@ -35,6 +36,14 @@ _SUM_TOL = 1e-9
 def _chunk_key(seed: int, stream: int, chunk: int) -> list[int]:
     # Philox accepts a 128-bit key as two uint64 words.
     return [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(((stream & 0xFFFFFFFF) << 32) | (chunk & 0xFFFFFFFF))]
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def _check_inputs(n, p) -> tuple[int, np.ndarray]:
@@ -72,6 +81,7 @@ def multinomial_matrix(
     """K x B matrix of independent Multinomial(n, p) draws.
 
     Deterministic in (seed, stream, replications); independent of workers.
+    At most min(workers, chunks, CPUs this process may use) threads draw.
     With ``score``, each block of at most ``BLOCK_ROWS`` rows is replaced, on
     the thread that drew it, by ``score(counts)``: one value (or row of values)
     per row, joined in row order.  Neither the K x B matrix nor a chunk's
@@ -96,9 +106,11 @@ def multinomial_matrix(
         return [keep(gen.multinomial(n, p, size=min(BLOCK_ROWS, rows - lo)))
                 for lo in range(0, rows, BLOCK_ROWS)]
 
-    if workers == 1 or n_chunks == 1:
+    # a thread more than the chunks or the CPUs would only hold another block
+    threads = min(workers, n_chunks, _cpus())
+    if threads == 1:
         parts = [draw(c) for c in range(n_chunks)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(draw, range(n_chunks)))
     return np.concatenate([block for part in parts for block in part])

@@ -271,6 +271,10 @@ class StudySpec:
             raise ValidationError(
                 f"sweep takes exactly one sample size (--n), got {list(self.ns)}"
             )
+        # a size given twice would draw the same stream twice and write its row twice
+        repeated = next((n for i, n in enumerate(self.ns) if n in self.ns[:i]), None)
+        if repeated is not None:
+            raise ValidationError(f"--n-grid repeats the sample size {repeated}; give each size once")
         _check_study_args(self.ns, self.B, self.replications, self.workers,
                           self.grid_points, self.target_j, self.threshold)
         object.__setattr__(self, "seed", _check_seed(self.seed, " (--seed)"))

@@ -1,4 +1,3 @@
-import argparse
 import codecs
 import contextlib
 import csv
@@ -22,6 +21,7 @@ from popres.cli import (
     EXIT_OVERLAP,
     EXIT_VALIDATION,
     build_parser,
+    build_parsers,
     load_config_file,
     main,
 )
@@ -600,8 +600,8 @@ OPTIONS = {
 
 @pytest.mark.parametrize("command", sorted(OPTIONS))
 def test_option_inventory(command):
-    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    options = [s for a in commands.choices[command]._actions for s in a.option_strings]
+    commands = build_parsers()[1]
+    options = [s for a in commands[command]._actions for s in a.option_strings]
     assert sorted(options) == sorted(["-h", "--help", *OPTIONS[command]])
 
 
@@ -862,6 +862,19 @@ class TestStudyCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("study", ["table1", "stability"])
+    def test_repeated_n_grid_size_is_refused_before_any_file(self, capsys, monkeypatch, tmp_path, study):
+        # the size drew the same stream twice and wrote its row twice
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(sampling, "multinomial_matrix", refuse)
+        code = main(["study", "--study", study, "--out", str(tmp_path / "new" / "t.csv"), "--B", "5",
+                     "--n-grid", "50,60,50", "--replications", "10"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --n-grid repeats the sample size 50; give each size once\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 STUDY_ARGS = {
     "table1": ["--study", "table1", "--B", "5", "--n-grid", "50,60"],
@@ -1027,10 +1040,10 @@ class TestParserReuse:
         return run
 
     def test_parser_is_built_once(self, capsys, reference_file):
-        cli._parser.cache_clear()
+        cli._parsers.cache_clear()
         for n in ("50", "60", "70"):
             assert main(["boundaries", "--reference", str(reference_file), "--n", n]) == EXIT_OK
-        info = cli._parser.cache_info()
+        info = cli._parsers.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
     def test_history_flag_does_not_carry_over(self, capsys, run, tmp_path, reference_file, snapshot_file):

@@ -481,6 +481,23 @@ def kept_schedule(n, q):
     return resemblance._kept_schedule(n, q.tobytes())
 
 
+def schedule_nbytes(n, q):
+    """The bytes a kept schedule of (n, ``q``) is counted at: the floats of each
+    distinct window of the steps built afresh, 768 a step and 4,096 a schedule."""
+    steps = tuple(resemblance._ks_steps(n, q))
+    windows = {id(w): w.nbytes for step in steps for w in (step[1], step[5])}
+    return sum(windows.values()) + 768 * len(steps) + 4096
+
+
+# the least n whose schedule is over the cap, per reference; pinned from the byte count
+# the window arithmetic gave before the cap measured the steps themselves
+SCHEDULE_THRESHOLDS = [
+    ("uniform", 10, 702_793), ("uniform", 20, 167_280), ("uniform", 60, 16_435),
+    ("skewed", 10, 301_792), ("skewed", 20, 77_447), ("skewed", 60, 8_745),
+    ("repeated", 10, 459_542), ("repeated", 20, 116_926), ("repeated", 60, 12_898),
+]
+
+
 KS_KINDS = ("uniform", "dirichlet", "repeated")
 
 
@@ -563,13 +580,21 @@ class TestKsSchedule:
     def test_schedule_above_the_cap_is_not_kept(self):
         resemblance._kept_schedule.cache_clear()
         n, q = 1_000_000, uniform_reference(60)
-        assert resemblance._schedule_nbytes(n, q.probs) > resemblance._SCHEDULE_CAP
+        assert schedule_nbytes(n, q.probs) > resemblance._SCHEDULE_CAP
         counts = ks_snapshot(n, q.probs, 0)
         assert float.hex(ks_p_value(counts, q)) == float.hex(ks_p_value_uncached(counts, q))
         assert kept_schedule(n, q.probs) is None
         # the verdict alone takes a slot, and the second lookup hits it
         info = resemblance._kept_schedule.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("kind, B, n_over", SCHEDULE_THRESHOLDS)
+    def test_schedule_is_kept_up_to_its_threshold(self, kind, B, n_over):
+        q = ks_reference(kind, B).probs
+        resemblance._kept_schedule.cache_clear()
+        assert kept_schedule(n_over - 1, q) is not None
+        assert kept_schedule(n_over, q) is None
+        assert schedule_nbytes(n_over - 1, q) <= resemblance._SCHEDULE_CAP < schedule_nbytes(n_over, q)
 
     def test_kept_schedules_stay_under_the_bound(self):
         cache = resemblance._kept_schedule
@@ -580,7 +605,7 @@ class TestKsSchedule:
         try:
             base = tracemalloc.get_traced_memory()[0]
             for n, q in shapes:
-                over_cap = resemblance._schedule_nbytes(n, q) > resemblance._SCHEDULE_CAP
+                over_cap = schedule_nbytes(n, q) > resemblance._SCHEDULE_CAP
                 assert (kept_schedule(n, q) is None) == over_cap
                 hits = cache.cache_info().hits
                 kept_schedule(*shapes[0])  # the first shape stays the most recently used

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 from oracles import FULL_MATRIX_KERNELS, multinomial_matrix_by_chunk
 from scipy import stats
 
-from popres import simulation
+from popres import sampling, simulation
 from popres.divergences import prs, psi, uniform_reference
 from popres.errors import ValidationError
 from popres.resemblance import ResemblanceConfig
@@ -174,6 +175,50 @@ class TestSamplerInputs:
         assert np.array_equal(m, np.zeros((3, 2), dtype=np.int64))
 
 
+class TestWorkerThreads:
+    """The sampler starts at most min(workers, chunks, CPUs) threads."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The ``max_workers`` of each pool the sampler makes; a pool maps on the calling thread."""
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", Pool)
+        return sizes
+
+    def draw(self, workers):
+        # three chunks, the last of one row
+        return multinomial_matrix(5, [0.5, 0.5], 2 * CHUNK_ROWS + 1, seed=1, workers=workers)
+
+    @pytest.mark.parametrize("workers, cpus, sizes", [
+        (30_000, 64, [3]), (30_000, 2, [2]), (2, 64, [2]), (2, 2, [2]), (30_000, 1, []), (1, 64, []),
+    ])
+    def test_pool_is_capped_by_chunks_and_cpus(self, monkeypatch, pools, workers, cpus, sizes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert np.array_equal(self.draw(workers), self.draw(1))
+        assert pools == sizes
+
+    @pytest.mark.parametrize("count, sizes", [(2, [2]), (None, [])])
+    def test_cpu_count_stands_in_without_affinity(self, monkeypatch, pools, count, sizes):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        self.draw(30_000)
+        assert pools == sizes
+
+
 def _scored(n, counts, *statistics):
     """The chunk scorer's values on a copy of ``counts``, one array per statistic."""
     out = _scorer(n, counts.shape[1], *statistics)(counts.copy())
@@ -307,6 +352,11 @@ class TestSpecValidation:
     def test_spec_rejects_sample_size_above_int64(self, study, ns):
         with pytest.raises(ValidationError, match=rf"sample size {ns[-1]} exceeds the int64 range"):
             StudySpec(study=study, B=5, ns=ns)
+
+    @pytest.mark.parametrize("ns", [(50, 50), (20, 50, 20)])
+    def test_spec_rejects_a_repeated_sample_size(self, ns):
+        with pytest.raises(ValidationError, match=rf"^--n-grid repeats the sample size {ns[0]}; "):
+            StudySpec(study="table1", B=5, ns=ns)
 
     def test_stability_rejects_bad_sizes(self):
         with pytest.raises(ValidationError, match="sample size"):

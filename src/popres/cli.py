@@ -78,7 +78,7 @@ def load_config_file(path: str | Path, takes_seed: bool = True) -> dict:
 
 def _build_config(args: argparse.Namespace) -> tuple[ResemblanceConfig, int]:
     # a command takes a seed from its file if it has a --seed flag
-    values = load_config_file(args.config, takes_seed=hasattr(args, "seed")) if args.config else {}
+    values = load_config_file(args.config, takes_seed=hasattr(args, "seed")) if args.config is not None else {}
     settings = {_FIELDS.get(key, key): v for key, v in values.items()}
     # CLI flags override file values
     for name in (*_FIELDS.values(), "seed"):
@@ -136,10 +136,6 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return build_parsers()[0]
-
-
 # built on the first main call, not at import; parse_args leaves them unchanged
 _parsers = functools.cache(build_parsers)
 
@@ -157,7 +153,7 @@ def _cmd_monitor(args: argparse.Namespace) -> bytes:
         text = render_text(report) + "\n"
     # encoded before the history changes: after it, only writing the output can fail
     out = _encode(text)
-    if args.history:
+    if args.history is not None:
         ack = append_history(report, args.history)
         if ack.duplicate:
             _write(sys.stderr, _encode(f"note: duplicate report for {report.label!r}; history unchanged\n"))

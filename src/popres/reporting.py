@@ -173,8 +173,11 @@ def load_snapshot(path: str | Path) -> Snapshot:
             raise ValidationError(f"{path}: expected an object with a 'counts' array")
     else:
         payload = {"counts": _ordered_values(path, *_read_rows(path, text), "count")}
+    raw = payload["counts"]
+    # numpy would read a JSON boolean as the count 0 or 1; as an object it is refused
+    as_objects = isinstance(raw, list) and any(isinstance(v, bool) for v in raw)
     try:
-        counts = CategoryCounts(np.asarray(payload["counts"]))
+        counts = CategoryCounts(np.asarray(raw, dtype=object if as_objects else None))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     label = payload.get("label")

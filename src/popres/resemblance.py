@@ -74,6 +74,10 @@ class ResemblanceConfig:
             a = getattr(self, name)
             if not 0.0 < a < 1.0:
                 raise ValidationError(f"{name} must lie in (0, 1), got {a}")
+        # tau2 is the quantile at 1 - alpha1, which rounds to 1 below about 5.6e-17
+        if not 1.0 - self.alpha1 < 1.0:
+            raise ValidationError(f"alpha1 must be large enough that 1 - alpha1 < 1 in double precision "
+                                  f"(above about 5.6e-17), got {self.alpha1}")
         if self.delta_override is not None and self.delta_override <= 0:
             raise ValidationError("delta_override must be positive when set")
 

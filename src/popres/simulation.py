@@ -41,14 +41,17 @@ def _check_study_args(
     grid_points: int = GRID_POINTS,
     target_j: float = 0.0,
     threshold: float = LEWIS_ACTION,
+    min_replications: int = 1,
 ) -> None:
     """Reject study arguments no study can run; each message names its flag."""
     for n in ns:
         _check_sample_size(n)
     if B < 2:
         raise ValidationError(f"need B >= 2 categories, got {B}")
-    if replications < 1:
-        raise ValidationError("need at least one replication")
+    if replications < min_replications:
+        raise ValidationError(
+            f"replications must be at least {min_replications} (--replications), got {replications}"
+        )
     if grid_points < 1:
         raise ValidationError(f"grid_points must be at least 1 (--grid-points), got {grid_points}")
     if not target_j >= 0:
@@ -147,7 +150,7 @@ def reconstruction_probability(
 
 def stability_ratios(n: int, B: int, replications: int, seed: int, workers: int = 1) -> StabilityRatios:
     """Mean and variance stability of n*PSI and n*PRS under no shift."""
-    _check_study_args((n,), B, replications, workers)
+    _check_study_args((n,), B, replications, workers, min_replications=_MIN_REPLICATIONS["stability"])
     q = uniform_reference(B).probs
     both = sampling.multinomial_matrix(n, q, replications, seed=seed, stream=2, workers=workers,
                                        score=_scorer(n, B, "psi", "prs"))
@@ -231,6 +234,8 @@ def _region_counts(
     return int(np.sum(prs_vals <= bounds.tau1)), int(np.sum(prs_vals > bounds.tau2))
 
 
+# a sample variance needs two replications; an SE floored at one hit needs one
+_MIN_REPLICATIONS = {"table1": 1, "stability": 2, "sweep": 1}
 # the settings a study does not read, which must keep their defaults
 _UNREAD = {"table1": ("cfg", "grid_points"), "stability": ("cfg", "grid_points", "target_j", "threshold"),
            "sweep": ("target_j", "threshold")}
@@ -275,8 +280,8 @@ class StudySpec:
         repeated = next((n for i, n in enumerate(self.ns) if n in self.ns[:i]), None)
         if repeated is not None:
             raise ValidationError(f"--n-grid repeats the sample size {repeated}; give each size once")
-        _check_study_args(self.ns, self.B, self.replications, self.workers,
-                          self.grid_points, self.target_j, self.threshold)
+        _check_study_args(self.ns, self.B, self.replications, self.workers, self.grid_points,
+                          self.target_j, self.threshold, min_replications=_MIN_REPLICATIONS[self.study])
         object.__setattr__(self, "seed", _check_seed(self.seed, " (--seed)"))
         # as floats, so that 0 and 0.0 write the same artifact
         object.__setattr__(self, "target_j", float(self.target_j))

@@ -20,7 +20,6 @@ from popres.cli import (
     EXIT_OK,
     EXIT_OVERLAP,
     EXIT_VALIDATION,
-    build_parser,
     build_parsers,
     load_config_file,
     main,
@@ -494,6 +493,18 @@ class TestMonitorCommand:
         assert "duplicate" in capsys.readouterr().err
         assert len(hist.read_text().splitlines()) == 1
 
+    # an empty value, such as an unset shell variable, was read as no flag at all
+    @pytest.mark.parametrize("flag", ["--history", "--config"])
+    def test_empty_path_flag_exits_validation(self, capsys, monkeypatch, tmp_path, reference_file, snapshot_file,
+                                              flag):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code = main(["monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file), flag, ""])
+        assert code == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and "Is a directory" in err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_history_directory_exits_validation(self, capsys, tmp_path, reference_file, snapshot_file):
         code = main([
             "monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file),
@@ -625,6 +636,17 @@ class TestBoundariesCommand:
                      "--format", "json"]) == EXIT_OK
         assert capsys.readouterr().out == json.dumps(asdict(derived[0]), sort_keys=True, indent=2) + "\n"
 
+    # 1 - alpha1 rounded to 1, and ncx2_quantile refused p=1.0 without naming alpha1
+    @pytest.mark.parametrize("command", ["boundaries", "monitor", "sweep"])
+    def test_alpha1_below_double_precision(self, capsys, tmp_path, reference_file, snapshot_file, command):
+        argv = {"boundaries": ["boundaries", "--reference", str(reference_file), "--n", "50"],
+                "monitor": ["monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file)],
+                "sweep": ["study", "--study", "sweep", "--B", "5", "--n", "50", "--replications", "10",
+                          "--out", str(tmp_path / "s.csv")]}[command]
+        assert main([*argv, "--alpha1", "1e-17"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: alpha1 must be large enough that 1 - alpha1 < 1")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_overlap_exit_code(self, capsys, reference_file):
         code = main([
             "boundaries", "--reference", str(reference_file), "--n", "50",
@@ -737,6 +759,15 @@ class TestStudyCommand:
         assert "# delta=0.001\n" in delta
         assert "# delta=0.001\n" not in default
         assert delta.splitlines()[-1] != default.splitlines()[-1]
+
+    # one replication has no sample variance: numpy warned and the study wrote nan
+    def test_stability_needs_two_replications(self, capsys, tmp_path):
+        out = tmp_path / "k1" / "st.csv"
+        code = main(["study", "--study", "stability", "--B", "5", "--n-grid", "20", "--replications", "1",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: replications must be at least 2 (--replications), got 1\n"
+        assert not out.parent.exists()
 
     def test_sweep_rejects_grid_points_below_one(self, capsys, tmp_path):
         out = tmp_path / "s.csv"
@@ -1035,7 +1066,7 @@ class TestParserReuse:
         def run(argv):
             code = main(argv)
             args = seen.pop()
-            assert args == vars(build_parser().parse_args(argv))
+            assert args == vars(build_parsers()[0].parse_args(argv))
             return code, args
         return run
 
@@ -1112,7 +1143,7 @@ class TestDispatch:
     @pytest.mark.parametrize("argv", PARSE_EXITS.values(), ids=PARSE_EXITS)
     def test_exit_and_output_equal_the_whole_parser(self, capsys, argv):
         outcomes = []
-        for parse in (main, build_parser().parse_args):
+        for parse in (main, build_parsers()[0].parse_args):
             with pytest.raises(SystemExit) as exc:
                 parse(list(argv))
             outcomes.append((exc.value.code, *capsys.readouterr()))

@@ -38,7 +38,7 @@ def test_readme_has_popres_commands():
 @pytest.mark.parametrize("argv", COMMANDS, ids=[f"command{i}-{a[0]}" for i, a in enumerate(COMMANDS)])
 def test_readme_command_parses(argv):
     # argparse exits on an unknown flag or a bad value; nothing is executed
-    cli.build_parser().parse_args(argv)
+    cli.build_parsers()[0].parse_args(argv)
 
 
 STUDIES = [argv for argv in COMMANDS if argv[0] == "study"]

@@ -501,6 +501,14 @@ class TestLoaders:
         with pytest.raises(ValidationError, match=rf"s\.json: .*{message}"):
             load_snapshot(f)
 
+    # numpy read a JSON boolean as the count 0 or 1
+    @pytest.mark.parametrize("counts", ["[true, 1]", "[1.0, true]", "[2, 3, false]", "[1, true, 2.5]"])
+    def test_snapshot_json_boolean_count(self, tmp_path, counts):
+        f = tmp_path / "s.json"
+        f.write_text(f'{{"label": "x", "counts": {counts}}}')
+        with pytest.raises(ValidationError, match=r"s\.json: counts must be numbers within the int64 range, got \["):
+            load_snapshot(f)
+
     def test_snapshot_bad_json(self, tmp_path):
         f = tmp_path / "s.json"
         f.write_text("{not json")

@@ -690,6 +690,17 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             ResemblanceConfig(alpha2=1.0)
 
+    # 1 - alpha1 rounded to 1, and ncx2_quantile refused p=1.0 without naming alpha1
+    @pytest.mark.parametrize("alpha1", [1e-17, 2.0**-54, 5e-324], ids=repr)
+    def test_rejects_alpha1_below_double_precision(self, alpha1):
+        with pytest.raises(ValidationError, match=r"^alpha1 must be large enough that 1 - alpha1 < 1"):
+            ResemblanceConfig(alpha1=alpha1)
+
+    def test_smallest_alpha1_gives_boundaries(self):
+        cfg = ResemblanceConfig(alpha1=float(np.nextafter(2.0**-54, 1.0)))
+        bounds = decision_boundaries(uniform_reference(2), 100, cfg)
+        assert bounds.tau1 < bounds.tau2 < np.inf
+
     def test_stores_floats(self):
         cfg = ResemblanceConfig(c=1, M=np.int64(3), alpha1=np.float32(0.25), alpha2=0.5, delta_override=2)
         assert [type(getattr(cfg, f)) for f in ("c", "M", "alpha1", "alpha2", "delta_override")] == [float] * 5

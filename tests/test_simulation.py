@@ -374,6 +374,18 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             reconstruction_probability(n=50, B=5, replications=0, seed=0)
 
+    # one replication has no sample variance: numpy warned and the study wrote nan
+    def test_stability_needs_two_replications(self):
+        message = r"^replications must be at least 2 \(--replications\), got 1$"
+        with pytest.raises(ValidationError, match=message):
+            stability_ratios(20, 5, replications=1, seed=0)
+        with pytest.raises(ValidationError, match=message):
+            StudySpec(study="stability", B=5, ns=(20,), replications=1)
+        assert math.isfinite(stability_ratios(20, 5, replications=2, seed=0).var_ratio_prs)
+        # an SE floored at one hit needs only one replication
+        for study in ("table1", "sweep"):
+            StudySpec(study=study, B=5, ns=(20,), replications=1)
+
     def test_sweep_rejects_zero_replications(self):
         with pytest.raises(ValidationError, match="replication"):
             classification_sweep(50, 5, ResemblanceConfig(), replications=0)

@@ -89,13 +89,21 @@ def _build_config(args: argparse.Namespace) -> tuple[ResemblanceConfig, int]:
 
 
 # StudySpec fields that `popres study` takes as flags of the same name
-_STUDY_SETTINGS = ("replications", "grid_points", "target_j", "threshold", "workers")
+_STUDY_SETTINGS = ("replications", "grid_points", "target_j", "workers")
+
+
+def _path(value: str) -> str:
+    """A file option's value.  An empty one, such as an unset shell variable gives, would
+    name the directory '.', so it is refused here, where argparse's error names the option."""
+    if not value:
+        raise argparse.ArgumentTypeError("expected a file path, got an empty value")
+    return value
 
 
 def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The whole parser and each command's parser by name."""
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="flat key=value configuration file")
+    shared.add_argument("--config", type=_path, help="flat key=value configuration file")
     shared.add_argument("--c", type=float, help="tolerance scaling factor")
     shared.add_argument("--M", type=float, help="discrepancy multiplier (> 1)")
     shared.add_argument("--alpha1", type=float, help="reconstruction sensitivity")
@@ -110,22 +118,22 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p_mon = sub.add_parser("monitor", parents=[shared], help="classify one snapshot against a reference")
     p_mon.set_defaults(run=_cmd_monitor)
-    p_mon.add_argument("--snapshot", required=True)
-    p_mon.add_argument("--reference", required=True)
+    p_mon.add_argument("--snapshot", type=_path, required=True)
+    p_mon.add_argument("--reference", type=_path, required=True)
     p_mon.add_argument("--seed", type=int, help="recorded in the report; no monitor number uses it")
-    p_mon.add_argument("--history", help="append the report to this JSON-lines file")
+    p_mon.add_argument("--history", type=_path, help="append the report to this JSON-lines file")
     p_mon.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_bnd = sub.add_parser("boundaries", parents=[shared], help="print delta, lambda_sup, tau1, tau2")
     p_bnd.set_defaults(run=_cmd_boundaries)
-    p_bnd.add_argument("--reference", required=True)
+    p_bnd.add_argument("--reference", type=_path, required=True)
     p_bnd.add_argument("--n", type=int, required=True)
     p_bnd.add_argument("--format", choices=("text", "json"), default="text")
 
     p_st = sub.add_parser("study", parents=[shared], help="run a simulation study and write CSV")
     p_st.set_defaults(run=_cmd_study)
     p_st.add_argument("--study", required=True, choices=STUDIES)
-    p_st.add_argument("--out", required=True)
+    p_st.add_argument("--out", type=_path, required=True)
     p_st.add_argument("--n", type=int)
     p_st.add_argument("--n-grid", help="comma-separated sample sizes")
     p_st.add_argument("--B", type=int, required=True)

@@ -29,8 +29,6 @@ from .divergences import (
 )
 from .errors import ValidationError
 from .resemblance import (
-    P_GREEN,
-    P_RED,
     ResemblanceConfig,
     classify_lewis,
     classify_p_value,
@@ -220,7 +218,7 @@ def monitor(
     phat = proportions(counts)
     prs_value = prs(phat, reference)
     psi_value = psi(phat, reference)
-    tau_red, tau_green = yn_boundaries(counts.n, counts.B, P_RED, P_GREEN)
+    tau_red, tau_green = yn_boundaries(counts.n, counts.B)
     ks_value = ks_statistic(phat, reference)
     p_ks = ks_p_value(counts, reference)
     return MonitoringReport(

@@ -171,10 +171,9 @@ def classify_lewis(psi_value: float) -> Region:
     return Region.R3
 
 
-def yn_boundaries(
-    n: int, B: int, alpha_upper: float, alpha_lower: float
-) -> tuple[float, float]:
-    """Sample-size dependent PSI thresholds 2/n * central chi-square quantile.
+def yn_boundaries(n: int, B: int) -> tuple[float, float]:
+    """Sample-size dependent PSI thresholds 2/n * central chi-square quantile
+    at 1 - P_RED and 1 - P_GREEN.
 
     Returns (tau_red, tau_green): PSI above tau_red is fully discrepant,
     below tau_green acceptable, in between needs monitoring.
@@ -182,15 +181,8 @@ def yn_boundaries(
     _check_sample_size(n)
     if B < 2:
         raise ValidationError(f"need B >= 2 categories, got {B}")
-    for name, a in (("alpha_upper", alpha_upper), ("alpha_lower", alpha_lower)):
-        if not 0.0 < a < 1.0:
-            raise ValidationError(f"{name} must lie in (0, 1), got {a}")
-    if alpha_upper >= alpha_lower:
-        raise ValidationError(
-            f"alpha_upper={alpha_upper} must be below alpha_lower={alpha_lower}"
-        )
-    tau_red = 2.0 / n * special_functions.ncx2_quantile(1.0 - alpha_upper, B - 1, 0.0)
-    tau_green = 2.0 / n * special_functions.ncx2_quantile(1.0 - alpha_lower, B - 1, 0.0)
+    tau_red = 2.0 / n * special_functions.ncx2_quantile(1.0 - P_RED, B - 1, 0.0)
+    tau_green = 2.0 / n * special_functions.ncx2_quantile(1.0 - P_GREEN, B - 1, 0.0)
     return tau_red, tau_green
 
 

@@ -40,7 +40,6 @@ def _check_study_args(
     workers: int,
     grid_points: int = GRID_POINTS,
     target_j: float = 0.0,
-    threshold: float = LEWIS_ACTION,
     min_replications: int = 1,
 ) -> None:
     """Reject study arguments no study can run; each message names its flag."""
@@ -60,10 +59,6 @@ def _check_study_args(
         )
     if workers < 1:
         raise ValidationError(f"workers must be at least 1 (--workers), got {workers}")
-    if not 0 < threshold < math.inf:
-        raise ValidationError(
-            f"threshold must be a finite positive PSI (--threshold), got {threshold}"
-        )
 
 
 def _scorer(n: int, B: int, *statistics: str):
@@ -135,17 +130,16 @@ def reconstruction_probability(
     replications: int,
     seed: int,
     target_j: float = 0.0,
-    psi_threshold: float = LEWIS_ACTION,
     workers: int = 1,
 ) -> MCEstimate:
-    """Fraction of replications whose PSI reaches the reconstruction threshold,
+    """Fraction of replications whose PSI reaches Lewis's action level ``LEWIS_ACTION``,
     sampling from the reference shifted to J-divergence ``target_j`` (0: unshifted)."""
-    _check_study_args((n,), B, replications, workers, target_j=target_j, threshold=psi_threshold)
+    _check_study_args((n,), B, replications, workers, target_j=target_j)
     p0 = uniform_reference(B)
     p = solve_p_for_target_j(p0, target_j)
     psi_vals = sampling.multinomial_matrix(n, p, replications, seed=seed, stream=1, workers=workers,
                                            score=_scorer(n, B, "psi"))
-    return MCEstimate.of_hits(int(np.sum(psi_vals >= psi_threshold)), replications)
+    return MCEstimate.of_hits(int(np.sum(psi_vals >= LEWIS_ACTION)), replications)
 
 
 def stability_ratios(n: int, B: int, replications: int, seed: int, workers: int = 1) -> StabilityRatios:
@@ -237,8 +231,8 @@ def _region_counts(
 # a sample variance needs two replications; an SE floored at one hit needs one
 _MIN_REPLICATIONS = {"table1": 1, "stability": 2, "sweep": 1}
 # the settings a study does not read, which must keep their defaults
-_UNREAD = {"table1": ("cfg", "grid_points"), "stability": ("cfg", "grid_points", "target_j", "threshold"),
-           "sweep": ("target_j", "threshold")}
+_UNREAD = {"table1": ("cfg", "grid_points"), "stability": ("cfg", "grid_points", "target_j"),
+           "sweep": ("target_j",)}
 
 
 @dataclass(frozen=True)
@@ -256,7 +250,6 @@ class StudySpec:
     seed: int = 0
     grid_points: int = GRID_POINTS
     target_j: float = 0.0
-    threshold: float = LEWIS_ACTION
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -281,11 +274,10 @@ class StudySpec:
         if repeated is not None:
             raise ValidationError(f"--n-grid repeats the sample size {repeated}; give each size once")
         _check_study_args(self.ns, self.B, self.replications, self.workers, self.grid_points,
-                          self.target_j, self.threshold, min_replications=_MIN_REPLICATIONS[self.study])
+                          self.target_j, min_replications=_MIN_REPLICATIONS[self.study])
         object.__setattr__(self, "seed", _check_seed(self.seed, " (--seed)"))
         # as floats, so that 0 and 0.0 write the same artifact
         object.__setattr__(self, "target_j", float(self.target_j))
-        object.__setattr__(self, "threshold", float(self.threshold))
 
     def _unread_flags(self) -> list[str]:
         """The flag of each setting the study does not read that differs from its
@@ -304,10 +296,10 @@ def _table1(spec: StudySpec) -> tuple[dict, list[str], list[list]]:
     rows = []
     for n in spec.ns:
         est = reconstruction_probability(n, spec.B, spec.replications, spec.seed, spec.target_j,
-                                         spec.threshold, workers=spec.workers)
+                                         workers=spec.workers)
         rows.append([n, spec.B, spec.target_j, repr(est.value), repr(est.std_error)])
     meta = {"study": "table1", "B": spec.B, "replications": spec.replications,
-            "seed": spec.seed, "threshold": spec.threshold, "target_j": spec.target_j}
+            "seed": spec.seed, "threshold": LEWIS_ACTION, "target_j": spec.target_j}
     return meta, ["n", "B", "target_j", "estimate", "std_error"], rows
 
 

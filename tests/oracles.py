@@ -301,11 +301,11 @@ def ks_rows(ph: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def reconstruction_probability_full_matrix(n, B, replications, seed, target_j=0.0,
-                                           psi_threshold=LEWIS_ACTION, workers=1) -> MCEstimate:
+                                           workers=1) -> MCEstimate:
     q = uniform_reference(B)
     p = solve_p_for_target_j(q, target_j)
     counts = multinomial_matrix_by_chunk(n, p, replications, seed, stream=1)
-    return MCEstimate.of_hits(int(np.sum(psi_rows(counts / n, q.probs) >= psi_threshold)),
+    return MCEstimate.of_hits(int(np.sum(psi_rows(counts / n, q.probs) >= LEWIS_ACTION)),
                               replications)
 
 

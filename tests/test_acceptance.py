@@ -109,7 +109,7 @@ def _bounds_from_published(n: int, B: int) -> DecisionBoundaries:
 def _check_table(rows, n, B, failures):
     p0 = uniform_reference(B)
     bounds = _bounds_from_published(n, B)
-    tau_red, tau_green = yn_boundaries(n, B, 0.01, 0.10)
+    tau_red, tau_green = yn_boundaries(n, B)
     for label, counts, psi_pub, lewis, yn, prs_pub, prs_reg in rows:
         phat = proportions(CategoryCounts(np.array(counts)))
         psi_val = psi(phat, p0)

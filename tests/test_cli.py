@@ -493,16 +493,26 @@ class TestMonitorCommand:
         assert "duplicate" in capsys.readouterr().err
         assert len(hist.read_text().splitlines()) == 1
 
-    # an empty value, such as an unset shell variable, was read as no flag at all
-    @pytest.mark.parametrize("flag", ["--history", "--config"])
+    # an empty value, such as an unset shell variable, is the path '.': refused by the option's name
+    @pytest.mark.parametrize("command, flag", [
+        ("monitor", "--snapshot"), ("monitor", "--reference"), ("monitor", "--history"), ("monitor", "--config"),
+        ("boundaries", "--reference"), ("study", "--out"),
+    ], ids=["--snapshot", "--reference", "--history", "--config", "boundaries --reference", "study --out"])
     def test_empty_path_flag_exits_validation(self, capsys, monkeypatch, tmp_path, reference_file, snapshot_file,
-                                              flag):
+                                              command, flag):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text("c=0.7\n")
+        flags = {"monitor": {"--snapshot": "t1.csv", "--reference": "ref.csv", "--history": "h.jsonl",
+                             "--config": "c.cfg"},
+                 "boundaries": {"--reference": "ref.csv", "--n": "50"},
+                 "study": {"--study": "table1", "--B": "5", "--n": "50", "--replications": "1000",
+                           "--out": "t.csv"}}[command]
         before = sorted(tmp_path.iterdir())
-        code = main(["monitor", "--snapshot", str(snapshot_file), "--reference", str(reference_file), flag, ""])
-        assert code == EXIT_VALIDATION
+        with pytest.raises(SystemExit) as exc:
+            main([command, *(s for item in {**flags, flag: ""}.items() for s in item)])
+        assert exc.value.code == EXIT_VALIDATION
         out, err = capsys.readouterr()
-        assert out == "" and "Is a directory" in err
+        assert out == "" and f"error: argument {flag}: expected a file path, got an empty value\n" in err
         assert sorted(tmp_path.iterdir()) == before
 
     def test_history_directory_exits_validation(self, capsys, tmp_path, reference_file, snapshot_file):
@@ -605,7 +615,7 @@ OPTIONS = {
     "monitor": ("--snapshot", "--reference", *SHARED_OPTIONS, "--seed", "--history", "--format"),
     "boundaries": ("--reference", "--n", *SHARED_OPTIONS, "--format"),
     "study": ("--study", "--out", "--n", "--n-grid", "--B", "--replications", "--grid-points",
-              "--target-j", "--threshold", "--workers", "--seed", *SHARED_OPTIONS),
+              "--target-j", "--workers", "--seed", *SHARED_OPTIONS),
 }
 
 
@@ -791,8 +801,7 @@ class TestStudyCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
-        ("--workers", "0"), ("--workers", "-3"), ("--target-j", "-0.5"),
-        ("--threshold", "nan"), ("--threshold", "-1"), ("--seed", "-1"), ("--seed", str(2**64)),
+        ("--workers", "0"), ("--workers", "-3"), ("--target-j", "-0.5"), ("--seed", "-1"), ("--seed", str(2**64)),
         ("--seed", str(2**70)),
     ])
     def test_rejects_bad_workers_and_target_j(self, capsys, tmp_path, flag, value):
@@ -807,8 +816,8 @@ class TestStudyCommand:
 
     @pytest.mark.parametrize("flags, expected", [
         ([], {}),
-        (["--replications", "500", "--target-j", "1", "--threshold", "0.3", "--workers", "2", "--seed", "9"],
-         {"replications": 500, "target_j": 1.0, "threshold": 0.3, "workers": 2, "seed": 9}),
+        (["--replications", "500", "--target-j", "1", "--workers", "2", "--seed", "9"],
+         {"replications": 500, "target_j": 1.0, "workers": 2, "seed": 9}),
     ])
     def test_flags_build_study_spec_by_field_name(self, capsys, monkeypatch, tmp_path, flags, expected):
         specs = []
@@ -835,7 +844,7 @@ class TestStudyCommand:
           for flag, value in (("--c", "0.5"), ("--M", "3"), ("--alpha1", "0.1"), ("--alpha2", "0.2"),
                               ("--delta", "0.01"), ("--grid-points", "3"))),
         *((study, flag, value) for study in ("stability", "sweep")
-          for flag, value in (("--target-j", "0.1"), ("--threshold", "0.3"))),
+          for flag, value in (("--target-j", "0.1"),)),
     ])
     def test_setting_the_study_does_not_read_is_refused(self, capsys, monkeypatch, tmp_path, study, flag,
                                                          value):
@@ -847,6 +856,15 @@ class TestStudyCommand:
         code = main(["study", *STUDY_ARGS[study], "--replications", "2000", flag, value, "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr() == ("", f"error: the {study} study does not read {flag}; leave it out\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_threshold_is_no_flag(self, capsys, tmp_path):
+        # table1 counts PSI >= LEWIS_ACTION; the level of the Lewis rule is not a setting
+        out = tmp_path / "new" / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["study", *STUDY_ARGS["table1"], "--threshold", "0.3", "--out", str(out)])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "error: unrecognized arguments: --threshold 0.3\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_config_key_the_study_does_not_read_is_refused(self, capsys, tmp_path):
@@ -1134,6 +1152,14 @@ PARSE_EXITS = {
     "bad-value": ["boundaries", "--reference", "ref.csv", "--n", "fifty"],
     "bad-choice": ["monitor", "--snapshot", "t1.csv", "--reference", "ref.csv", "--format", "xml"],
     "unrecognised-flag": ["boundaries", "--reference", "ref.csv", "--n", "50", "--seed", "5"],
+    "retired-threshold": ["study", "--study", "table1", "--B", "5", "--n", "50", "--out", "t.csv",
+                          "--threshold", "0.3"],
+    "empty-snapshot": ["monitor", "--snapshot", "", "--reference", "ref.csv"],
+    "empty-monitor-reference": ["monitor", "--snapshot", "t1.csv", "--reference", ""],
+    "empty-history": ["monitor", "--snapshot", "t1.csv", "--reference", "ref.csv", "--history", ""],
+    "empty-config": ["monitor", "--snapshot", "t1.csv", "--reference", "ref.csv", "--config", ""],
+    "empty-boundaries-reference": ["boundaries", "--reference", "", "--n", "50"],
+    "empty-out": ["study", "--study", "table1", "--B", "5", "--n", "50", "--out", ""],
 }
 
 

@@ -406,6 +406,11 @@ def test_snapshot_equality_compares_label_counts_and_timestamp():
         hash(a)
 
 
+def test_snapshot_label_must_be_non_empty():
+    with pytest.raises(ValidationError, match="^snapshot label must be non-empty$"):
+        Snapshot("", CategoryCounts([2, 3]))
+
+
 class TestLoaders:
     def test_reference_from_probs(self, tmp_path):
         f = tmp_path / "ref.csv"
@@ -537,6 +542,14 @@ class TestLoaders:
         f = tmp_path / "week12.json"
         f.write_text(json.dumps({**payload, "counts": [6, 9, 10, 11, 14]}))
         assert load_snapshot(f).label == label
+
+    def test_csv_snapshot_whose_file_name_is_not_utf8_is_refused(self, tmp_path):
+        # the file name is the label of a CSV snapshot; its bytes must be UTF-8 text
+        path = tmp_path / os.fsdecode(b"\xff.csv")
+        path.write_text("category,count\n1,6\n2,9\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: the file name is not UTF-8 (byte 0xff), "
+                                                            "so it cannot label the snapshot")):
+            load_snapshot(path)
 
     @pytest.mark.parametrize("value", ["", False, True, 1.0, 0.5, [], ["t1"], {}, {"a": 1}],
                              ids=["empty", "false", "true", "float-one", "float", "empty-list",
@@ -1626,9 +1639,7 @@ class TestRunStudy:
             StudySpec(study, B=5, ns=ns)
 
     @pytest.mark.parametrize("field,value", [
-        ("target_j", -0.5), ("target_j", float("nan")), ("workers", 0), ("workers", -3),
-        ("threshold", float("nan")), ("threshold", -1.0), ("threshold", 0.0),
-        ("threshold", float("inf")), ("cfg", None),
+        ("target_j", -0.5), ("target_j", float("nan")), ("workers", 0), ("workers", -3), ("cfg", None),
     ])
     def test_spec_rejects_bad_settings(self, field, value):
         with pytest.raises(ValidationError, match=field):

@@ -92,6 +92,11 @@ class TestLambdaSup:
         with pytest.raises(ValidationError):
             lambda_sup(UNIFORM5, 50, 0.21)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.01])
+    def test_rejects_non_positive_delta(self, delta):
+        with pytest.raises(ValidationError, match=rf"^delta must be positive, got {delta}$"):
+            lambda_sup(UNIFORM5, 50, delta)
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_rejects_non_positive_n(self, n):
         with pytest.raises(ValidationError, match="sample size must be positive"):
@@ -239,35 +244,24 @@ class TestClassification:
 
 class TestYnRule:
     def test_thresholds(self):
-        tau_red, tau_green = yn_boundaries(50, 5, 0.01, 0.10)
+        tau_red, tau_green = yn_boundaries(50, 5)
         assert tau_red == pytest.approx(2 * 13.2767 / 50, abs=1e-4)
         assert tau_green == pytest.approx(2 * 7.7794 / 50, abs=1e-4)
 
     def test_published_classifications(self):
-        tau_red, tau_green = yn_boundaries(50, 5, 0.01, 0.10)
+        tau_red, tau_green = yn_boundaries(50, 5)
         assert classify_yn(0.426, tau_red, tau_green) is Region.R2
         assert classify_yn(0.310, tau_red, tau_green) is Region.R1
-
-    def test_degenerate_levels(self):
-        with pytest.raises(ValidationError):
-            yn_boundaries(50, 5, 0.10, 0.10)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_rejects_bad_sample_size(self, n):
         with pytest.raises(ValidationError, match="sample size must be positive"):
-            yn_boundaries(n, 5, 0.01, 0.10)
+            yn_boundaries(n, 5)
 
     @pytest.mark.parametrize("B", [1, 0])
     def test_rejects_fewer_than_two_categories(self, B):
         with pytest.raises(ValidationError, match="B >= 2"):
-            yn_boundaries(50, B, 0.01, 0.10)
-
-    @pytest.mark.parametrize("level", [-0.1, 0.0, 1.0, 1.5, float("nan")])
-    @pytest.mark.parametrize("name", ["alpha_upper", "alpha_lower"])
-    def test_rejects_levels_outside_unit_interval(self, name, level):
-        levels = {"alpha_upper": 0.01, "alpha_lower": 0.10, name: level}
-        with pytest.raises(ValidationError, match=rf"{name} must lie in \(0, 1\)"):
-            yn_boundaries(50, 5, **levels)
+            yn_boundaries(50, B)
 
 
 # published snapshots: (500, 10) t2, (2000, 10) t3, and (10^4, 20) t2 to t4
@@ -658,7 +652,7 @@ class TestKsSchedule:
     lambda n: lambda_sup(UNIFORM5, n, 0.01),
     lambda n: decision_boundaries(UNIFORM5, n, ResemblanceConfig()),
     lambda n: decision_boundaries(UNIFORM5, n, ResemblanceConfig(delta_override=0.01)),
-    lambda n: yn_boundaries(n, 5, 0.01, 0.10),
+    lambda n: yn_boundaries(n, 5),
 ], ids=["recommended_delta", "lambda_sup", "decision_boundaries", "delta_override", "yn_boundaries"])
 def test_sample_size_above_int64_is_refused(call, n):
     # no vector of int64 counts sums to n; 10**400 overflowed a float
@@ -670,7 +664,7 @@ def test_largest_int64_sample_size_is_taken():
     n = 2**63 - 1
     assert recommended_delta(UNIFORM5, n, 0.7) > 0
     assert decision_boundaries(UNIFORM5, n, ResemblanceConfig()).n == n
-    assert yn_boundaries(n, 5, 0.01, 0.10)[0] > 0
+    assert yn_boundaries(n, 5)[0] > 0
 
 
 class TestConfigValidation:

@@ -35,6 +35,11 @@ class TestPerturbedPv:
         with pytest.raises(ValidationError, match="non-negative"):
             perturbed_pv(5, float("nan"))
 
+    @pytest.mark.parametrize("B", [1, 0])
+    def test_rejects_fewer_than_two_categories(self, B):
+        with pytest.raises(ValidationError, match=rf"^need B >= 2 categories, got {B}$"):
+            perturbed_pv(B, 0.0)
+
     def test_chebyshev_distance_is_exactly_delta_v(self):
         for B in (3, 4, 5, 8, 9):
             dv = 0.4 / B

@@ -273,7 +273,7 @@ class TestChunkScoring:
 @pytest.mark.parametrize("spec", [
     StudySpec("table1", B=5, ns=(1, 50, 1000), replications=CHUNK_ROWS + 10, seed=3),
     StudySpec("table1", B=5, ns=(50, 10**5), replications=CHUNK_ROWS + 10, seed=3, target_j=0.1),
-    StudySpec("table1", B=2, ns=(2, 300), replications=CHUNK_ROWS, seed=4, threshold=0.01),
+    StudySpec("table1", B=2, ns=(2, 300), replications=CHUNK_ROWS, seed=4),
     StudySpec("stability", B=10, ns=(1, 20, 10**5), replications=CHUNK_ROWS + 10, seed=4),
     StudySpec("stability", B=2, ns=(3, 10**6), replications=500, seed=5),
     StudySpec("sweep", B=5, ns=(50,), replications=CHUNK_ROWS + 10, seed=5, grid_points=3,
@@ -338,7 +338,7 @@ class TestSpecValidation:
         got = run_study(spec, tmp_path / "u.csv").read_bytes()
         assert got == run_study(replace(spec, seed=5), tmp_path / "i.csv").read_bytes()
 
-    @pytest.mark.parametrize("name, whole", [("target_j", 0), ("threshold", 1)])
+    @pytest.mark.parametrize("name, whole", [("target_j", 0)])
     def test_whole_number_settings_write_the_bytes_of_their_floats(self, tmp_path, name, whole):
         paths = []
         for value in (whole, float(whole)):
@@ -399,12 +399,6 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="grid_points must be at least 1"):
             classification_sweep(50, 5, ResemblanceConfig(), grid_points=grid_points,
                                  replications=100)
-
-    @pytest.mark.parametrize("threshold", [-1.0, 0.0, math.nan, math.inf])
-    def test_reconstruction_rejects_bad_threshold(self, threshold):
-        with pytest.raises(ValidationError, match="threshold"):
-            reconstruction_probability(n=50, B=5, replications=100, seed=0,
-                                       psi_threshold=threshold)
 
 
 class TestReconstruction:

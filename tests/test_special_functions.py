@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -194,6 +195,15 @@ class TestNcx2Quantile:
         for p in (0.0, 1.0):
             with pytest.raises(ValueError):
                 ncx2_quantile(p, 4.0, 1.0)
+
+    @pytest.mark.parametrize("df, ncp, message", [
+        (0.0, 1.0, "degrees of freedom must be positive, got df=0.0"),
+        (-1.0, 1.0, "degrees of freedom must be positive, got df=-1.0"),
+        (4.0, -0.5, "non-centrality must be non-negative, got ncp=-0.5"),
+    ])
+    def test_rejects_bad_df_or_ncp(self, df, ncp, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ncx2_quantile(0.5, df, ncp)
 
     @pytest.mark.parametrize("ncp", [1450.0, 1600.0, 1800.0, 1990.0])
     def test_matches_scipy_where_exp_of_half_ncp_underflows(self, ncp):
